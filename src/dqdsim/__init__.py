@@ -9,6 +9,8 @@ off-diagonal density-matrix element.
 
 from .analysis import (
     NoDecoherenceError,
+    NonFiniteResultError,
+    PointEvaluation,
     SweepError,
     SweepPoint,
     SweepResult,
@@ -16,7 +18,9 @@ from .analysis import (
     TrajectoryTooShortError,
     decoherence_time_analytic,
     decoherence_time_empirical,
+    decoherence_times,
     equilibrium_populations,
+    evaluate_point,
     run_sweep,
 )
 from .analytic import ChiRate, chi_rate, closed_form_derivative, closed_form_rdm, closed_form_trajectory
@@ -60,8 +64,10 @@ __all__ = [
     "HBAR_OVER_KB",
     "MaterialConstants",
     "NoDecoherenceError",
+    "NonFiniteResultError",
     "OhmicBath",
     "PiezoelectricBath",
+    "PointEvaluation",
     "QubitParams",
     "RedfieldTensor",
     "StepSizeError",
@@ -81,8 +87,10 @@ __all__ = [
     "closed_form_trajectory",
     "decoherence_time_analytic",
     "decoherence_time_empirical",
+    "decoherence_times",
     "diagonalize",
     "equilibrium_populations",
+    "evaluate_point",
     "g_df_from_material",
     "g_pz_from_material",
     "gamma_minus",

@@ -1,4 +1,7 @@
-"""Decoherence-time extraction, equilibrium diagnostics and parameter sweeps.
+"""The per-point pipeline, decoherence-time extraction and parameter sweeps.
+
+evaluate_point turns one resolved parameter point into chi and the engines'
+trajectories; sweeps and the single-point CLI commands all go through it.
 
 The decoherence time is defined as the 1/e time of the |rho12| envelope,
 T2 = 1/chi.  The empirical extractor recovers it from a sampled trajectory:
@@ -18,17 +21,16 @@ from typing import Optional
 import numpy as np
 
 from .analytic import ChiRate, chi_rate, closed_form_trajectory
-from .bath import BathModel, DeformationBath, OhmicBath, PiezoelectricBath
+from .bath import BATH_KINDS, BathModel
 from .redfield import Trajectory, build_tensor, propagate_numeric, time_grid
-from .system import QubitParams, diagonalize, initial_state
+from .system import EigenSystem, QubitParams, diagonalize, initial_state
 
 _DECAY_THRESHOLD = 0.5 * math.exp(-1.0)
 # required drop of the maxima envelope before a fit is trusted
 _MIN_DECAY_RATIO = 0.9
 
-_ENGINES = ("closed_form", "numeric", "both")
-_FAMILIES = {"pcpb": PiezoelectricBath, "dcpb": DeformationBath, "ohmic": OhmicBath}
-_SWEPT_PARAMETERS = ("omega_l", "eta", "temperature")
+ENGINES = ("closed_form", "numeric", "both")
+SWEPT_PARAMETERS = ("omega_l", "eta", "temperature")
 
 # default interdot-tunneling binding T_c = 0.1 * omega_l
 TC_BINDING = 0.1
@@ -40,6 +42,10 @@ class NoDecoherenceError(ValueError):
 
 class TrajectoryTooShortError(ValueError):
     """The trajectory does not span enough decay to extract a time constant."""
+
+
+class NonFiniteResultError(ValueError):
+    """A computed result is NaN or infinite; the message names the field."""
 
 
 class SweepError(RuntimeError):
@@ -175,15 +181,15 @@ class SweepSpec:
     keep_every: int = 1
 
     def __post_init__(self) -> None:
-        if self.bath_family not in _FAMILIES:
-            raise ValueError(f"bath_family must be one of {sorted(_FAMILIES)}")
-        if not isinstance(self.base_bath, _FAMILIES[self.bath_family]):
+        if self.bath_family not in BATH_KINDS:
+            raise ValueError(f"bath_family must be one of {sorted(BATH_KINDS)}")
+        if not isinstance(self.base_bath, BATH_KINDS[self.bath_family]):
             raise ValueError(
                 f"base_bath {type(self.base_bath).__name__} does not match "
                 f"family '{self.bath_family}'"
             )
-        if self.swept_parameter not in _SWEPT_PARAMETERS:
-            raise ValueError(f"swept_parameter must be one of {_SWEPT_PARAMETERS}")
+        if self.swept_parameter not in SWEPT_PARAMETERS:
+            raise ValueError(f"swept_parameter must be one of {SWEPT_PARAMETERS}")
         if self.swept_parameter == "omega_l" and self.bath_family == "ohmic":
             raise ValueError("omega_l sweeps apply to the phonon baths only")
         if self.swept_parameter == "eta" and self.bath_family != "ohmic":
@@ -205,8 +211,8 @@ class SweepSpec:
             raise ValueError("a positive fixed temperature is required")
         if self.bath_family == "ohmic" and self.tunneling_Tc is None:
             raise ValueError("the Ohmic bath needs an explicit qubit (tunneling_Tc)")
-        if self.engine not in _ENGINES:
-            raise ValueError(f"engine must be one of {_ENGINES}")
+        if self.engine not in ENGINES:
+            raise ValueError(f"engine must be one of {ENGINES}")
         if (self.t_end is None) != (self.n_steps is None):
             raise ValueError("t_end and n_steps must be given together")
 
@@ -235,61 +241,104 @@ class SweepResult:
     points: tuple[SweepPoint, ...]
 
 
+@dataclass(frozen=True)
+class PointEvaluation:
+    """One parameter point before T2 extraction: eigensystem, rate, trajectories.
+
+    Trajectories exist only when a time grid was given; max_abs_diff only
+    with engine "both".
+    """
+
+    eig: EigenSystem
+    rate: ChiRate
+    closed: Optional[Trajectory] = None
+    numeric: Optional[Trajectory] = None
+    max_abs_diff: Optional[float] = None
+
+
+def _require_finite(**fields) -> None:
+    for name, value in fields.items():
+        if value is not None and not np.all(np.isfinite(value)):
+            raise NonFiniteResultError(f"{name} is not finite")
+
+
+def evaluate_point(
+    bath: BathModel,
+    temperature: float,
+    tunneling_Tc: float,
+    engine: str,
+    t_end: Optional[float] = None,
+    n_steps: Optional[int] = None,
+    store_every: int = 1,
+) -> PointEvaluation:
+    """The per-point pipeline: chi, then the engines' trajectories on the grid.
+
+    Every sweep point and every single-point CLI run goes through here.
+    Raises NonFiniteResultError when a result is NaN or infinite.
+    """
+    eig = diagonalize(QubitParams(tunneling_Tc=tunneling_Tc))
+    rate = chi_rate(eig, bath, temperature)
+    _require_finite(chi=rate.chi, n_occ=rate.n_occ)
+    closed = numeric = None
+    max_abs_diff = None
+    if t_end is not None:
+        if engine in ("closed_form", "both"):
+            closed = closed_form_trajectory(rate, time_grid(t_end, n_steps, store_every))
+        if engine in ("numeric", "both"):
+            tensor = build_tensor(eig, bath, temperature)
+            numeric = propagate_numeric(tensor, eig, initial_state(), t_end, n_steps, store_every)
+        if engine == "both":
+            max_abs_diff = float(np.max(np.abs(closed.data - numeric.data)))
+        _require_finite(
+            closed_form_trajectory=None if closed is None else closed.data,
+            numeric_trajectory=None if numeric is None else numeric.data,
+            max_abs_diff=max_abs_diff,
+        )
+    return PointEvaluation(eig, rate, closed, numeric, max_abs_diff)
+
+
+def decoherence_times(run: PointEvaluation) -> tuple[float, Optional[float]]:
+    """(analytic T2, empirical T2 or None without trajectories); numeric preferred."""
+    t2_analytic = decoherence_time_analytic(run.rate)
+    traj = run.numeric if run.numeric is not None else run.closed
+    t2_empirical = None if traj is None else decoherence_time_empirical(traj)
+    _require_finite(t2_analytic=t2_analytic, t2_empirical=t2_empirical)
+    return t2_analytic, t2_empirical
+
+
 def _resolve_point(spec: SweepSpec, value: float) -> tuple[BathModel, float, float]:
     """Bath, temperature and tunneling for one swept value."""
     bath = spec.base_bath
     temperature = spec.temperature
-    if spec.swept_parameter == "omega_l":
-        bath = dataclasses.replace(bath, omega_l=value)
-        tc = TC_BINDING * value
+    if spec.swept_parameter == "temperature":
+        temperature = value
     else:
-        if spec.swept_parameter == "eta":
-            bath = dataclasses.replace(bath, eta=value)
-        else:
-            temperature = value
-        if spec.tunneling_Tc is not None:
-            tc = spec.tunneling_Tc
-        else:
-            tc = TC_BINDING * bath.omega_l
+        bath = dataclasses.replace(bath, **{spec.swept_parameter: value})
+    # an omega_l sweep leaves tunneling_Tc unset, so the binding follows omega_l
+    tc = spec.tunneling_Tc if spec.tunneling_Tc is not None else TC_BINDING * bath.omega_l
     return bath, float(temperature), tc
 
 
 def _evaluate_point(spec: SweepSpec, index: int, value: float) -> SweepPoint:
     bath, temperature, tc = _resolve_point(spec, value)
-    eig = diagonalize(QubitParams(tunneling_Tc=tc))
-    rate = chi_rate(eig, bath, temperature)
-    t2_analytic = decoherence_time_analytic(rate)
-
-    closed = numeric = None
-    t2_empirical = None
-    max_abs_diff = None
-    if spec.t_end is not None:
-        times = time_grid(spec.t_end, spec.n_steps, spec.store_every)
-        if spec.engine in ("closed_form", "both"):
-            closed = closed_form_trajectory(rate, times)
-        if spec.engine in ("numeric", "both"):
-            tensor = build_tensor(eig, bath, temperature)
-            numeric = propagate_numeric(
-                tensor, eig, initial_state(), spec.t_end, spec.n_steps, spec.store_every
-            )
-        if spec.engine == "both":
-            max_abs_diff = float(np.max(np.abs(closed.data - numeric.data)))
-        t2_empirical = decoherence_time_empirical(numeric if numeric is not None else closed)
-
+    run = evaluate_point(
+        bath, temperature, tc, spec.engine, spec.t_end, spec.n_steps, spec.store_every
+    )
+    t2_analytic, t2_empirical = decoherence_times(run)
     keep = spec.keep_trajectories
     return SweepPoint(
         index=index,
         parameter=spec.swept_parameter,
         value=value,
-        omega_21=eig.omega_21,
+        omega_21=run.eig.omega_21,
         temperature=temperature,
-        chi=rate.chi,
-        n_occ=rate.n_occ,
+        chi=run.rate.chi,
+        n_occ=run.rate.n_occ,
         t2_analytic=t2_analytic,
         t2_empirical=t2_empirical,
-        max_abs_diff=max_abs_diff,
-        trajectory_closed=_thin(closed, spec.keep_every) if keep else None,
-        trajectory_numeric=_thin(numeric, spec.keep_every) if keep else None,
+        max_abs_diff=run.max_abs_diff,
+        trajectory_closed=_thin(run.closed, spec.keep_every) if keep else None,
+        trajectory_numeric=_thin(run.numeric, spec.keep_every) if keep else None,
     )
 
 

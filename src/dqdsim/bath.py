@@ -160,9 +160,20 @@ def g_df_from_material(mat: MaterialConstants) -> float:
     )
 
 
-_BATH_KINDS = {"pcpb": PiezoelectricBath, "dcpb": DeformationBath, "ohmic": OhmicBath}
+BATH_KINDS = {"pcpb": PiezoelectricBath, "dcpb": DeformationBath, "ohmic": OhmicBath}
 _PHONON_KEYS = {"g", "omega_d", "omega_l"}
 _OHMIC_KEYS = {"eta", "omega_c", "s_exponent"}
+
+
+def finite_number(value, name: str) -> float:
+    """A config number as a float; bools, non-numbers, NaN and infinities are rejected."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 def bath_to_dict(model: BathModel) -> dict:
@@ -186,11 +197,11 @@ def bath_from_dict(data: dict) -> BathModel:
     if not isinstance(data, dict):
         raise ValueError(f"bath must be an object, got {type(data).__name__}")
     kind = data.get("kind")
-    if kind not in _BATH_KINDS:
-        raise ValueError(f"bath kind must be one of {sorted(_BATH_KINDS)}, got {kind!r}")
+    if kind not in BATH_KINDS:
+        raise ValueError(f"bath kind must be one of {sorted(BATH_KINDS)}, got {kind!r}")
     allowed = _OHMIC_KEYS if kind == "ohmic" else _PHONON_KEYS
     unknown = set(data) - allowed - {"kind"}
     if unknown:
         raise ValueError(f"unknown bath keys for {kind}: {sorted(unknown)}")
-    params = {k: float(v) for k, v in data.items() if k != "kind"}
-    return _BATH_KINDS[kind](**params)
+    params = {k: finite_number(v, f"bath.{k}") for k, v in data.items() if k != "kind"}
+    return BATH_KINDS[kind](**params)

@@ -6,38 +6,52 @@
     simulate sweep    --config cfg.json [--out file] [--engine E] [--format F]
 
 A run is described by a single JSON config; CLI flags override config fields.
-Unknown config keys are an error.  Outputs are deterministic: floats are
-written with 17 significant digits, lines end with \\n, and JSON keys are
-sorted.  Exit codes: 0 success, 2 usage/config error, 3 numerical guard,
-4 i/o failure.  The only ambient configuration is SIMULATE_THREADS, the
-number of worker threads for sweep points.
+Unknown keys, booleans or non-finite values where numbers belong, and
+temperatures <= 0 are config errors.  evolve and t2 evaluate one point through
+analysis.evaluate_point, the pipeline of every sweep point.  Every output is a
+table (column names plus one tuple of values per row) rendered by one CSV and
+one JSON writer; floats carry 17 significant digits, lines end with \\n, JSON
+keys are sorted.  Exit codes: 0 success, 2 usage/config error, 3 numerical
+guard (including a NaN or infinite result), 4 i/o failure.  The only ambient
+configuration is SIMULATE_THREADS, the number of worker threads for sweep points.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import os
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
 from .analysis import (
+    ENGINES,
+    SWEPT_PARAMETERS,
+    TC_BINDING,
     NoDecoherenceError,
+    NonFiniteResultError,
     SweepError,
     SweepSpec,
     TrajectoryTooShortError,
-    decoherence_time_analytic,
-    decoherence_time_empirical,
+    decoherence_times,
+    evaluate_point,
     run_sweep,
 )
-from .analytic import chi_rate, closed_form_trajectory
-from .bath import BathModel, OhmicBath, bath_from_dict, bath_to_dict, spectral_density
-from .redfield import StepSizeError, Trajectory, build_tensor, propagate_numeric, time_grid
-from .system import QubitParams, diagonalize, initial_state
-from .units import temperature_from_millikelvin
+from .bath import (
+    BathModel,
+    OhmicBath,
+    bath_from_dict,
+    bath_to_dict,
+    finite_number,
+    spectral_density,
+)
+from .redfield import StepSizeError, Trajectory, time_grid
+from .system import QubitParams
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -46,41 +60,41 @@ EXIT_IO = 4
 
 THREADS_ENV = "SIMULATE_THREADS"
 
-_ENGINES = ("closed_form", "numeric", "both")
 _FORMATS = ("csv", "json")
 
-_TRAJECTORY_HEADER = "t,rho11,rho22,re_rho12,im_rho12,abs_rho12"
-_NUMERIC_EXTRA_HEADER = (
-    "rho11_numeric,rho22_numeric,re_rho12_numeric,im_rho12_numeric,abs_rho12_numeric"
+_TRAJECTORY_COLUMNS = ("t", "rho11", "rho22", "re_rho12", "im_rho12", "abs_rho12")
+_NUMERIC_COLUMNS = tuple(f"{name}_numeric" for name in _TRAJECTORY_COLUMNS[1:])
+_SUMMARY_COLUMNS = (
+    "index", "parameter", "value", "omega_21", "temperature_K", "chi", "n_occ",
+    "t2_analytic", "t2_empirical", "max_abs_diff", "trajectory",
 )
+# a t2 row is the middle of a sweep-summary row
+_T2_COLUMNS = _SUMMARY_COLUMNS[3:9]
 
 _COMMON_KEYS = {"bath", "format", "out"}
-_TIMEGRID_KEYS = {"t_end", "n_steps", "store_every"}
-_PHYSICS_KEYS = {"qubit", "temperature_K", "temperature_mK", "engine"}
+_TIMEGRID_KEYS = ("t_end", "n_steps", "store_every")
+_PHYSICS_KEYS = {"qubit", "temperature_K", "temperature_mK", "engine", *_TIMEGRID_KEYS}
 _ALLOWED_KEYS = {
     "spectral": _COMMON_KEYS | {"grid"},
-    "evolve": _COMMON_KEYS | _PHYSICS_KEYS | _TIMEGRID_KEYS,
-    "t2": _COMMON_KEYS | _PHYSICS_KEYS | _TIMEGRID_KEYS,
-    "sweep": _COMMON_KEYS | _PHYSICS_KEYS | _TIMEGRID_KEYS | {"sweep", "trajectories"},
+    "evolve": _COMMON_KEYS | _PHYSICS_KEYS,
+    "t2": _COMMON_KEYS | _PHYSICS_KEYS,
+    "sweep": _COMMON_KEYS | _PHYSICS_KEYS | {"sweep", "trajectories"},
 }
+
+_GUARD_ERRORS = (StepSizeError, NoDecoherenceError, TrajectoryTooShortError, NonFiniteResultError)
+_JSON = json.JSONEncoder(indent=2, sort_keys=True)
+_CHUNKS_PER_WRITE = 1 << 16
 
 
 class ConfigError(ValueError):
     """Invalid configuration or usage; maps to exit code 2."""
 
 
-def _fmt(x: float) -> str:
-    # 17 significant digits round-trips doubles exactly
-    return format(float(x), ".17g")
-
-
 def _load_config(path: str) -> dict:
     try:
-        text = Path(path).read_text()
+        data = json.loads(Path(path).read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    try:
-        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -94,17 +108,28 @@ def _check_keys(obj: dict, allowed: set, context: str) -> None:
         raise ConfigError(f"unknown {context} keys: {sorted(unknown)}")
 
 
-def _number(obj: dict, key: str, context: str) -> float:
-    value = obj.get(key)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{context}.{key} must be a number, got {value!r}")
-    return float(value)
+def _number(value, name: str) -> float:
+    try:
+        return finite_number(value, name)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
-def _integer(obj: dict, key: str, context: str) -> int:
-    value = obj.get(key)
+def _block(cfg: dict, key: str, allowed: tuple, required: tuple = ()) -> dict:
+    """A nested config object with only the allowed keys and all the required ones."""
+    block = cfg.get(key)
+    if not isinstance(block, dict):
+        raise ConfigError(f"{key} must be an object with keys {allowed}")
+    _check_keys(block, set(allowed), key)
+    for name in required:
+        if name not in block:
+            raise ConfigError(f"{key}.{name} is required")
+    return block
+
+
+def _integer(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{context}.{key} must be an integer, got {value!r}")
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
     return value
 
 
@@ -118,45 +143,41 @@ def _parse_bath(cfg: dict) -> BathModel:
 
 
 def _parse_temperature(cfg: dict, required: bool = True) -> Optional[float]:
-    has_k = "temperature_K" in cfg
-    has_mk = "temperature_mK" in cfg
-    if has_k and has_mk:
+    keys = [key for key in ("temperature_K", "temperature_mK") if key in cfg]
+    if len(keys) > 1:
         raise ConfigError("give exactly one of temperature_K and temperature_mK")
-    try:
-        if has_k:
-            return _number(cfg, "temperature_K", "config")
-        if has_mk:
-            return temperature_from_millikelvin(_number(cfg, "temperature_mK", "config"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if required:
-        raise ConfigError("config needs temperature_K or temperature_mK")
-    return None
+    if not keys:
+        if required:
+            raise ConfigError("config needs temperature_K or temperature_mK")
+        return None
+    key = keys[0]
+    value = _number(cfg[key], f"config.{key}")
+    kelvin = value / 1000.0 if key == "temperature_mK" else value
+    if not kelvin > 0:
+        raise ConfigError(f"config.{key} must be > 0, got {value!r}")
+    return kelvin
 
 
 def _parse_qubit(cfg: dict, bath: BathModel) -> Optional[float]:
-    """Tunneling T_c from the qubit object, or None to use the 0.1*omega_l binding."""
+    """Validated tunneling T_c from the qubit object.
+
+    None without one: T_c then follows the bath's omega_l (TC_BINDING), which
+    a sweep re-applies at every point.
+    """
     qubit = cfg.get("qubit")
     if qubit is None:
         if isinstance(bath, OhmicBath):
-            raise ConfigError(
-                "the Ohmic bath carries no omega_l; give qubit.tunneling_Tc or qubit.omega_l"
-            )
+            raise ConfigError("the Ohmic bath has no omega_l; give qubit.tunneling_Tc or omega_l")
         return None
-    if not isinstance(qubit, dict):
-        raise ConfigError("qubit must be an object")
-    _check_keys(qubit, {"tunneling_Tc", "omega_l"}, "qubit")
+    _block(cfg, "qubit", ("tunneling_Tc", "omega_l"))
     if ("tunneling_Tc" in qubit) == ("omega_l" in qubit):
         raise ConfigError("qubit needs exactly one of tunneling_Tc and omega_l")
     if "tunneling_Tc" in qubit:
-        return _number(qubit, "tunneling_Tc", "qubit")
-    return 0.1 * _number(qubit, "omega_l", "qubit")
+        return _checked_tc(_number(qubit["tunneling_Tc"], "qubit.tunneling_Tc"))
+    return _checked_tc(TC_BINDING * _number(qubit["omega_l"], "qubit.omega_l"))
 
 
-def _resolve_tc(cfg: dict, bath: BathModel) -> float:
-    tc = _parse_qubit(cfg, bath)
-    if tc is None:
-        tc = 0.1 * bath.omega_l
+def _checked_tc(tc: float) -> float:
     try:
         QubitParams(tunneling_Tc=tc)
     except ValueError as exc:
@@ -165,19 +186,17 @@ def _resolve_tc(cfg: dict, bath: BathModel) -> float:
 
 
 def _parse_time_grid(cfg: dict, required: bool) -> tuple[Optional[float], Optional[int], int]:
-    has_t = "t_end" in cfg
-    has_n = "n_steps" in cfg
-    if has_t != has_n:
+    if ("t_end" in cfg) != ("n_steps" in cfg):
         raise ConfigError("t_end and n_steps must be given together")
-    if not has_t:
+    if "t_end" not in cfg:
         if required:
             raise ConfigError("config needs t_end and n_steps")
         if "store_every" in cfg:
             raise ConfigError("store_every needs a time grid (t_end, n_steps)")
         return None, None, 1
-    t_end = _number(cfg, "t_end", "config")
-    n_steps = _integer(cfg, "n_steps", "config")
-    store_every = _integer(cfg, "store_every", "config") if "store_every" in cfg else 1
+    t_end = _number(cfg["t_end"], "config.t_end")
+    n_steps = _integer(cfg["n_steps"], "config.n_steps")
+    store_every = _integer(cfg["store_every"], "config.store_every") if "store_every" in cfg else 1
     try:
         time_grid(t_end, n_steps, store_every)
     except ValueError as exc:
@@ -185,18 +204,12 @@ def _parse_time_grid(cfg: dict, required: bool) -> tuple[Optional[float], Option
     return t_end, n_steps, store_every
 
 
-def _parse_engine(cfg: dict, override: Optional[str]) -> str:
-    engine = override or cfg.get("engine", "closed_form")
-    if engine not in _ENGINES:
-        raise ConfigError(f"engine must be one of {_ENGINES}, got {engine!r}")
-    return engine
-
-
-def _parse_format(cfg: dict, override: Optional[str]) -> str:
-    fmt = override or cfg.get("format", "csv")
-    if fmt not in _FORMATS:
-        raise ConfigError(f"format must be one of {_FORMATS}, got {fmt!r}")
-    return fmt
+def _parse_choice(cfg: dict, key: str, override: Optional[str], choices: tuple) -> str:
+    """The flag, else the config field, else the first choice."""
+    value = override or cfg.get(key, choices[0])
+    if value not in choices:
+        raise ConfigError(f"{key} must be one of {choices}, got {value!r}")
+    return value
 
 
 def _parse_out(cfg: dict, override: Optional[str]) -> Optional[str]:
@@ -207,9 +220,7 @@ def _parse_out(cfg: dict, override: Optional[str]) -> Optional[str]:
 
 
 def _max_workers() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return 1
+    raw = os.environ.get(THREADS_ENV, "1")
     try:
         n = int(raw)
     except ValueError:
@@ -219,239 +230,116 @@ def _max_workers() -> int:
     return n
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", newline="") as handle:
-            handle.write(text)
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        # 17 significant digits round-trips doubles exactly
+        return format(value, ".17g")
+    return str(value)
 
 
-def _json_text(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _emit(chunks: Iterable[str], out: Optional[str]) -> None:
+    """Write the chunks to out (stdout when None), joined in large batches."""
+    chunks = iter(chunks)
+    target = contextlib.nullcontext(sys.stdout) if out is None else open(out, "w", newline="")
+    with target as handle:
+        while piece := "".join(itertools.islice(chunks, _CHUNKS_PER_WRITE)):
+            handle.write(piece)
 
 
-def _trajectory_csv(
-    primary: Trajectory,
-    numeric: Optional[Trajectory] = None,
-    max_abs_diff: Optional[float] = None,
-) -> str:
-    header = _TRAJECTORY_HEADER
-    if numeric is not None:
-        header += "," + _NUMERIC_EXTRA_HEADER
-    lines = [header]
-    for i, t in enumerate(primary.times):
-        r12 = primary.data[i, 1]
-        fields = [
-            _fmt(t),
-            _fmt(primary.data[i, 0].real),
-            _fmt(primary.data[i, 3].real),
-            _fmt(r12.real),
-            _fmt(r12.imag),
-            _fmt(abs(r12)),
-        ]
-        if numeric is not None:
-            n12 = numeric.data[i, 1]
-            fields += [
-                _fmt(numeric.data[i, 0].real),
-                _fmt(numeric.data[i, 3].real),
-                _fmt(n12.real),
-                _fmt(n12.imag),
-                _fmt(abs(n12)),
-            ]
-        lines.append(",".join(fields))
+def _emit_table(fmt, out, meta, columns, rows: Iterable[tuple], max_abs_diff=None) -> None:
+    """Render one table as CSV (max_abs_diff as a closing comment) or JSON {meta, rows}."""
+    if fmt == "csv":
+        lines = [",".join(columns)]
+        lines += [",".join(map(_cell, row)) for row in rows]
+        if max_abs_diff is not None:
+            lines.append(f"# max_abs_diff={_cell(max_abs_diff)}")
+        _emit(["\n".join(lines), "\n"], out)
+        return
+    doc = {"meta": meta, "rows": [dict(zip(columns, row)) for row in rows]}
     if max_abs_diff is not None:
-        lines.append(f"# max_abs_diff={_fmt(max_abs_diff)}")
-    return "\n".join(lines) + "\n"
+        doc["max_abs_diff"] = max_abs_diff
+    _emit(itertools.chain(_JSON.iterencode(doc), ["\n"]), out)
 
 
-def _trajectory_rows_json(primary: Trajectory, numeric: Optional[Trajectory]) -> list:
-    rows = []
-    for i, t in enumerate(primary.times):
-        r12 = primary.data[i, 1]
-        row = {
-            "t": float(t),
-            "rho11": float(primary.data[i, 0].real),
-            "rho22": float(primary.data[i, 3].real),
-            "re_rho12": float(r12.real),
-            "im_rho12": float(r12.imag),
-            "abs_rho12": float(abs(r12)),
-        }
-        if numeric is not None:
-            n12 = numeric.data[i, 1]
-            row.update(
-                rho11_numeric=float(numeric.data[i, 0].real),
-                rho22_numeric=float(numeric.data[i, 3].real),
-                re_rho12_numeric=float(n12.real),
-                im_rho12_numeric=float(n12.imag),
-                abs_rho12_numeric=float(abs(n12)),
-            )
-        rows.append(row)
-    return rows
+def _trajectory_table(closed: Optional[Trajectory], numeric: Optional[Trajectory]):
+    """Columns and rows of a trajectory; with both engines the numeric one follows."""
+    parts = [traj for traj in (closed, numeric) if traj is not None]
+    columns = _TRAJECTORY_COLUMNS + (_NUMERIC_COLUMNS if len(parts) == 2 else ())
+    values = [parts[0].times]
+    for traj in parts:
+        re, im = traj.rho12.real, traj.rho12.imag
+        # np.hypot gives abs(complex) bit for bit; np.abs differs in the last bit
+        values += [traj.rho11, traj.rho22, re, im, np.hypot(re, im)]
+    return columns, zip(*(v.tolist() for v in values))
+
+
+def _meta(command: str, bath: BathModel, fmt: str, out: Optional[str], **fields) -> dict:
+    """The meta block of a JSON output: the command and its resolved config."""
+    return {"command": command, "bath": bath_to_dict(bath), "format": fmt, "out": out, **fields}
+
+
+def _point_fields(tc: Optional[float], temperature, grid: tuple, engine: str) -> dict:
+    """Meta fields shared by evolve, t2 and sweep."""
+    qubit = None if tc is None else {"tunneling_Tc": tc}
+    fields = {"qubit": qubit, "temperature_K": temperature, "engine": engine}
+    return {**fields, **dict(zip(_TIMEGRID_KEYS, grid))}
 
 
 def cmd_spectral(cfg: dict, out: Optional[str], fmt: str) -> None:
     bath = _parse_bath(cfg)
-    grid = cfg.get("grid")
-    if not isinstance(grid, dict):
-        raise ConfigError("spectral needs a 'grid' object {omega_min, omega_max, count}")
-    _check_keys(grid, {"omega_min", "omega_max", "count"}, "grid")
-    for key in ("omega_min", "omega_max", "count"):
-        if key not in grid:
-            raise ConfigError(f"grid.{key} is required")
-    omega_min = _number(grid, "omega_min", "grid")
-    omega_max = _number(grid, "omega_max", "grid")
-    count = _integer(grid, "count", "grid")
+    keys = ("omega_min", "omega_max", "count")
+    grid = _block(cfg, "grid", keys, required=keys)
+    omega_min = _number(grid["omega_min"], "grid.omega_min")
+    omega_max = _number(grid["omega_max"], "grid.omega_max")
+    count = _integer(grid["count"], "grid.count")
     if omega_min < 0 or omega_max <= omega_min or count < 2:
         raise ConfigError("grid needs 0 <= omega_min < omega_max and count >= 2")
 
-    omegas = np.linspace(omega_min, omega_max, count)
-    values = [spectral_density(bath, float(w)) for w in omegas]
-
-    meta = {
-        "command": "spectral",
-        "bath": bath_to_dict(bath),
-        "grid": {"omega_min": omega_min, "omega_max": omega_max, "count": count},
-        "format": fmt,
-        "out": out,
-    }
-    if fmt == "csv":
-        lines = ["omega,J"]
-        lines += [f"{_fmt(w)},{_fmt(j)}" for w, j in zip(omegas, values)]
-        _emit("\n".join(lines) + "\n", out)
-    else:
-        rows = [{"omega": float(w), "J": float(j)} for w, j in zip(omegas, values)]
-        _emit(_json_text({"meta": meta, "rows": rows}), out)
+    omegas = np.linspace(omega_min, omega_max, count).tolist()
+    rows = [(w, spectral_density(bath, w)) for w in omegas]
+    grid_meta = {"omega_min": omega_min, "omega_max": omega_max, "count": count}
+    _emit_table(fmt, out, _meta("spectral", bath, fmt, out, grid=grid_meta), ("omega", "J"), rows)
 
 
-def _evolve_pieces(cfg: dict):
-    """Shared evolve/t2 resolution: bath, temperature, qubit and chi."""
+def cmd_point(command: str, cfg: dict, out: Optional[str], engine: str, fmt: str) -> None:
+    """evolve and t2: one parameter point through the sweep's per-point pipeline."""
     bath = _parse_bath(cfg)
     temperature = _parse_temperature(cfg)
-    tc = _resolve_tc(cfg, bath)
-    eig = diagonalize(QubitParams(tunneling_Tc=tc))
-    rate = chi_rate(eig, bath, temperature)
-    return bath, temperature, tc, eig, rate
-
-
-def _run_engines(eig, bath, temperature, rate, engine, t_end, n_steps, store_every):
-    times = time_grid(t_end, n_steps, store_every)
-    closed = numeric = None
-    max_abs_diff = None
-    if engine in ("closed_form", "both"):
-        closed = closed_form_trajectory(rate, times)
-    if engine in ("numeric", "both"):
-        tensor = build_tensor(eig, bath, temperature)
-        numeric = propagate_numeric(tensor, eig, initial_state(), t_end, n_steps, store_every)
-    if engine == "both":
-        max_abs_diff = float(np.max(np.abs(closed.data - numeric.data)))
-    return closed, numeric, max_abs_diff
-
-
-def cmd_evolve(cfg: dict, out: Optional[str], engine: str, fmt: str) -> None:
-    bath, temperature, tc, eig, rate = _evolve_pieces(cfg)
-    t_end, n_steps, store_every = _parse_time_grid(cfg, required=True)
-    closed, numeric, max_abs_diff = _run_engines(
-        eig, bath, temperature, rate, engine, t_end, n_steps, store_every
-    )
-    primary = closed if closed is not None else numeric
-    secondary = numeric if engine == "both" else None
-
-    meta = {
-        "command": "evolve",
-        "bath": bath_to_dict(bath),
-        "qubit": {"tunneling_Tc": tc},
-        "temperature_K": temperature,
-        "t_end": t_end,
-        "n_steps": n_steps,
-        "store_every": store_every,
-        "engine": engine,
-        "format": fmt,
-        "out": out,
-    }
-    if fmt == "csv":
-        _emit(_trajectory_csv(primary, secondary, max_abs_diff), out)
+    tc = _parse_qubit(cfg, bath)
+    if tc is None:
+        tc = _checked_tc(TC_BINDING * bath.omega_l)
+    grid = _parse_time_grid(cfg, required=command == "evolve")
+    run = evaluate_point(bath, temperature, tc, engine, *grid)
+    meta = _meta(command, bath, fmt, out, **_point_fields(tc, temperature, grid, engine))
+    if command == "evolve":
+        columns, rows = _trajectory_table(run.closed, run.numeric)
+        _emit_table(fmt, out, meta, columns, rows, run.max_abs_diff)
     else:
-        doc = {"meta": meta, "rows": _trajectory_rows_json(primary, secondary)}
-        if max_abs_diff is not None:
-            doc["max_abs_diff"] = max_abs_diff
-        _emit(_json_text(doc), out)
-
-
-def cmd_t2(cfg: dict, out: Optional[str], engine: str, fmt: str) -> None:
-    bath, temperature, tc, eig, rate = _evolve_pieces(cfg)
-    t_end, n_steps, store_every = _parse_time_grid(cfg, required=False)
-    t2_analytic = decoherence_time_analytic(rate)
-    t2_empirical = None
-    if t_end is not None:
-        closed, numeric, _ = _run_engines(
-            eig, bath, temperature, rate, engine, t_end, n_steps, store_every
-        )
-        t2_empirical = decoherence_time_empirical(numeric if numeric is not None else closed)
-
-    meta = {
-        "command": "t2",
-        "bath": bath_to_dict(bath),
-        "qubit": {"tunneling_Tc": tc},
-        "temperature_K": temperature,
-        "t_end": t_end,
-        "n_steps": n_steps,
-        "store_every": store_every,
-        "engine": engine,
-        "format": fmt,
-        "out": out,
-    }
-    row = {
-        "omega_21": eig.omega_21,
-        "temperature_K": temperature,
-        "chi": rate.chi,
-        "n_occ": rate.n_occ,
-        "t2_analytic": t2_analytic,
-        "t2_empirical": t2_empirical,
-    }
-    if fmt == "csv":
-        fields = [
-            _fmt(row["omega_21"]),
-            _fmt(row["temperature_K"]),
-            _fmt(row["chi"]),
-            _fmt(row["n_occ"]),
-            _fmt(row["t2_analytic"]),
-            "" if t2_empirical is None else _fmt(t2_empirical),
-        ]
-        header = "omega_21,temperature_K,chi,n_occ,t2_analytic,t2_empirical"
-        _emit(header + "\n" + ",".join(fields) + "\n", out)
-    else:
-        _emit(_json_text({"meta": meta, "rows": [row]}), out)
+        row = (run.eig.omega_21, temperature, run.rate.chi, run.rate.n_occ)
+        _emit_table(fmt, out, meta, _T2_COLUMNS, [row + decoherence_times(run)])
 
 
 def _parse_sweep_block(cfg: dict) -> tuple[str, tuple[float, ...]]:
-    block = cfg.get("sweep")
-    if not isinstance(block, dict):
-        raise ConfigError("sweep needs a 'sweep' object {parameter, values}")
-    _check_keys(block, {"parameter", "values"}, "sweep")
+    block = _block(cfg, "sweep", ("parameter", "values"))
     parameter = block.get("parameter")
-    if parameter not in ("omega_l", "eta", "temperature"):
-        raise ConfigError(f"sweep.parameter must be omega_l, eta or temperature, got {parameter!r}")
+    if parameter not in SWEPT_PARAMETERS:
+        raise ConfigError(f"sweep.parameter must be one of {SWEPT_PARAMETERS}, got {parameter!r}")
     values = block.get("values")
     if not isinstance(values, list) or not values:
         raise ConfigError("sweep.values must be a non-empty list of numbers")
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"sweep.values entries must be numbers, got {v!r}")
-    return parameter, tuple(float(v) for v in values)
+    return parameter, tuple(_number(v, f"sweep.values[{i}]") for i, v in enumerate(values))
 
 
 def _parse_trajectories_block(cfg: dict) -> tuple[bool, int]:
-    block = cfg.get("trajectories")
-    if block is None:
+    if cfg.get("trajectories") is None:
         return False, 1
-    if not isinstance(block, dict):
-        raise ConfigError("trajectories must be an object {write, every}")
-    _check_keys(block, {"write", "every"}, "trajectories")
+    block = _block(cfg, "trajectories", ("write", "every"))
     write = block.get("write", False)
     if not isinstance(write, bool):
         raise ConfigError("trajectories.write must be a boolean")
-    every = _integer(block, "every", "trajectories") if "every" in block else 1
+    every = _integer(block["every"], "trajectories.every") if "every" in block else 1
     if every < 1:
         raise ConfigError("trajectories.every must be >= 1")
     return write, every
@@ -461,115 +349,40 @@ def cmd_sweep(cfg: dict, out: Optional[str], engine: str, fmt: str) -> None:
     bath = _parse_bath(cfg)
     parameter, values = _parse_sweep_block(cfg)
     temperature = _parse_temperature(cfg, required=(parameter != "temperature"))
-    tc = _parse_qubit(cfg, bath) if (parameter == "omega_l" or "qubit" in cfg) else None
-    if tc is None and parameter != "omega_l" and isinstance(bath, OhmicBath):
-        raise ConfigError(
-            "the Ohmic bath carries no omega_l; give qubit.tunneling_Tc or qubit.omega_l"
-        )
-    t_end, n_steps, store_every = _parse_time_grid(cfg, required=False)
+    tc = _parse_qubit(cfg, bath)
+    grid = _parse_time_grid(cfg, required=False)
     write_traj, keep_every = _parse_trajectories_block(cfg)
     if write_traj and out is None:
         raise ConfigError("writing sweep trajectories requires --out (files go next to it)")
-    if write_traj and t_end is None:
+    if write_traj and grid[0] is None:
         raise ConfigError("writing sweep trajectories requires a time grid (t_end, n_steps)")
 
     kind = bath_to_dict(bath)["kind"]
-    try:
+    try:  # SweepSpec fields in order
         spec = SweepSpec(
-            bath_family=kind,
-            swept_parameter=parameter,
-            values=values,
-            base_bath=bath,
-            temperature=temperature,
-            tunneling_Tc=tc,
-            t_end=t_end,
-            n_steps=n_steps,
-            store_every=store_every,
-            engine=engine,
-            keep_trajectories=write_traj,
-            keep_every=keep_every,
+            kind, parameter, values, bath, temperature, tc, *grid, engine, write_traj, keep_every
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
     result = run_sweep(spec, max_workers=_max_workers())
 
-    trajectory_names: list[Optional[str]] = []
-    if write_traj:
-        out_path = Path(out)
-        for point in result.points:
-            name = f"{out_path.stem}_point{point.index}.csv"
-            primary = (
-                point.trajectory_closed
-                if point.trajectory_closed is not None
-                else point.trajectory_numeric
-            )
-            secondary = point.trajectory_numeric if spec.engine == "both" else None
-            _emit(
-                _trajectory_csv(primary, secondary, point.max_abs_diff),
-                str(out_path.with_name(name)),
-            )
-            trajectory_names.append(name)
-    else:
-        trajectory_names = [None] * len(result.points)
-
-    meta = {
-        "command": "sweep",
-        "bath": bath_to_dict(bath),
-        "qubit": None if tc is None else {"tunneling_Tc": tc},
-        "temperature_K": temperature,
-        "sweep": {"parameter": parameter, "values": list(values)},
-        "t_end": t_end,
-        "n_steps": n_steps,
-        "store_every": store_every,
-        "trajectories": {"write": write_traj, "every": keep_every},
-        "engine": engine,
-        "format": fmt,
-        "out": out,
-    }
-    if fmt == "csv":
-        lines = [
-            "index,parameter,value,omega_21,temperature_K,chi,n_occ,"
-            "t2_analytic,t2_empirical,max_abs_diff,trajectory"
-        ]
-        for point, name in zip(result.points, trajectory_names):
-            lines.append(
-                ",".join(
-                    [
-                        str(point.index),
-                        point.parameter,
-                        _fmt(point.value),
-                        _fmt(point.omega_21),
-                        _fmt(point.temperature),
-                        _fmt(point.chi),
-                        _fmt(point.n_occ),
-                        _fmt(point.t2_analytic),
-                        "" if point.t2_empirical is None else _fmt(point.t2_empirical),
-                        "" if point.max_abs_diff is None else _fmt(point.max_abs_diff),
-                        name or "",
-                    ]
-                )
-            )
-        _emit("\n".join(lines) + "\n", out)
-    else:
-        rows = []
-        for point, name in zip(result.points, trajectory_names):
-            rows.append(
-                {
-                    "index": point.index,
-                    "parameter": point.parameter,
-                    "value": point.value,
-                    "omega_21": point.omega_21,
-                    "temperature_K": point.temperature,
-                    "chi": point.chi,
-                    "n_occ": point.n_occ,
-                    "t2_analytic": point.t2_analytic,
-                    "t2_empirical": point.t2_empirical,
-                    "max_abs_diff": point.max_abs_diff,
-                    "trajectory": name,
-                }
-            )
-        _emit(_json_text({"meta": meta, "rows": rows}), out)
+    rows = []
+    for p in result.points:
+        name = None
+        if write_traj:
+            name = f"{Path(out).stem}_point{p.index}.csv"
+            columns, traj_rows = _trajectory_table(p.trajectory_closed, p.trajectory_numeric)
+            sidecar = str(Path(out).with_name(name))
+            _emit_table("csv", sidecar, None, columns, traj_rows, p.max_abs_diff)
+        rows.append(
+            (p.index, p.parameter, p.value, p.omega_21, p.temperature, p.chi, p.n_occ)
+            + (p.t2_analytic, p.t2_empirical, p.max_abs_diff, name)
+        )
+    meta = _meta("sweep", bath, fmt, out, **_point_fields(tc, temperature, grid, engine))
+    meta["sweep"] = {"parameter": parameter, "values": list(values)}
+    meta["trajectories"] = {"write": write_traj, "every": keep_every}
+    _emit_table(fmt, out, meta, _SUMMARY_COLUMNS, rows)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -589,9 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output file (default: stdout)")
         p.add_argument("--format", default=None, choices=_FORMATS, help="override config format")
         if name != "spectral":
-            p.add_argument(
-                "--engine", default=None, choices=_ENGINES, help="override config engine"
-            )
+            p.add_argument("--engine", choices=ENGINES, help="override config engine")
     return parser
 
 
@@ -605,29 +416,24 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         _check_keys(cfg, _ALLOWED_KEYS[args.command], "config")
-        fmt = _parse_format(cfg, args.format)
+        fmt = _parse_choice(cfg, "format", args.format, _FORMATS)
         out = _parse_out(cfg, args.out)
         if args.command == "spectral":
             cmd_spectral(cfg, out, fmt)
         else:
-            engine = _parse_engine(cfg, args.engine)
-            if args.command == "evolve":
-                cmd_evolve(cfg, out, engine, fmt)
-            elif args.command == "t2":
-                cmd_t2(cfg, out, engine, fmt)
-            else:
+            engine = _parse_choice(cfg, "engine", args.engine, ENGINES)
+            if args.command == "sweep":
                 cmd_sweep(cfg, out, engine, fmt)
+            else:
+                cmd_point(args.command, cfg, out, engine, fmt)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SweepError as exc:
-        if isinstance(exc.cause, ConfigError):
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
         done = len(exc.partial.points)
         print(f"sweep aborted after {done} completed point(s): {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (StepSizeError, NoDecoherenceError, TrajectoryTooShortError) as exc:
+    except _GUARD_ERRORS as exc:
         print(f"numerical guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except OSError as exc:

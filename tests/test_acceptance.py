@@ -6,6 +6,7 @@ high-precision oracle in tests/oracle.py (mpmath at 50 digits); they are
 cross-checked against that oracle here so a drift in either side fails.
 """
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import oracle
-from conftest import FIGURE_SETS
+from conftest import FIGURE_SETS, REPO_ROOT
 from dqdsim import (
     DeformationBath,
     OhmicBath,
@@ -281,3 +282,11 @@ def test_criterion_7_determinism(figure_suite, configs_dir, tmp_path):
     for name in first:
         assert (figure_suite / name).read_bytes() == (tmp_path / name).read_bytes(), name
     print("criterion 7 PASS: figure-suite outputs byte-identical across runs")
+
+
+def test_figure_outputs_match_reference_hashes(figure_suite):
+    """The figure suite reproduces, byte for byte, the outputs the benchmark pinned."""
+    reference = json.loads((REPO_ROOT / "bench" / "reference_hashes.json").read_text())["figs"]
+    assert sorted(p.name for p in figure_suite.iterdir()) == sorted(reference)
+    for name, digest in reference.items():
+        assert hashlib.sha256((figure_suite / name).read_bytes()).hexdigest() == digest, name

@@ -393,6 +393,105 @@ class TestSweepCommand:
             assert a == b
 
 
+INF = float("inf")
+NAN = float("nan")
+
+
+class TestValidationBoundary:
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("evolve", {**EVOLVE_CFG, "temperature_mK": None, "temperature_K": -1.0}),
+            ("evolve", {**EVOLVE_CFG, "temperature_mK": None, "temperature_K": NAN}),
+            ("evolve", {**EVOLVE_CFG, "temperature_mK": None, "temperature_K": INF}),
+            ("evolve", {**EVOLVE_CFG, "t_end": INF}),
+            ("evolve", {**EVOLVE_CFG, "bath": {**PCPB, "g": INF}}),
+            ("evolve", {**EVOLVE_CFG, "bath": {**PCPB, "g": True}}),
+            (
+                "sweep",
+                {
+                    "bath": PCPB,
+                    "temperature_mK": 30,
+                    "sweep": {"parameter": "omega_l", "values": [0.5, INF]},
+                },
+            ),
+            ("spectral", {"bath": PCPB, "grid": {"omega_min": 0, "omega_max": INF, "count": 5}}),
+        ],
+        ids=[
+            "T-1", "T-nan", "T-inf", "t_end-inf", "g-inf", "g-true", "sweep-omega_l-inf",
+            "spectral-omega_max-inf",
+        ],
+    )
+    def test_non_finite_and_bool_numbers_are_config_errors(
+        self, tmp_path, capsys, command, payload
+    ):
+        payload = {k: v for k, v in payload.items() if v is not None}
+        cfg = write_config(tmp_path, payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
+
+    def test_non_finite_result_is_a_named_guard(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {**EVOLVE_CFG, "qubit": {"tunneling_Tc": 1e300}})
+        out = tmp_path / "traj.csv"
+        assert main(["evolve", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical guard" in err and "closed_form_trajectory" in err
+        assert not out.exists()
+
+
+class TestOnePipeline:
+    """evolve and t2 are one-point runs of the same pipeline as a sweep point."""
+
+    BASE = {
+        "bath": PCPB,
+        "t_end": 2500.0,
+        "n_steps": 5000,
+        "engine": "both",
+    }
+
+    def test_evolve_and_t2_match_a_one_point_sweep(self, tmp_path):
+        point = write_config(tmp_path, {**self.BASE, "temperature_K": 0.03}, "point.json")
+        sweep = write_config(
+            tmp_path,
+            {
+                **self.BASE,
+                "sweep": {"parameter": "temperature", "values": [0.03]},
+                "trajectories": {"write": True, "every": 1},
+                "format": "json",
+            },
+            "sweep.json",
+        )
+        evolve_out = tmp_path / "evolve.csv"
+        t2_out = tmp_path / "t2.json"
+        sweep_out = tmp_path / "sweep.json"
+        assert main(["evolve", "--config", point, "--out", str(evolve_out)]) == 0
+        assert main(["t2", "--config", point, "--out", str(t2_out), "--format", "json"]) == 0
+        assert main(["sweep", "--config", sweep, "--out", str(sweep_out)]) == 0
+
+        assert evolve_out.read_bytes() == (tmp_path / "sweep_point0.csv").read_bytes()
+        t2_row = json.loads(t2_out.read_text())["rows"][0]
+        sweep_row = json.loads(sweep_out.read_text())["rows"][0]
+        for key in ("omega_21", "chi", "n_occ", "t2_analytic", "t2_empirical"):
+            assert t2_row[key] == sweep_row[key], key
+        assert t2_row["t2_empirical"] is not None
+
+    def test_bad_tunneling_is_a_config_error_for_every_command(self, tmp_path):
+        qubit = {"tunneling_Tc": -1.0}
+        point = write_config(
+            tmp_path, {**self.BASE, "temperature_K": 0.03, "qubit": qubit}, "point.json"
+        )
+        sweep = write_config(
+            tmp_path,
+            {**self.BASE, "qubit": qubit, "sweep": {"parameter": "temperature", "values": [0.03]}},
+            "sweep.json",
+        )
+        assert main(["evolve", "--config", point]) == 2
+        assert main(["t2", "--config", point]) == 2
+        assert main(["sweep", "--config", sweep]) == 2
+
+
 class TestUsage:
     def test_missing_subcommand(self):
         assert main([]) == 2
