@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .analytic import ChiRate, chi_rate, closed_form_trajectory
-from .bath import BATH_KINDS, BathModel
+from .bath import BATH_KINDS, BathModel, OhmicBath
 from .redfield import Trajectory, build_tensor, propagate_numeric, time_grid
 from .system import EigenSystem, QubitParams, diagonalize, initial_state
 
@@ -167,7 +166,6 @@ class SweepSpec:
     Trajectories are produced only when a time grid (t_end, n_steps) is set.
     """
 
-    bath_family: str
     swept_parameter: str
     values: tuple[float, ...]
     base_bath: BathModel
@@ -181,18 +179,15 @@ class SweepSpec:
     keep_every: int = 1
 
     def __post_init__(self) -> None:
-        if self.bath_family not in BATH_KINDS:
-            raise ValueError(f"bath_family must be one of {sorted(BATH_KINDS)}")
-        if not isinstance(self.base_bath, BATH_KINDS[self.bath_family]):
-            raise ValueError(
-                f"base_bath {type(self.base_bath).__name__} does not match "
-                f"family '{self.bath_family}'"
-            )
+        if not isinstance(self.base_bath, tuple(BATH_KINDS.values())):
+            kind = type(self.base_bath).__name__
+            raise ValueError(f"base_bath must be a bath model, got {kind}")
+        ohmic = isinstance(self.base_bath, OhmicBath)
         if self.swept_parameter not in SWEPT_PARAMETERS:
             raise ValueError(f"swept_parameter must be one of {SWEPT_PARAMETERS}")
-        if self.swept_parameter == "omega_l" and self.bath_family == "ohmic":
+        if self.swept_parameter == "omega_l" and ohmic:
             raise ValueError("omega_l sweeps apply to the phonon baths only")
-        if self.swept_parameter == "eta" and self.bath_family != "ohmic":
+        if self.swept_parameter == "eta" and not ohmic:
             raise ValueError("eta sweeps apply to the Ohmic bath only")
         if self.swept_parameter == "omega_l" and self.tunneling_Tc is not None:
             raise ValueError("omega_l sweeps re-bind tunneling_Tc; leave it unset")
@@ -209,7 +204,7 @@ class SweepSpec:
                 raise ValueError("fixed temperature conflicts with a temperature sweep")
         elif self.temperature is None or not self.temperature > 0:
             raise ValueError("a positive fixed temperature is required")
-        if self.bath_family == "ohmic" and self.tunneling_Tc is None:
+        if ohmic and self.tunneling_Tc is None:
             raise ValueError("the Ohmic bath needs an explicit qubit (tunneling_Tc)")
         if self.engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}")
@@ -348,28 +343,22 @@ def _thin(traj: Optional[Trajectory], every: int) -> Optional[Trajectory]:
     return Trajectory(times=traj.times[::every], data=traj.data[::every])
 
 
-def run_sweep(spec: SweepSpec, max_workers: int = 1) -> SweepResult:
-    """Evaluate every swept value; points run independently and in order.
+def run_sweep(spec: SweepSpec) -> SweepResult:
+    """Evaluate every swept value in order on the calling thread.
 
-    The first failing point aborts the sweep: the raised SweepError carries
-    the offending value and the points completed before it.
+    The first failing point aborts the sweep, so no later point is evaluated:
+    the raised SweepError carries the offending value and the points completed
+    before it.
     """
-    if max_workers < 1:
-        raise ValueError(f"max_workers must be >= 1, got {max_workers}")
     points: list[SweepPoint] = []
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        futures = [
-            pool.submit(_evaluate_point, spec, i, v) for i, v in enumerate(spec.values)
-        ]
-        for i, future in enumerate(futures):
-            try:
-                points.append(future.result())
-            except Exception as exc:
-                partial = SweepResult(spec=spec, points=tuple(points))
-                raise SweepError(
-                    f"sweep failed at {spec.swept_parameter}={spec.values[i]}: {exc}",
-                    partial=partial,
-                    value=spec.values[i],
-                    cause=exc,
-                ) from exc
+    for i, value in enumerate(spec.values):
+        try:
+            points.append(_evaluate_point(spec, i, value))
+        except Exception as exc:
+            raise SweepError(
+                f"sweep failed at {spec.swept_parameter}={value}: {exc}",
+                partial=SweepResult(spec=spec, points=tuple(points)),
+                value=value,
+                cause=exc,
+            ) from exc
     return SweepResult(spec=spec, points=tuple(points))

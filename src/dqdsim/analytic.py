@@ -68,18 +68,20 @@ def closed_form_trajectory(rate: ChiRate, times: np.ndarray) -> Trajectory:
 
     s2 = chi * chi - w * w  # real; s is purely real or purely imaginary
     s = cmath.sqrt(complex(s2, 0.0))
-    z2 = s2 * t * t
-    small = np.abs(z2) < _SERIES_THRESHOLD**2
 
+    # non-finite inputs propagate as NaN/inf to the caller's finiteness guard
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        z2 = s2 * t * t
+        small = np.abs(z2) < _SERIES_THRESHOLD**2
+
         a = np.exp((-chi + s) * t)
         b = np.exp((-chi - s) * t)
         pair = (a + b) / 4.0 + (chi + 1j * w) * (a - b) / (4.0 * s)
 
-    # small |s*t|: cosh(z) and sinh(z)/z expanded, exact through z^4
-    cosh_ser = 1.0 + z2 / 2.0 + z2 * z2 / 24.0
-    sinhc_ser = 1.0 + z2 / 6.0 + z2 * z2 / 120.0
-    series = np.exp(-chi * t) * (cosh_ser + (chi + 1j * w) * t * sinhc_ser) / 2.0
+        # small |s*t|: cosh(z) and sinh(z)/z expanded, exact through z^4
+        cosh_ser = 1.0 + z2 / 2.0 + z2 * z2 / 24.0
+        sinhc_ser = 1.0 + z2 / 6.0 + z2 * z2 / 120.0
+        series = np.exp(-chi * t) * (cosh_ser + (chi + 1j * w) * t * sinhc_ser) / 2.0
 
     rho12 = np.where(small, series, pair)
 

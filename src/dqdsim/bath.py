@@ -15,6 +15,7 @@ the remaining dimensions).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -161,8 +162,6 @@ def g_df_from_material(mat: MaterialConstants) -> float:
 
 
 BATH_KINDS = {"pcpb": PiezoelectricBath, "dcpb": DeformationBath, "ohmic": OhmicBath}
-_PHONON_KEYS = {"g", "omega_d", "omega_l"}
-_OHMIC_KEYS = {"eta", "omega_c", "s_exponent"}
 
 
 def finite_number(value, name: str) -> float:
@@ -178,17 +177,9 @@ def finite_number(value, name: str) -> float:
 
 def bath_to_dict(model: BathModel) -> dict:
     """Tagged-object form used in config files, e.g. {"kind": "pcpb", ...}."""
-    if isinstance(model, PiezoelectricBath):
-        return {"kind": "pcpb", "g": model.g, "omega_d": model.omega_d, "omega_l": model.omega_l}
-    if isinstance(model, DeformationBath):
-        return {"kind": "dcpb", "g": model.g, "omega_d": model.omega_d, "omega_l": model.omega_l}
-    if isinstance(model, OhmicBath):
-        return {
-            "kind": "ohmic",
-            "eta": model.eta,
-            "omega_c": model.omega_c,
-            "s_exponent": model.s_exponent,
-        }
+    for kind, cls in BATH_KINDS.items():
+        if type(model) is cls:
+            return {"kind": kind, **dataclasses.asdict(model)}
     raise TypeError(f"unknown bath model {model!r}")
 
 
@@ -199,7 +190,7 @@ def bath_from_dict(data: dict) -> BathModel:
     kind = data.get("kind")
     if kind not in BATH_KINDS:
         raise ValueError(f"bath kind must be one of {sorted(BATH_KINDS)}, got {kind!r}")
-    allowed = _OHMIC_KEYS if kind == "ohmic" else _PHONON_KEYS
+    allowed = {f.name for f in dataclasses.fields(BATH_KINDS[kind])}
     unknown = set(data) - allowed - {"kind"}
     if unknown:
         raise ValueError(f"unknown bath keys for {kind}: {sorted(unknown)}")

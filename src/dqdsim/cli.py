@@ -12,8 +12,9 @@ analysis.evaluate_point, the pipeline of every sweep point.  Every output is a
 table (column names plus one tuple of values per row) rendered by one CSV and
 one JSON writer; floats carry 17 significant digits, lines end with \\n, JSON
 keys are sorted.  Exit codes: 0 success, 2 usage/config error, 3 numerical
-guard (including a NaN or infinite result), 4 i/o failure.  The only ambient
-configuration is SIMULATE_THREADS, the number of worker threads for sweep points.
+guard (including a NaN or infinite result), 4 i/o failure.  Sweeps run their
+points in order on one thread; SIMULATE_THREADS is still checked to be an
+integer >= 1 but sets nothing.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .bath import (
 )
 from .redfield import StepSizeError, Trajectory, time_grid
 from .system import QubitParams
+from .units import temperature_from_millikelvin
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -152,8 +154,10 @@ def _parse_temperature(cfg: dict, required: bool = True) -> Optional[float]:
         return None
     key = keys[0]
     value = _number(cfg[key], f"config.{key}")
-    kelvin = value / 1000.0 if key == "temperature_mK" else value
-    if not kelvin > 0:
+    kelvin = value
+    if key == "temperature_mK" and value > 0:  # the helper itself rejects mK <= 0
+        kelvin = temperature_from_millikelvin(value)
+    if not kelvin > 0:  # also a subnormal mK value, which converts to 0 K
         raise ConfigError(f"config.{key} must be > 0, got {value!r}")
     return kelvin
 
@@ -219,7 +223,8 @@ def _parse_out(cfg: dict, override: Optional[str]) -> Optional[str]:
     return out
 
 
-def _max_workers() -> int:
+def _check_threads_env() -> None:
+    """Validate SIMULATE_THREADS; kept for existing setups, it sets nothing."""
     raw = os.environ.get(THREADS_ENV, "1")
     try:
         n = int(raw)
@@ -227,7 +232,6 @@ def _max_workers() -> int:
         raise ConfigError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
     if n < 1:
         raise ConfigError(f"{THREADS_ENV} must be >= 1, got {n}")
-    return n
 
 
 def _cell(value) -> str:
@@ -357,15 +361,15 @@ def cmd_sweep(cfg: dict, out: Optional[str], engine: str, fmt: str) -> None:
     if write_traj and grid[0] is None:
         raise ConfigError("writing sweep trajectories requires a time grid (t_end, n_steps)")
 
-    kind = bath_to_dict(bath)["kind"]
     try:  # SweepSpec fields in order
         spec = SweepSpec(
-            kind, parameter, values, bath, temperature, tc, *grid, engine, write_traj, keep_every
+            parameter, values, bath, temperature, tc, *grid, engine, write_traj, keep_every
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    result = run_sweep(spec, max_workers=_max_workers())
+    _check_threads_env()
+    result = run_sweep(spec)
 
     rows = []
     for p in result.points:

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from dqdsim import (
     run_sweep,
     time_grid,
 )
+from dqdsim import analysis
 from dqdsim.redfield import StepSizeError
 
 
@@ -119,16 +121,7 @@ class TestEquilibriumPopulations:
 
 
 def _sweep(bath, parameter, values, **kwargs):
-    defaults = dict(
-        bath_family={"PiezoelectricBath": "pcpb", "DeformationBath": "dcpb", "OhmicBath": "ohmic"}[
-            type(bath).__name__
-        ],
-        swept_parameter=parameter,
-        values=tuple(values),
-        base_bath=bath,
-    )
-    defaults.update(kwargs)
-    return SweepSpec(**defaults)
+    return SweepSpec(swept_parameter=parameter, values=tuple(values), base_bath=bath, **kwargs)
 
 
 class TestRunSweep:
@@ -227,22 +220,28 @@ class TestRunSweep:
             run_sweep(spec)
         assert isinstance(err.value.cause, NoDecoherenceError)
 
-    def test_threaded_matches_sequential(self):
+    def test_first_failing_point_stops_the_sweep(self, monkeypatch):
+        calls = []
+        evaluate = analysis.evaluate_point
+
+        def recording(*args, **kwargs):
+            calls.append(threading.current_thread())
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "evaluate_point", recording)
         spec = _sweep(
-            PiezoelectricBath(),
+            OhmicBath(eta=0.0),
             "temperature",
-            [0.03, 0.2, 0.3, 1.0],
-            t_end=600.0,
-            n_steps=6000,
-            engine="both",
+            [0.02, 0.03, 0.04, 0.05],
+            tunneling_Tc=0.05,
+            t_end=100.0,
+            n_steps=200,
         )
-        lone = run_sweep(spec, max_workers=1)
-        pooled = run_sweep(spec, max_workers=4)
-        for a, b in zip(lone.points, pooled.points):
-            assert a.chi == b.chi
-            assert a.t2_analytic == b.t2_analytic
-            assert a.t2_empirical == b.t2_empirical
-            assert a.max_abs_diff == b.max_abs_diff
+        with pytest.raises(SweepError) as err:
+            run_sweep(spec)
+        assert calls == [threading.main_thread()]
+        assert err.value.partial.points == ()
+        assert err.value.value == 0.02
 
 
 class TestSweepSpecValidation:
@@ -267,18 +266,7 @@ class TestSweepSpecValidation:
             _sweep(
                 PiezoelectricBath(), "temperature", [0.03, 0.2], t_end=100.0
             )
-        with pytest.raises(ValueError, match="family"):
-            SweepSpec(
-                bath_family="pcpb",
-                swept_parameter="temperature",
-                values=(0.03,),
-                base_bath=OhmicBath(),
-                tunneling_Tc=0.05,
-            )
+        with pytest.raises(ValueError, match="bath model"):
+            _sweep(object(), "temperature", [0.03], tunneling_Tc=0.05)
         with pytest.raises(ValueError, match="non-empty"):
             _sweep(PiezoelectricBath(), "omega_l", [], temperature=0.03)
-
-    def test_max_workers_validated(self):
-        spec = _sweep(PiezoelectricBath(), "omega_l", [0.5], temperature=0.03)
-        with pytest.raises(ValueError):
-            run_sweep(spec, max_workers=0)

@@ -432,6 +432,7 @@ class TestValidationBoundary:
         assert err.startswith("config error:")
         assert "Traceback" not in err
 
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_result_is_a_named_guard(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {**EVOLVE_CFG, "qubit": {"tunneling_Tc": 1e300}})
         out = tmp_path / "traj.csv"
