@@ -49,15 +49,13 @@ from .redfield import (
     time_grid,
 )
 from .system import DensityMatrix, EigenSystem, QubitParams, diagonalize, initial_state
-from .units import CONSTANTS, HBAR_OVER_KB, Constants, temperature_from_millikelvin, thermal_ratio
+from .units import HBAR_OVER_KB, temperature_from_millikelvin, thermal_ratio
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BathModel",
     "ChiRate",
-    "CONSTANTS",
-    "Constants",
     "DeformationBath",
     "DensityMatrix",
     "EigenSystem",

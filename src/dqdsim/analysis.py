@@ -15,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -175,8 +175,6 @@ class SweepSpec:
     n_steps: Optional[int] = None
     store_every: int = 1
     engine: str = "closed_form"
-    keep_trajectories: bool = False
-    keep_every: int = 1
 
     def __post_init__(self) -> None:
         if not isinstance(self.base_bath, tuple(BATH_KINDS.values())):
@@ -226,8 +224,6 @@ class SweepPoint:
     t2_analytic: float
     t2_empirical: Optional[float] = None
     max_abs_diff: Optional[float] = None
-    trajectory_closed: Optional[Trajectory] = None
-    trajectory_numeric: Optional[Trajectory] = None
 
 
 @dataclass(frozen=True)
@@ -314,14 +310,15 @@ def _resolve_point(spec: SweepSpec, value: float) -> tuple[BathModel, float, flo
     return bath, float(temperature), tc
 
 
-def _evaluate_point(spec: SweepSpec, index: int, value: float) -> SweepPoint:
+def _evaluate_point(
+    spec: SweepSpec, index: int, value: float
+) -> tuple[SweepPoint, PointEvaluation]:
     bath, temperature, tc = _resolve_point(spec, value)
     run = evaluate_point(
         bath, temperature, tc, spec.engine, spec.t_end, spec.n_steps, spec.store_every
     )
     t2_analytic, t2_empirical = decoherence_times(run)
-    keep = spec.keep_trajectories
-    return SweepPoint(
+    point = SweepPoint(
         index=index,
         parameter=spec.swept_parameter,
         value=value,
@@ -332,28 +329,27 @@ def _evaluate_point(spec: SweepSpec, index: int, value: float) -> SweepPoint:
         t2_analytic=t2_analytic,
         t2_empirical=t2_empirical,
         max_abs_diff=run.max_abs_diff,
-        trajectory_closed=_thin(run.closed, spec.keep_every) if keep else None,
-        trajectory_numeric=_thin(run.numeric, spec.keep_every) if keep else None,
     )
+    return point, run
 
 
-def _thin(traj: Optional[Trajectory], every: int) -> Optional[Trajectory]:
-    if traj is None or every == 1:
-        return traj
-    return Trajectory(times=traj.times[::every], data=traj.data[::every])
-
-
-def run_sweep(spec: SweepSpec) -> SweepResult:
+def run_sweep(
+    spec: SweepSpec, each: Optional[Callable[[SweepPoint, PointEvaluation], None]] = None
+) -> SweepResult:
     """Evaluate every swept value in order on the calling thread.
 
-    The first failing point aborts the sweep, so no later point is evaluated:
-    the raised SweepError carries the offending value and the points completed
-    before it.
+    each(point, run), when given, is called as soon as a point is evaluated,
+    with the point's full-resolution trajectories in run; they are dropped
+    once it returns, so a caller that writes them out holds one point at a
+    time.  The first failing point aborts the sweep, so no later point is
+    evaluated: the raised SweepError carries the offending value and the
+    points completed before it.  An exception from each is not a point
+    failure and propagates as it is.
     """
     points: list[SweepPoint] = []
     for i, value in enumerate(spec.values):
         try:
-            points.append(_evaluate_point(spec, i, value))
+            point, run = _evaluate_point(spec, i, value)
         except Exception as exc:
             raise SweepError(
                 f"sweep failed at {spec.swept_parameter}={value}: {exc}",
@@ -361,4 +357,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                 value=value,
                 cause=exc,
             ) from exc
+        points.append(point)
+        if each is not None:
+            each(point, run)
+        del run  # so the next point is evaluated without this one's trajectories
     return SweepResult(spec=spec, points=tuple(points))

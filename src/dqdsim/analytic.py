@@ -62,15 +62,15 @@ def closed_form_trajectory(rate: ChiRate, times: np.ndarray) -> Trajectory:
     chi, w, n = rate.chi, rate.omega_21, rate.n_occ
     one_plus_2n = 1.0 + 2.0 * n
 
-    # (1+n)/(1+2n) - e^{-2 chi t}/(2(1+2n)), restructured so t = 0 is exactly 1/2
-    rho11 = 0.5 - np.expm1(-2.0 * chi * t) / (2.0 * one_plus_2n)
-    rho22 = 1.0 - rho11
-
     s2 = chi * chi - w * w  # real; s is purely real or purely imaginary
     s = cmath.sqrt(complex(s2, 0.0))
 
     # non-finite inputs propagate as NaN/inf to the caller's finiteness guard
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # (1+n)/(1+2n) - e^{-2 chi t}/(2(1+2n)), restructured so t = 0 is exactly 1/2
+        rho11 = 0.5 - np.expm1(-2.0 * chi * t) / (2.0 * one_plus_2n)
+        rho22 = 1.0 - rho11
+
         z2 = s2 * t * t
         small = np.abs(z2) < _SERIES_THRESHOLD**2
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -26,6 +27,7 @@ from .units import thermal_ratio
 _SINC_SERIES_THRESHOLD = 1e-4
 _BOSE_UNDERFLOW_X = 700.0
 _BOSE_SERIES_X = 1e-8
+_BOSE_OVERFLOW_X = sys.float_info.min  # below it, 1/x is within 4x of the largest float
 
 
 @dataclass(frozen=True)
@@ -85,6 +87,8 @@ def _sinc(x: float) -> float:
     # series branch avoids 0/0; at |x| = 1e-4 the dropped x^4/120 term is ~1e-17
     if abs(x) < _SINC_SERIES_THRESHOLD:
         return 1.0 - x * x / 6.0
+    if math.isinf(x):  # omega/omega_d beyond the float range; sin is bounded
+        return 0.0
     return math.sin(x) / x
 
 
@@ -92,20 +96,26 @@ def spectral_density(model: BathModel, omega: float) -> float:
     """Bath spectral density J(omega) in ps^-1, for omega >= 0.
 
     Returns exactly 0 at omega = 0 (the analytic limit of all three families).
+    Raises OverflowError when J or an intermediate leaves the float range.
     """
     if math.isnan(omega) or omega < 0:
         raise ValueError(f"omega must be >= 0, got {omega}")
     if omega == 0.0:
         return 0.0
-    if isinstance(model, PiezoelectricBath):
-        bracket = 1.0 - _sinc(omega / model.omega_d)
-        return model.g * omega * bracket * math.exp(-(omega * omega) / (2.0 * model.omega_l**2))
-    if isinstance(model, DeformationBath):
-        bracket = 1.0 - _sinc(omega / model.omega_d)
-        return model.g * omega**3 * bracket * math.exp(-(omega * omega) / (2.0 * model.omega_l**2))
-    if isinstance(model, OhmicBath):
-        return model.eta * omega**model.s_exponent * math.exp(-omega / model.omega_c)
-    raise TypeError(f"unknown bath model {model!r}")
+    try:
+        if isinstance(model, (PiezoelectricBath, DeformationBath)):
+            power = omega if isinstance(model, PiezoelectricBath) else omega**3
+            bracket = 1.0 - _sinc(omega / model.omega_d)
+            j = model.g * power * bracket * math.exp(-(omega * omega) / (2.0 * model.omega_l**2))
+        elif isinstance(model, OhmicBath):
+            j = model.eta * omega**model.s_exponent * math.exp(-omega / model.omega_c)
+        else:
+            raise TypeError(f"unknown bath model {model!r}")
+    except ArithmeticError:  # a power overflowed, or omega_l**2 underflowed to 0
+        j = math.nan
+    if not math.isfinite(j):
+        raise OverflowError(f"J(omega={omega!r}) is outside the float range for {model!r}")
+    return j
 
 
 def bose_occupation(omega: float, temperature: float) -> float:
@@ -117,6 +127,8 @@ def bose_occupation(omega: float, temperature: float) -> float:
     if not omega > 0:
         raise ValueError(f"Bose occupation needs omega > 0, got {omega}")
     x = thermal_ratio(omega, temperature)
+    if x < _BOSE_OVERFLOW_X:  # n = 1/x - 1/2 would reach the end of the float range
+        raise OverflowError(f"Bose occupation at omega={omega!r}, T={temperature!r} overflows")
     if x > _BOSE_UNDERFLOW_X:
         return math.exp(-x)
     if x < _BOSE_SERIES_X:

@@ -12,9 +12,9 @@ analysis.evaluate_point, the pipeline of every sweep point.  Every output is a
 table (column names plus one tuple of values per row) rendered by one CSV and
 one JSON writer; floats carry 17 significant digits, lines end with \\n, JSON
 keys are sorted.  Exit codes: 0 success, 2 usage/config error, 3 numerical
-guard (including a NaN or infinite result), 4 i/o failure.  Sweeps run their
-points in order on one thread; SIMULATE_THREADS is still checked to be an
-integer >= 1 but sets nothing.
+guard (including a NaN or infinite result), 4 i/o failure.  A sweep writes
+each point's trajectory file as soon as the point is evaluated and the summary
+once every point has passed.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import argparse
 import contextlib
 import itertools
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Iterable, Optional
@@ -60,8 +59,6 @@ EXIT_CONFIG = 2
 EXIT_GUARD = 3
 EXIT_IO = 4
 
-THREADS_ENV = "SIMULATE_THREADS"
-
 _FORMATS = ("csv", "json")
 
 _TRAJECTORY_COLUMNS = ("t", "rho11", "rho22", "re_rho12", "im_rho12", "abs_rho12")
@@ -83,7 +80,11 @@ _ALLOWED_KEYS = {
     "sweep": _COMMON_KEYS | _PHYSICS_KEYS | {"sweep", "trajectories"},
 }
 
-_GUARD_ERRORS = (StepSizeError, NoDecoherenceError, TrajectoryTooShortError, NonFiniteResultError)
+# ArithmeticError: a result or an intermediate left the float range
+_GUARD_ERRORS = (
+    StepSizeError, NoDecoherenceError, TrajectoryTooShortError, NonFiniteResultError,
+    ArithmeticError,
+)
 _JSON = json.JSONEncoder(indent=2, sort_keys=True)
 _CHUNKS_PER_WRITE = 1 << 16
 
@@ -223,17 +224,6 @@ def _parse_out(cfg: dict, override: Optional[str]) -> Optional[str]:
     return out
 
 
-def _check_threads_env() -> None:
-    """Validate SIMULATE_THREADS; kept for existing setups, it sets nothing."""
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise ConfigError(f"{THREADS_ENV} must be >= 1, got {n}")
-
-
 def _cell(value) -> str:
     if value is None:
         return ""
@@ -267,15 +257,16 @@ def _emit_table(fmt, out, meta, columns, rows: Iterable[tuple], max_abs_diff=Non
     _emit(itertools.chain(_JSON.iterencode(doc), ["\n"]), out)
 
 
-def _trajectory_table(closed: Optional[Trajectory], numeric: Optional[Trajectory]):
-    """Columns and rows of a trajectory; with both engines the numeric one follows."""
+def _trajectory_table(closed: Optional[Trajectory], numeric: Optional[Trajectory], every=1):
+    """Columns and every every-th row of a trajectory; numeric columns follow with both."""
     parts = [traj for traj in (closed, numeric) if traj is not None]
     columns = _TRAJECTORY_COLUMNS + (_NUMERIC_COLUMNS if len(parts) == 2 else ())
-    values = [parts[0].times]
+    values = [parts[0].times[::every]]
     for traj in parts:
-        re, im = traj.rho12.real, traj.rho12.imag
+        rho12 = traj.rho12[::every]
+        re, im = rho12.real, rho12.imag
         # np.hypot gives abs(complex) bit for bit; np.abs differs in the last bit
-        values += [traj.rho11, traj.rho22, re, im, np.hypot(re, im)]
+        values += [traj.rho11[::every], traj.rho22[::every], re, im, np.hypot(re, im)]
     return columns, zip(*(v.tolist() for v in values))
 
 
@@ -355,37 +346,36 @@ def cmd_sweep(cfg: dict, out: Optional[str], engine: str, fmt: str) -> None:
     temperature = _parse_temperature(cfg, required=(parameter != "temperature"))
     tc = _parse_qubit(cfg, bath)
     grid = _parse_time_grid(cfg, required=False)
-    write_traj, keep_every = _parse_trajectories_block(cfg)
+    write_traj, every = _parse_trajectories_block(cfg)
     if write_traj and out is None:
         raise ConfigError("writing sweep trajectories requires --out (files go next to it)")
     if write_traj and grid[0] is None:
         raise ConfigError("writing sweep trajectories requires a time grid (t_end, n_steps)")
 
     try:  # SweepSpec fields in order
-        spec = SweepSpec(
-            parameter, values, bath, temperature, tc, *grid, engine, write_traj, keep_every
-        )
+        spec = SweepSpec(parameter, values, bath, temperature, tc, *grid, engine)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    _check_threads_env()
-    result = run_sweep(spec)
-
     rows = []
-    for p in result.points:
+
+    def write_point(p, run) -> None:
+        """Write the point's trajectory file, if asked for, and keep its summary row."""
         name = None
         if write_traj:
             name = f"{Path(out).stem}_point{p.index}.csv"
-            columns, traj_rows = _trajectory_table(p.trajectory_closed, p.trajectory_numeric)
+            columns, traj_rows = _trajectory_table(run.closed, run.numeric, every)
             sidecar = str(Path(out).with_name(name))
             _emit_table("csv", sidecar, None, columns, traj_rows, p.max_abs_diff)
         rows.append(
             (p.index, p.parameter, p.value, p.omega_21, p.temperature, p.chi, p.n_occ)
             + (p.t2_analytic, p.t2_empirical, p.max_abs_diff, name)
         )
+
+    run_sweep(spec, write_point)
     meta = _meta("sweep", bath, fmt, out, **_point_fields(tc, temperature, grid, engine))
     meta["sweep"] = {"parameter": parameter, "values": list(values)}
-    meta["trajectories"] = {"write": write_traj, "every": keep_every}
+    meta["trajectories"] = {"write": write_traj, "every": every}
     _emit_table(fmt, out, meta, _SUMMARY_COLUMNS, rows)
 
 

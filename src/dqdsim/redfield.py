@@ -189,6 +189,8 @@ def time_grid(t_end: float, n_steps: int, store_every: int = 1) -> np.ndarray:
             f"store_every must be >= 1 and divide n_steps, got {store_every} for {n_steps}"
         )
     h = t_end / n_steps
+    if not h > 0:
+        raise ValueError(f"the step t_end/n_steps underflows to 0 for t_end={t_end!r}")
     times = np.arange(n_steps // store_every + 1) * (store_every * h)
     times.setflags(write=False)
     return times
@@ -227,7 +229,9 @@ def propagate_numeric(
     h = t_end / n_steps
     scale = max(eig.omega_21, 2.0 * tensor.chi_effective)
     if h * scale > _MAX_STEP_PRODUCT * (1.0 + 1e-9):
-        n_min = math.ceil(t_end * scale / _MAX_STEP_PRODUCT)
+        n_min = t_end * scale / _MAX_STEP_PRODUCT  # inf when beyond the float range
+        if math.isfinite(n_min):
+            n_min = math.ceil(n_min)
         raise StepSizeError(
             f"step h={h:.6g} ps gives h*max(omega_21, 2*chi)={h * scale:.6g} > "
             f"{_MAX_STEP_PRODUCT}; increase n_steps to at least {n_min}"

@@ -9,24 +9,9 @@ needed to form the thermal exponent hbar*omega/(k_B*T).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 # hbar / k_B in ps*K (CODATA 2018: hbar = 1.054572e-34 J*s, k_B = 1.380649e-23 J/K).
 HBAR_OVER_KB = 7.638233
-
-
-@dataclass(frozen=True)
-class Constants:
-    """Fixed physical constants; not meant to be overridden at runtime."""
-
-    hbar_over_kB: float = HBAR_OVER_KB  # ps*K
-
-    def __post_init__(self) -> None:
-        if not self.hbar_over_kB > 0:
-            raise ValueError("hbar_over_kB must be positive")
-
-
-CONSTANTS = Constants()
 
 
 def thermal_ratio(omega: float, temperature: float) -> float:
@@ -38,7 +23,7 @@ def thermal_ratio(omega: float, temperature: float) -> float:
         raise ValueError(f"omega must be finite, got {omega}")
     if math.isnan(temperature) or not temperature > 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    return CONSTANTS.hbar_over_kB * omega / temperature
+    return HBAR_OVER_KB * omega / temperature
 
 
 def temperature_from_millikelvin(t_mk: float) -> float:

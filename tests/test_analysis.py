@@ -1,5 +1,6 @@
 import math
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -167,16 +168,15 @@ class TestRunSweep:
             t_end=1000.0,
             n_steps=20000,
             engine="both",
-            keep_trajectories=True,
-            keep_every=10,
         )
-        result = run_sweep(spec)
-        for point in result.points:
+        runs = []
+        result = run_sweep(spec, lambda point, run: runs.append(run))
+        assert len(runs) == len(result.points) == 2
+        for point, run in zip(result.points, runs):
             assert point.max_abs_diff is not None and point.max_abs_diff < 1e-6
+            assert point.max_abs_diff == run.max_abs_diff
             assert point.t2_empirical == pytest.approx(point.t2_analytic, rel=0.02)
-            assert point.trajectory_closed is not None
-            assert point.trajectory_numeric is not None
-            assert len(point.trajectory_closed) == 2001
+            assert len(run.closed) == len(run.numeric) == 20001
 
     def test_closed_form_engine_produces_empirical_t2(self):
         spec = _sweep(
@@ -188,11 +188,13 @@ class TestRunSweep:
             t_end=6500.0,
             n_steps=13000,
         )
-        result = run_sweep(spec)
+        runs = []
+        result = run_sweep(spec, lambda point, run: runs.append(run))
         point = result.points[0]
         assert point.t2_empirical == pytest.approx(point.t2_analytic, rel=0.02)
         assert point.max_abs_diff is None
-        assert point.trajectory_closed is None  # not asked to keep
+        (run,) = runs
+        assert run.numeric is None and len(run.closed) == 13001
 
     def test_failing_point_aborts_with_partial(self):
         # h = 0.75 satisfies the guard at omega_21 = 0.1 but not at 0.14
@@ -242,6 +244,41 @@ class TestRunSweep:
         assert calls == [threading.main_thread()]
         assert err.value.partial.points == ()
         assert err.value.value == 0.02
+
+
+    def test_each_follows_every_point_with_full_trajectories(self, monkeypatch):
+        events = []
+        handed_out = []
+        evaluate = analysis.evaluate_point
+
+        def recording(*args, **kwargs):
+            events.append(("evaluate", args[1]))
+            # earlier points' trajectories are released before the next is evaluated
+            assert all(ref() is None for ref in handed_out)
+            return evaluate(*args, **kwargs)
+
+        def each(point, run):
+            events.append(("each", point.temperature))
+            assert len(run.closed) == len(run.numeric) == 2001  # not thinned
+            handed_out.append(weakref.ref(run))
+
+        monkeypatch.setattr(analysis, "evaluate_point", recording)
+        spec = _sweep(
+            PiezoelectricBath(),
+            "temperature",
+            [0.03, 0.2, 1.0],
+            t_end=1000.0,
+            n_steps=4000,
+            store_every=2,
+            engine="both",
+        )
+        result = run_sweep(spec, each)
+        assert events == [
+            ("evaluate", 0.03), ("each", 0.03),
+            ("evaluate", 0.2), ("each", 0.2),
+            ("evaluate", 1.0), ("each", 1.0),
+        ]
+        assert [p.temperature for p in result.points] == [0.03, 0.2, 1.0]
 
 
 class TestSweepSpecValidation:

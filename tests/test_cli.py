@@ -350,26 +350,6 @@ class TestSweepCommand:
         )
         assert main(["sweep", "--config", cfg]) == 2
 
-    def test_threads_env(self, tmp_path, monkeypatch):
-        cfg = write_config(
-            tmp_path,
-            {
-                "bath": PCPB,
-                "sweep": {"parameter": "temperature", "values": [0.03, 0.2, 0.3, 1.0]},
-                "t_end": 600.0,
-                "n_steps": 6000,
-                "engine": "both",
-            },
-        )
-        out1 = tmp_path / "seq.csv"
-        out2 = tmp_path / "par.csv"
-        assert main(["sweep", "--config", cfg, "--out", str(out1)]) == 0
-        monkeypatch.setenv("SIMULATE_THREADS", "4")
-        assert main(["sweep", "--config", cfg, "--out", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
-        monkeypatch.setenv("SIMULATE_THREADS", "zero")
-        assert main(["sweep", "--config", cfg]) == 2
-
     def test_determinism_repeat_runs(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -391,6 +371,36 @@ class TestSweepCommand:
             a = (tmp_path / "runA" / name).read_bytes()
             b = (tmp_path / "runB" / name).read_bytes()
             assert a == b
+
+    GUARDED = {
+        "bath": PCPB,
+        "temperature_mK": 30,
+        # h = 0.75 satisfies the step guard at omega_l = 0.5 but not at 0.7
+        "sweep": {"parameter": "omega_l", "values": [0.5, 0.7]},
+        "t_end": 150.0,
+        "n_steps": 200,
+        "engine": "numeric",
+        "trajectories": {"write": True, "every": 3},
+    }
+    PASSING = {**GUARDED, "sweep": {"parameter": "omega_l", "values": [0.5]}}
+
+    def test_failing_point_keeps_earlier_sidecars_and_writes_no_summary(self, tmp_path, capsys):
+        ok, guarded = tmp_path / "ok", tmp_path / "guarded"
+        for d, payload, code in ((ok, self.PASSING, 0), (guarded, self.GUARDED, 3)):
+            d.mkdir()
+            cfg = write_config(d, payload)
+            assert main(["sweep", "--config", cfg, "--out", str(d / "s.csv")]) == code
+        assert "after 1 completed point(s)" in capsys.readouterr().err
+        assert (guarded / "s_point0.csv").read_bytes() == (ok / "s_point0.csv").read_bytes()
+        assert not (guarded / "s_point1.csv").exists()
+        assert not (guarded / "s.csv").exists()
+
+    def test_sidecar_write_failure_is_io_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, self.PASSING)
+        (tmp_path / "s_point0.csv").mkdir()  # a directory where the sidecar goes
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == 4
+        assert capsys.readouterr().err.startswith("i/o error:")
+        assert not (tmp_path / "s.csv").exists()
 
 
 INF = float("inf")

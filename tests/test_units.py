@@ -5,19 +5,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracle
-from dqdsim import CONSTANTS, Constants, temperature_from_millikelvin, thermal_ratio
+from dqdsim import HBAR_OVER_KB, temperature_from_millikelvin, thermal_ratio
 
 omega_st = st.floats(min_value=1e-6, max_value=10.0, allow_nan=False)
 temp_st = st.floats(min_value=1e-3, max_value=10.0, allow_nan=False)
 
 
 def test_constant_value():
-    assert CONSTANTS.hbar_over_kB == 7.638233
-
-
-def test_constants_reject_nonpositive():
-    with pytest.raises(ValueError):
-        Constants(hbar_over_kB=-1.0)
+    assert HBAR_OVER_KB == 7.638233
 
 
 def test_thermal_ratio_reference_values():
