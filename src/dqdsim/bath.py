@@ -95,8 +95,10 @@ def _sinc(x: float) -> float:
 def spectral_density(model: BathModel, omega: float) -> float:
     """Bath spectral density J(omega) in ps^-1, for omega >= 0.
 
-    Returns exactly 0 at omega = 0 (the analytic limit of all three families).
-    Raises OverflowError when J or an intermediate leaves the float range.
+    Returns exactly 0 at omega = 0 (the analytic limit of all three families)
+    and wherever the exponential cutoff underflows to 0, however large the
+    prefactor times the power of omega would be.  Raises OverflowError when J
+    or an intermediate leaves the float range.
     """
     if math.isnan(omega) or omega < 0:
         raise ValueError(f"omega must be >= 0, got {omega}")
@@ -104,11 +106,17 @@ def spectral_density(model: BathModel, omega: float) -> float:
         return 0.0
     try:
         if isinstance(model, (PiezoelectricBath, DeformationBath)):
+            cutoff = math.exp(-(omega * omega) / (2.0 * model.omega_l**2))
+            if cutoff == 0.0:  # g * omega**p could overflow, and inf * 0 is NaN
+                return 0.0
             power = omega if isinstance(model, PiezoelectricBath) else omega**3
             bracket = 1.0 - _sinc(omega / model.omega_d)
-            j = model.g * power * bracket * math.exp(-(omega * omega) / (2.0 * model.omega_l**2))
+            j = model.g * power * bracket * cutoff
         elif isinstance(model, OhmicBath):
-            j = model.eta * omega**model.s_exponent * math.exp(-omega / model.omega_c)
+            cutoff = math.exp(-omega / model.omega_c)
+            if cutoff == 0.0:
+                return 0.0
+            j = model.eta * omega**model.s_exponent * cutoff
         else:
             raise TypeError(f"unknown bath model {model!r}")
     except ArithmeticError:  # a power overflowed, or omega_l**2 underflowed to 0

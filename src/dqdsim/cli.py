@@ -9,8 +9,9 @@ A run is described by a single JSON config; CLI flags override config fields.
 Unknown keys, booleans or non-finite values where numbers belong, and
 temperatures <= 0 are config errors.  evolve and t2 evaluate one point through
 analysis.evaluate_point, the pipeline of every sweep point.  Every output is a
-table (column names plus one tuple of values per row) rendered by one CSV and
-one JSON writer; floats carry 17 significant digits, lines end with \\n, JSON
+table (column names plus one tuple of values per row) rendered by one streamed
+row-template writer; CSV floats carry 17 significant digits, JSON floats are
+their shortest round-trip repr (as json writes them), lines end with \\n, JSON
 keys are sorted.  Exit codes: 0 success, 2 usage/config error, 3 numerical
 guard (including a NaN or infinite result), 4 i/o failure.  A sweep writes
 each point's trajectory file as soon as the point is evaluated and the summary
@@ -23,6 +24,7 @@ import argparse
 import contextlib
 import itertools
 import json
+import operator
 import sys
 from pathlib import Path
 from typing import Iterable, Optional
@@ -85,8 +87,9 @@ _GUARD_ERRORS = (
     StepSizeError, NoDecoherenceError, TrajectoryTooShortError, NonFiniteResultError,
     ArithmeticError,
 )
-_JSON = json.JSONEncoder(indent=2, sort_keys=True)
-_CHUNKS_PER_WRITE = 1 << 16
+# %r of a Python float is float.__repr__, the shortest round-trip form json writes
+_FLOAT_SPECS = {"csv": "%.17g", "json": "%r"}
+_ROWS_PER_WRITE = 4096
 
 
 class ConfigError(ValueError):
@@ -224,37 +227,57 @@ def _parse_out(cfg: dict, override: Optional[str]) -> Optional[str]:
     return out
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        # 17 significant digits round-trips doubles exactly
-        return format(value, ".17g")
-    return str(value)
-
-
-def _emit(chunks: Iterable[str], out: Optional[str]) -> None:
-    """Write the chunks to out (stdout when None), joined in large batches."""
-    chunks = iter(chunks)
-    target = contextlib.nullcontext(sys.stdout) if out is None else open(out, "w", newline="")
-    with target as handle:
-        while piece := "".join(itertools.islice(chunks, _CHUNKS_PER_WRITE)):
-            handle.write(piece)
+def _text(fmt: str, value) -> str:
+    """A cell that is not a Python float, as the format writes it."""
+    if fmt == "json":
+        return json.dumps(value)
+    return "" if value is None else str(value)
 
 
 def _emit_table(fmt, out, meta, columns, rows: Iterable[tuple], max_abs_diff=None) -> None:
-    """Render one table as CSV (max_abs_diff as a closing comment) or JSON {meta, rows}."""
+    """Write one table to out (stdout when None) as CSV or as JSON {meta, rows}.
+
+    CSV carries max_abs_diff as a closing comment, JSON as a key beside meta.
+    One printf template formats each row, built from the column names (in key
+    order for JSON) and the first row's cell types, as a column holds one type
+    throughout: Python floats go in through _FLOAT_SPECS (a numpy scalar would
+    print as np.float64(...) under %r), other cells are rendered first.  Rows
+    are written _ROWS_PER_WRITE at a time, so the body is never held whole.
+    """
+    rows = iter(rows)
+    first = next(rows)
+    order = range(len(columns))
+    if fmt == "json":
+        order = sorted(order, key=columns.__getitem__)
+    floats = [type(first[i]) is float for i in order]
+    specs = [_FLOAT_SPECS[fmt] if is_float else "%s" for is_float in floats]
     if fmt == "csv":
-        lines = [",".join(columns)]
-        lines += [",".join(map(_cell, row)) for row in rows]
+        head, template, sep = ",".join(columns), ",".join(specs), "\n"
+        tail = "\n" if max_abs_diff is None else f"\n# max_abs_diff={max_abs_diff:.17g}\n"
+    else:
+        doc = {"meta": meta}
         if max_abs_diff is not None:
-            lines.append(f"# max_abs_diff={_cell(max_abs_diff)}")
-        _emit(["\n".join(lines), "\n"], out)
-        return
-    doc = {"meta": meta, "rows": [dict(zip(columns, row)) for row in rows]}
-    if max_abs_diff is not None:
-        doc["max_abs_diff"] = max_abs_diff
-    _emit(itertools.chain(_JSON.iterencode(doc), ["\n"]), out)
+            doc["max_abs_diff"] = max_abs_diff
+        # "rows" sorts after both keys, so it opens where the head's closing brace was
+        head = json.dumps(doc, indent=2, sort_keys=True)[:-2] + ',\n  "rows": ['
+        fields = ",\n".join(f"      {json.dumps(columns[i])}: {s}" for i, s in zip(order, specs))
+        template, sep, tail = f"    {{\n{fields}\n    }}", ",\n", "\n  ]\n}\n"
+    pick = operator.itemgetter(*order)
+    if all(floats):
+        prepare = pick
+    else:
+        def prepare(row: tuple) -> tuple:
+            return tuple(c if f else _text(fmt, c) for c, f in zip(pick(row), floats))
+
+    rows = itertools.chain([first], rows)
+    target = contextlib.nullcontext(sys.stdout) if out is None else open(out, "w", newline="")
+    with target as handle:
+        handle.write(head)
+        lead = "\n"
+        while batch := list(itertools.islice(rows, _ROWS_PER_WRITE)):
+            handle.write(lead + sep.join(map(template.__mod__, map(prepare, batch))))
+            lead = sep
+        handle.write(tail)
 
 
 def _trajectory_table(closed: Optional[Trajectory], numeric: Optional[Trajectory], every=1):

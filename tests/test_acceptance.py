@@ -7,8 +7,10 @@ cross-checked against that oracle here so a drift in either side fails.
 """
 
 import hashlib
+import importlib.util
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -290,3 +292,25 @@ def test_figure_outputs_match_reference_hashes(figure_suite):
     assert sorted(p.name for p in figure_suite.iterdir()) == sorted(reference)
     for name, digest in reference.items():
         assert hashlib.sha256((figure_suite / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_evolve_json_outputs_match_reference_hashes(tmp_path, monkeypatch):
+    """evolve and t2 in JSON write, byte for byte, the outputs the benchmark pinned.
+
+    The invocations and their configs come from the benchmark's evolve_json
+    workload; --out is relative, as JSON outputs echo it in their meta block.
+    """
+    bench = REPO_ROOT / "bench"
+    spec = importlib.util.spec_from_file_location("bench_workloads", bench / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up there
+    spec.loader.exec_module(workloads)
+    reference = json.loads((bench / "reference_hashes.json").read_text())["evolve_json"]
+
+    workload = workloads.evolve_json()
+    workload.write_configs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    for invocation in workload.invocations:
+        assert main(invocation.argv()) == 0, invocation.name
+    for name, digest in reference.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name

@@ -1,10 +1,12 @@
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
 
 import oracle
+from dqdsim import cli
 from dqdsim.cli import main
 
 
@@ -501,6 +503,114 @@ class TestOnePipeline:
         assert main(["evolve", "--config", point]) == 2
         assert main(["t2", "--config", point]) == 2
         assert main(["sweep", "--config", sweep]) == 2
+
+
+
+def _reference_rendering(fmt, meta, columns, rows, max_abs_diff) -> str:
+    """A table as the stdlib writes it: json with indent 2, or one format() per CSV cell."""
+    if fmt == "json":
+        doc = {"meta": meta, "rows": [dict(zip(columns, row)) for row in rows]}
+        if max_abs_diff is not None:
+            doc["max_abs_diff"] = max_abs_diff
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    def cell(value) -> str:
+        if value is None:
+            return ""
+        return format(value, ".17g") if isinstance(value, float) else str(value)
+
+    lines = [",".join(columns)] + [",".join(map(cell, row)) for row in rows]
+    if max_abs_diff is not None:
+        lines.append(f"# max_abs_diff={format(max_abs_diff, '.17g')}")
+    return "\n".join(lines) + "\n"
+
+
+SWEEP_CFG = {
+    "bath": PCPB,
+    "temperature_mK": 30,
+    "sweep": {"parameter": "omega_l", "values": [0.5, 0.7]},
+    "engine": "both",
+}
+GRID = {"t_end": 2500.0, "n_steps": 4000, "store_every": 2}
+
+
+class TestTableWriter:
+    """Every table the CLI writes equals the stdlib rendering of the same table."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "command, payload, stem",
+        [
+            ("spectral", {"bath": PCPB, "grid": {"omega_min": 0, "omega_max": 2, "count": 50}}, "j"),
+            ("evolve", {**EVOLVE_CFG, "engine": "both"}, "traj"),
+            ("evolve", EVOLVE_CFG, "traj"),
+            ("t2", {**EVOLVE_CFG, "engine": "both"}, "t2"),
+            ("t2", {**EVOLVE_CFG, "t_end": None, "n_steps": None}, "t2"),
+            ("sweep", SWEEP_CFG, "sweep"),
+            (
+                "sweep",
+                {**SWEEP_CFG, **GRID, "trajectories": {"write": True, "every": 3}},
+                'sw"eep ü',
+            ),
+        ],
+        ids=[
+            "spectral", "evolve-both", "evolve-closed_form", "t2-grid", "t2-no-grid",
+            "sweep-no-grid", "sweep-sidecars-odd-stem",
+        ],
+    )
+    def test_output_matches_the_stdlib_rendering(
+        self, tmp_path, monkeypatch, command, payload, stem, fmt
+    ):
+        tables = []
+        render = cli._emit_table
+
+        def record(fmt, out, meta, columns, rows, max_abs_diff=None):
+            rows = list(rows)
+            tables.append((fmt, out, meta, columns, rows, max_abs_diff))
+            render(fmt, out, meta, columns, rows, max_abs_diff)
+
+        monkeypatch.setattr(cli, "_emit_table", record)
+        payload = {k: v for k, v in payload.items() if v is not None}
+        cfg = write_config(tmp_path, {**payload, "format": fmt})
+        out = tmp_path / f"{stem}.{fmt}"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        assert tables[-1][1] == str(out)
+        for table_fmt, path, meta, columns, rows, max_abs_diff in tables:
+            expected = _reference_rendering(table_fmt, meta, columns, rows, max_abs_diff)
+            # compared line by line: a failure then names the first differing line quickly
+            lines = Path(path).read_text().splitlines(keepends=True)
+            assert lines == expected.splitlines(keepends=True), path
+        if command in ("t2", "sweep") and "t_end" not in payload:
+            _, _, _, columns, rows, _ = tables[-1]
+            assert {row[columns.index("t2_empirical")] for row in rows} == {None}
+        if "trajectories" in payload:
+            assert len(tables) == 3
+            text = out.read_text()
+            assert ('\\"eep \\u00fc_point0' if fmt == "json" else 'sw"eep ü_point0') in text
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rows_are_written_while_the_iterator_runs(self, monkeypatch, fmt):
+        total = 3 * cli._ROWS_PER_WRITE + 5
+        made = 0
+
+        def rows():
+            nonlocal made
+            for i in range(total):
+                made += 1
+                yield (float(i), 0.125)
+
+        writes = []  # (rows made so far, rows in this write)
+
+        class Handle:
+            def write(self, text):
+                writes.append((made, text.count("0.125")))
+
+        monkeypatch.setattr(sys, "stdout", Handle())
+        cli._emit_table(fmt, None, {}, ("t", "x"), rows())
+        body = [(made_then, n) for made_then, n in writes if n]
+        assert sum(n for _, n in body) == total
+        assert body[0][0] < total  # the first rows are out before the last one is made
+        assert max(n for _, n in body) < total
 
 
 class TestUsage:

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from dqdsim import bath_from_dict, spectral_density
 from dqdsim.cli import main
 
 MAX_SAMPLES = 10_000
@@ -220,3 +221,19 @@ SPECTRAL_GRID = {"omega_min": 0.0, "omega_max": 2.0, "count": 2}
 )
 def test_float_range_edges_exit_with_a_named_code(command, cfg, code):
     assert _run(command, cfg) == code
+
+
+@pytest.mark.parametrize(
+    "bath",
+    [
+        {**PCPB, "g": 1e300},
+        {**PCPB, "kind": "dcpb", "g": 1e300},
+        {"kind": "ohmic", "eta": 1e300, "omega_c": 0.05, "s_exponent": 3.0},
+    ],
+    ids=["pcpb", "dcpb", "ohmic"],
+)
+def test_spectral_density_is_zero_where_the_cutoff_underflows(bath):
+    """J is 0 far beyond the cutoff, even where g * omega**p alone would overflow."""
+    grid = {"omega_min": 0.0, "omega_max": 1e300, "count": 3}
+    assert _run("spectral", {"bath": bath, "grid": grid}) == 0
+    assert spectral_density(bath_from_dict(bath), 1e300) == 0.0
