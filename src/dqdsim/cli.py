@@ -10,7 +10,8 @@ Unknown keys, booleans or non-finite values where numbers belong, and
 temperatures <= 0 are config errors.  evolve and t2 evaluate one point through
 analysis.evaluate_point, the pipeline of every sweep point.  Every output is a
 table (column names plus one tuple of values per row) rendered by one streamed
-row-template writer; CSV floats carry 17 significant digits, JSON floats are
+row-template writer; CSV floats carry 17 significant digits, a CSV cell
+holding a comma, a quote or a line break is quoted (RFC 4180), JSON floats are
 their shortest round-trip repr (as json writes them), lines end with \\n, JSON
 keys are sorted.  Exit codes: 0 success, 2 usage/config error, 3 numerical
 guard (including a NaN or infinite result), 4 i/o failure.  A sweep writes
@@ -231,7 +232,10 @@ def _text(fmt: str, value) -> str:
     """A cell that is not a Python float, as the format writes it."""
     if fmt == "json":
         return json.dumps(value)
-    return "" if value is None else str(value)
+    text = "" if value is None else str(value)
+    if any(c in text for c in ',"\r\n'):  # quoted, quotes doubled, as RFC 4180 asks
+        text = '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _emit_table(fmt, out, meta, columns, rows: Iterable[tuple], max_abs_diff=None) -> None:

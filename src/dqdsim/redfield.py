@@ -10,12 +10,17 @@ with the relaxation tensor assembled from half-range bath-correlation rates
              - delta_nl * sum_a Gp[m,a,a,k]
              - delta_mk * sum_a Gm[l,a,a,n]
 
-where the Gp/Gm rates are piecewise in the sign of the transition frequency:
+    Gp[l,n,m,k] = 1/2 sz_ln sz_mk rate[k,m],   Gm[l,n,m,k] = 1/2 sz_ln sz_mk rate[l,n]
+
+where rate[a,b] is piecewise in the sign of the transition frequency w_ab:
 emission carries J(w)(1+n(w)), absorption J(w)n(w), and the zero-frequency
 rates vanish (sigma_z is purely off-diagonal here and J(0) = 0 in every bath
-model).  The rates as written are purely real: principal-value (Lamb-shift)
-parts of the correlation integrals are already dropped, and no secular
-approximation is made, so the rho12 <-> rho21 coupling is kept.
+model).  The 2x2 rate table is evaluated once per transition, Gp and Gm are
+(2,2,2,2) arrays built from it, and R follows from them by array operations,
+the delta sums going in by indexing.  The rates as written are purely real:
+principal-value (Lamb-shift) parts of the correlation integrals are already
+dropped, and no secular approximation is made, so the rho12 <-> rho21
+coupling is kept.
 """
 
 from __future__ import annotations
@@ -105,56 +110,47 @@ def _rate(eig: EigenSystem, bath: BathModel, temperature: float, a: int, b: int)
     return 0.0
 
 
+def _gammas(
+    eig: EigenSystem, bath: BathModel, temperature: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gp and Gm as (2,2,2,2) arrays indexed [lam, nu, mu, kappa], 0-based.
+
+    A tuple whose sigma_z product is 0 is exactly 0 without reading its rate,
+    which may have overflowed to inf (0 * inf would be NaN).
+    """
+    # rate[a, b], 0-based; the zero-frequency diagonal vanishes
+    rate = np.array(
+        [[0.0, _rate(eig, bath, temperature, 1, 2)], [_rate(eig, bath, temperature, 2, 1), 0.0]]
+    )
+    szfac = np.multiply.outer(eig.sz_elements, eig.sz_elements)
+    live = szfac != 0.0
+    half = 0.5 * szfac
+    gp = np.multiply(half, rate.T, out=np.zeros_like(half), where=live)  # rate[kappa, mu]
+    gm = np.multiply(half, rate[:, :, None, None], out=np.zeros_like(half), where=live)
+    return gp, gm
+
+
 def gamma_plus(
-    eig: EigenSystem,
-    bath: BathModel,
-    temperature: float,
-    lam: int,
-    nu: int,
-    mu: int,
-    kappa: int,
+    eig: EigenSystem, bath: BathModel, temperature: float, lam: int, nu: int, mu: int, kappa: int
 ) -> float:
     """Gp[lam, nu, mu, kappa]; frequency argument taken from the (mu, kappa) pair."""
-    szfac = eig.sz(lam, nu) * eig.sz(mu, kappa)
-    if szfac == 0.0:
-        return 0.0
-    return 0.5 * szfac * _rate(eig, bath, temperature, kappa, mu)
+    return float(_gammas(eig, bath, temperature)[0][lam - 1, nu - 1, mu - 1, kappa - 1])
 
 
 def gamma_minus(
-    eig: EigenSystem,
-    bath: BathModel,
-    temperature: float,
-    lam: int,
-    nu: int,
-    mu: int,
-    kappa: int,
+    eig: EigenSystem, bath: BathModel, temperature: float, lam: int, nu: int, mu: int, kappa: int
 ) -> float:
     """Gm[lam, nu, mu, kappa]; frequency argument taken from the (lam, nu) pair."""
-    szfac = eig.sz(lam, nu) * eig.sz(mu, kappa)
-    if szfac == 0.0:
-        return 0.0
-    return 0.5 * szfac * _rate(eig, bath, temperature, lam, nu)
+    return float(_gammas(eig, bath, temperature)[1][lam - 1, nu - 1, mu - 1, kappa - 1])
 
 
 def build_tensor(eig: EigenSystem, bath: BathModel, temperature: float) -> RedfieldTensor:
-    """Assemble all 16 tensor entries, summing the delta terms over both levels."""
-    r = np.zeros((2, 2, 2, 2))
-    for mu in (1, 2):
-        for nu in (1, 2):
-            for kappa in (1, 2):
-                for lam in (1, 2):
-                    val = gamma_plus(eig, bath, temperature, lam, nu, mu, kappa)
-                    val += gamma_minus(eig, bath, temperature, lam, nu, mu, kappa)
-                    if nu == lam:
-                        val -= sum(
-                            gamma_plus(eig, bath, temperature, mu, a, a, kappa) for a in (1, 2)
-                        )
-                    if mu == kappa:
-                        val -= sum(
-                            gamma_minus(eig, bath, temperature, lam, a, a, nu) for a in (1, 2)
-                        )
-                    r[mu - 1, nu - 1, kappa - 1, lam - 1] = val
+    """All 16 tensor entries from the Gp/Gm arrays of one rate table."""
+    gp, gm = _gammas(eig, bath, temperature)
+    r = (gp + gm).transpose(2, 1, 3, 0).copy()  # [lam,nu,mu,kappa] -> [mu,nu,kappa,lam]
+    level = np.arange(2)
+    r[:, level, :, level] -= np.trace(gp, axis1=1, axis2=2)  # nu = lam: sum_a Gp[mu,a,a,kappa]
+    r[level, :, level, :] -= np.trace(gm, axis1=1, axis2=2).T  # mu = kappa: sum_a Gm[lam,a,a,nu]
     r.setflags(write=False)
     return RedfieldTensor(r=r)
 
@@ -165,13 +161,8 @@ def liouvillian(tensor: RedfieldTensor, eig: EigenSystem) -> np.ndarray:
     Vector order (rho11, rho12, rho21, rho22); the diagonal carries the
     coherent phases -i*w_mn, the rest is the relaxation tensor.
     """
-    L = np.zeros((4, 4), dtype=complex)
-    pairs = [(1, 1), (1, 2), (2, 1), (2, 2)]
-    for i, (mu, nu) in enumerate(pairs):
-        L[i, i] = -1j * eig.omega(mu, nu)
-        for j, (kappa, lam) in enumerate(pairs):
-            L[i, j] += tensor.element(mu, nu, kappa, lam)
-    return L
+    w = eig.omega_21  # w_12 = -w_21, w_11 = w_22 = 0
+    return tensor.r.reshape(4, 4) + np.diag([0.0, 1j * w, -1j * w, 0.0])
 
 
 def time_grid(t_end: float, n_steps: int, store_every: int = 1) -> np.ndarray:

@@ -294,23 +294,36 @@ def test_figure_outputs_match_reference_hashes(figure_suite):
         assert hashlib.sha256((figure_suite / name).read_bytes()).hexdigest() == digest, name
 
 
-def test_evolve_json_outputs_match_reference_hashes(tmp_path, monkeypatch):
-    """evolve and t2 in JSON write, byte for byte, the outputs the benchmark pinned.
+def _run_bench_workload(name, tmp_path, monkeypatch, *args):
+    """Run a benchmark workload in-process in tmp_path; return its pinned sha256s.
 
-    The invocations and their configs come from the benchmark's evolve_json
-    workload; --out is relative, as JSON outputs echo it in their meta block.
+    The invocations and their configs come from bench/workloads.py, the
+    digests from bench/reference_hashes.json; both are only read.  --out is
+    relative, as JSON outputs echo it in their meta block.
     """
     bench = REPO_ROOT / "bench"
     spec = importlib.util.spec_from_file_location("bench_workloads", bench / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up there
     spec.loader.exec_module(workloads)
-    reference = json.loads((bench / "reference_hashes.json").read_text())["evolve_json"]
-
-    workload = workloads.evolve_json()
+    workload = getattr(workloads, name)(*args)
     workload.write_configs(tmp_path)
     monkeypatch.chdir(tmp_path)
     for invocation in workload.invocations:
         assert main(invocation.argv()) == 0, invocation.name
+    return json.loads((bench / "reference_hashes.json").read_text())[name]
+
+
+def test_evolve_json_outputs_match_reference_hashes(tmp_path, monkeypatch):
+    """evolve and t2 in JSON write, byte for byte, the outputs the benchmark pinned."""
+    reference = _run_bench_workload("evolve_json", tmp_path, monkeypatch)
+    for name, digest in reference.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_scan_outputs_match_reference_hashes(tmp_path, monkeypatch):
+    """The scan workload's slot 0, 2400 varied points through both engines, is pinned too."""
+    reference = _run_bench_workload("scan", tmp_path, monkeypatch, 0)["0"]
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == sorted(reference)
     for name, digest in reference.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import sys
@@ -404,6 +406,18 @@ class TestSweepCommand:
         assert capsys.readouterr().err.startswith("i/o error:")
         assert not (tmp_path / "s.csv").exists()
 
+    def test_stem_with_a_comma_reads_back_as_one_cell(self, tmp_path):
+        sweep = {"parameter": "omega_l", "values": [0.5, 0.6]}
+        cfg = write_config(tmp_path, {**self.PASSING, "sweep": sweep})
+        out = tmp_path / "a,b.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        header, *rows = list(csv.reader(out.read_text().splitlines()))
+        assert len(rows) == 2
+        assert [len(row) for row in rows] == [len(header)] * 2
+        trajectory = header.index("trajectory")
+        assert [row[trajectory] for row in rows] == ["a,b_point0.csv", "a,b_point1.csv"]
+        assert (tmp_path / "a,b_point1.csv").exists()
+
 
 INF = float("inf")
 NAN = float("nan")
@@ -517,7 +531,12 @@ def _reference_rendering(fmt, meta, columns, rows, max_abs_diff) -> str:
     def cell(value) -> str:
         if value is None:
             return ""
-        return format(value, ".17g") if isinstance(value, float) else str(value)
+        if isinstance(value, float):
+            return format(value, ".17g")
+        # csv quotes a cell holding the delimiter, the quote or a line-terminator character
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\r\n").writerow([str(value)])
+        return buffer.getvalue()[:-2]
 
     lines = [",".join(columns)] + [",".join(map(cell, row)) for row in rows]
     if max_abs_diff is not None:
@@ -586,7 +605,7 @@ class TestTableWriter:
         if "trajectories" in payload:
             assert len(tables) == 3
             text = out.read_text()
-            assert ('\\"eep \\u00fc_point0' if fmt == "json" else 'sw"eep ü_point0') in text
+            assert ('\\"eep \\u00fc_point0' if fmt == "json" else '"sw""eep ü_point0') in text
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_rows_are_written_while_the_iterator_runs(self, monkeypatch, fmt):

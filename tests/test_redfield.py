@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -60,6 +61,32 @@ def oracle_jn(bath, omega, temperature):
     else:
         j = oracle.j_ohmic(omega, eta=bath.eta, omega_c=bath.omega_c, s=bath.s_exponent)
     return float(j), float(oracle.bose(omega, temperature))
+
+
+def reference_tensor(eig, bath, temperature):
+    """R entry by entry: the module docstring's formula over the public Gp/Gm rates."""
+    gp = lambda *tup: gamma_plus(eig, bath, temperature, *tup)
+    gm = lambda *tup: gamma_minus(eig, bath, temperature, *tup)
+    r = np.zeros((2, 2, 2, 2))
+    for m, n, k, l in itertools.product(INDICES, repeat=4):
+        val = gp(l, n, m, k) + gm(l, n, m, k)
+        if n == l:
+            val -= sum(gp(m, a, a, k) for a in INDICES)
+        if m == k:
+            val -= sum(gm(l, a, a, n) for a in INDICES)
+        r[m - 1, n - 1, k - 1, l - 1] = val
+    return r
+
+
+def reference_liouvillian(tensor, eig):
+    """The textbook loop over the level pairs (rho11, rho12, rho21, rho22)."""
+    L = np.zeros((4, 4), dtype=complex)
+    pairs = [(1, 1), (1, 2), (2, 1), (2, 2)]
+    for i, (mu, nu) in enumerate(pairs):
+        L[i, i] = -1j * eig.omega(mu, nu)
+        for j, (kappa, lam) in enumerate(pairs):
+            L[i, j] += tensor.element(mu, nu, kappa, lam)
+    return L
 
 
 class TestGammaRates:
@@ -154,6 +181,20 @@ class TestBuildTensor:
         tensor = build_tensor(eig_default, OhmicBath(eta=0.0), 0.030)
         assert np.all(tensor.r == 0.0)
 
+    def test_overflowing_rates_fill_only_the_formula_entries(self, eig_default):
+        # J(1+n) and Jn both overflow to inf; the entries the formula leaves
+        # empty must stay an exact +0.0, not the NaN of 0 * inf
+        tensor = build_tensor(eig_default, PiezoelectricBath(g=1e307), 1e4)
+        expected = np.zeros((2, 2, 2, 2))
+        for (mu, nu, kappa, lam), sign in {
+            (1, 1, 1, 1): -1, (1, 1, 2, 2): 1, (2, 2, 1, 1): 1, (2, 2, 2, 2): -1,
+            (1, 2, 1, 2): -1, (1, 2, 2, 1): 1, (2, 1, 1, 2): 1, (2, 1, 2, 1): -1,
+        }.items():
+            expected[mu - 1, nu - 1, kappa - 1, lam - 1] = sign * np.inf
+        assert tensor.r.tobytes() == expected.tobytes()
+        with pytest.raises(StepSizeError):
+            propagate_numeric(tensor, eig_default, initial_state(), 100.0, 1000)
+
 
 class TestLiouvillian:
     def test_structure(self, eig_default):
@@ -173,6 +214,26 @@ class TestLiouvillian:
         for i in (0, 3):
             for k in (1, 2):
                 assert L[i, k] == 0.0 and L[k, i] == 0.0
+
+
+class TestAgainstTheLoops:
+    """R and L equal, bit for bit, the entry loops they are assembled without."""
+
+    @staticmethod
+    def check(bath, tc, temperature):
+        eig = diagonalize(QubitParams(tc))
+        tensor = build_tensor(eig, bath, temperature)
+        assert tensor.r.tobytes() == reference_tensor(eig, bath, temperature).tobytes()
+        assert liouvillian(tensor, eig).tobytes() == reference_liouvillian(tensor, eig).tobytes()
+
+    @pytest.mark.parametrize("label,bath,temperature,tc", FIGURE_SETS)
+    def test_figure_sets(self, label, bath, temperature, tc):
+        self.check(bath, tc, temperature)
+
+    @given(bath=bath_st, tc=tc_st, temperature=temp_st)
+    @settings(max_examples=100)
+    def test_generated_points(self, bath, tc, temperature):
+        self.check(bath, tc, temperature)
 
 
 class TestPropagation:
