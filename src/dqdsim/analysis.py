@@ -1,7 +1,7 @@
 """The per-point pipeline, decoherence-time extraction and parameter sweeps.
 
-evaluate_point turns one resolved parameter point into chi and the engines'
-trajectories; sweeps and the single-point CLI commands all go through it.
+A point is prepared (chi, grid, step guard), its RK4 powers built in a stack
+of points, then it is finished (trajectories); evaluate_point is a stack of one.
 
 The decoherence time is defined as the 1/e time of the |rho12| envelope,
 T2 = 1/chi.  The empirical extractor recovers it from a sampled trajectory:
@@ -21,7 +21,8 @@ import numpy as np
 
 from .analytic import ChiRate, chi_rate, closed_form_trajectory
 from .bath import BATH_KINDS, BathModel, OhmicBath
-from .redfield import Trajectory, build_tensor, propagate_numeric, time_grid
+from .redfield import Trajectory, build_tensor, check_step, liouvillian
+from .redfield import propagate_powers, stride_powers, time_grid
 from .system import EigenSystem, QubitParams, diagonalize, initial_state
 
 _DECAY_THRESHOLD = 0.5 * math.exp(-1.0)
@@ -33,6 +34,9 @@ SWEPT_PARAMETERS = ("omega_l", "eta", "temperature")
 
 # default interdot-tunneling binding T_c = 0.1 * omega_l
 TC_BINDING = 0.1
+
+# sweep points whose RK4 powers are built together, 16 KiB each
+_STACK_POINTS = 16
 
 
 class NoDecoherenceError(ValueError):
@@ -253,6 +257,61 @@ def _require_finite(**fields) -> None:
             raise NonFiniteResultError(f"{name} is not finite")
 
 
+@dataclass(frozen=True, eq=False)
+class _Prepared:
+    """A point up to its trajectories: chi checked, grid built, step guarded."""
+
+    eig: EigenSystem
+    rate: ChiRate
+    temperature: float
+    engine: str
+    times: Optional[np.ndarray]
+    generator: Optional[np.ndarray]  # the Liouvillian, numeric engines only
+
+
+def _prepare(bath, temperature, tunneling_Tc, engine, t_end, n_steps, store_every, times=None):
+    """First stage, on evaluate_point's arguments: all before the trajectories; reuses times."""
+    eig = diagonalize(QubitParams(tunneling_Tc=tunneling_Tc))
+    rate = chi_rate(eig, bath, temperature)
+    _require_finite(chi=rate.chi, n_occ=rate.n_occ)
+    generator = None
+    if t_end is not None:
+        times = time_grid(t_end, n_steps, store_every) if times is None else times
+        if engine in ("numeric", "both"):
+            tensor = build_tensor(eig, bath, temperature)
+            check_step(tensor, eig, t_end, n_steps)
+            generator = liouvillian(tensor, eig)
+    return _Prepared(eig, rate, temperature, engine, times, generator)
+
+
+def _stacked_powers(stack: list[_Prepared], t_end: float, n_steps: int, store_every: int):
+    """The RK4 stride powers of the prepared points, built in one pass (None without L)."""
+    if not stack or stack[0].generator is None:
+        return [None] * len(stack)
+    generators = np.stack([prep.generator for prep in stack])
+    return stride_powers(generators, t_end / n_steps, store_every, len(stack[0].times) - 1)
+
+
+def _finish(prep: _Prepared, powers: Optional[np.ndarray]) -> PointEvaluation:
+    """Second stage of a point: the engines' trajectories on the grid, their discrepancy."""
+    closed = numeric = max_abs_diff = None
+    if prep.times is not None:
+        if prep.engine in ("closed_form", "both"):
+            closed = closed_form_trajectory(prep.rate, prep.times)
+        if powers is not None:
+            numeric = propagate_powers(powers, initial_state(), prep.times)
+        if prep.engine == "both":
+            max_abs_diff = float(np.max(np.abs(closed.data - numeric.data)))
+        # a finite max_abs_diff implies that both trajectories are finite
+        if max_abs_diff is None or not math.isfinite(max_abs_diff):
+            _require_finite(
+                closed_form_trajectory=None if closed is None else closed.data,
+                numeric_trajectory=None if numeric is None else numeric.data,
+                max_abs_diff=max_abs_diff,
+            )
+    return PointEvaluation(prep.eig, prep.rate, closed, numeric, max_abs_diff)
+
+
 def evaluate_point(
     bath: BathModel,
     temperature: float,
@@ -264,28 +323,11 @@ def evaluate_point(
 ) -> PointEvaluation:
     """The per-point pipeline: chi, then the engines' trajectories on the grid.
 
-    Every sweep point and every single-point CLI run goes through here.
+    A sweep's stages for one point, with a stack of one RK4 power set.
     Raises NonFiniteResultError when a result is NaN or infinite.
     """
-    eig = diagonalize(QubitParams(tunneling_Tc=tunneling_Tc))
-    rate = chi_rate(eig, bath, temperature)
-    _require_finite(chi=rate.chi, n_occ=rate.n_occ)
-    closed = numeric = None
-    max_abs_diff = None
-    if t_end is not None:
-        if engine in ("closed_form", "both"):
-            closed = closed_form_trajectory(rate, time_grid(t_end, n_steps, store_every))
-        if engine in ("numeric", "both"):
-            tensor = build_tensor(eig, bath, temperature)
-            numeric = propagate_numeric(tensor, eig, initial_state(), t_end, n_steps, store_every)
-        if engine == "both":
-            max_abs_diff = float(np.max(np.abs(closed.data - numeric.data)))
-        _require_finite(
-            closed_form_trajectory=None if closed is None else closed.data,
-            numeric_trajectory=None if numeric is None else numeric.data,
-            max_abs_diff=max_abs_diff,
-        )
-    return PointEvaluation(eig, rate, closed, numeric, max_abs_diff)
+    prep = _prepare(bath, temperature, tunneling_Tc, engine, t_end, n_steps, store_every)
+    return _finish(prep, *_stacked_powers([prep], t_end, n_steps, store_every))
 
 
 def decoherence_times(run: PointEvaluation) -> tuple[float, Optional[float]]:
@@ -310,55 +352,47 @@ def _resolve_point(spec: SweepSpec, value: float) -> tuple[BathModel, float, flo
     return bath, float(temperature), tc
 
 
-def _evaluate_point(
-    spec: SweepSpec, index: int, value: float
-) -> tuple[SweepPoint, PointEvaluation]:
-    bath, temperature, tc = _resolve_point(spec, value)
-    run = evaluate_point(
-        bath, temperature, tc, spec.engine, spec.t_end, spec.n_steps, spec.store_every
-    )
-    t2_analytic, t2_empirical = decoherence_times(run)
-    point = SweepPoint(
-        index=index,
-        parameter=spec.swept_parameter,
-        value=value,
-        omega_21=run.eig.omega_21,
-        temperature=temperature,
-        chi=run.rate.chi,
-        n_occ=run.rate.n_occ,
-        t2_analytic=t2_analytic,
-        t2_empirical=t2_empirical,
-        max_abs_diff=run.max_abs_diff,
-    )
-    return point, run
-
-
 def run_sweep(
     spec: SweepSpec, each: Optional[Callable[[SweepPoint, PointEvaluation], None]] = None
 ) -> SweepResult:
     """Evaluate every swept value in order on the calling thread.
 
-    each(point, run), when given, is called as soon as a point is evaluated,
-    with the point's full-resolution trajectories in run; they are dropped
-    once it returns, so a caller that writes them out holds one point at a
-    time.  The first failing point aborts the sweep, so no later point is
-    evaluated: the raised SweepError carries the offending value and the
-    points completed before it.  An exception from each is not a point
-    failure and propagates as it is.
+    The grid is built once; points are prepared _STACK_POINTS at a time,
+    their RK4 powers stacked, then finished in order.  each(point, run) gets
+    each finished point with its full-resolution trajectories, dropped once
+    it returns.  The first failing point aborts the sweep after the points
+    before it reached each; the SweepError carries its value and those
+    points.  Later points of its stack may be prepared but get no trajectory.
+    An exception from each is not a point failure and propagates as it is.
     """
     points: list[SweepPoint] = []
-    for i, value in enumerate(spec.values):
-        try:
-            point, run = _evaluate_point(spec, i, value)
-        except Exception as exc:
-            raise SweepError(
-                f"sweep failed at {spec.swept_parameter}={value}: {exc}",
-                partial=SweepResult(spec=spec, points=tuple(points)),
-                value=value,
-                cause=exc,
-            ) from exc
-        points.append(point)
-        if each is not None:
-            each(point, run)
-        del run  # so the next point is evaluated without this one's trajectories
+    grid = (spec.t_end, spec.n_steps, spec.store_every)
+    times = None
+    for start in range(0, len(spec.values), _STACK_POINTS):
+        stack, failure = [], None
+        for i in range(start, min(start + _STACK_POINTS, len(spec.values))):
+            try:
+                bath, temperature, tc = _resolve_point(spec, spec.values[i])
+                stack.append(_prepare(bath, temperature, tc, spec.engine, *grid, times))
+            except Exception as exc:
+                failure = (i, exc)
+                break
+            times = stack[-1].times
+        for i, (prep, powers) in enumerate(zip(stack, _stacked_powers(stack, *grid)), start):
+            try:
+                run = _finish(prep, powers)
+                t2s = decoherence_times(run)
+            except Exception as exc:
+                failure = (i, exc)
+                break
+            points.append(SweepPoint(i, spec.swept_parameter, spec.values[i], run.eig.omega_21,
+                                     prep.temperature, run.rate.chi, run.rate.n_occ, *t2s,
+                                     run.max_abs_diff))
+            if each is not None:
+                each(points[-1], run)
+            del run  # so the next point is finished without this one's trajectories
+        if failure is not None:
+            value, exc = spec.values[failure[0]], failure[1]
+            message = f"sweep failed at {spec.swept_parameter}={value}: {exc}"
+            raise SweepError(message, SweepResult(spec, tuple(points)), value, exc) from exc
     return SweepResult(spec=spec, points=tuple(points))

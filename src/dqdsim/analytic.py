@@ -65,31 +65,29 @@ def closed_form_trajectory(rate: ChiRate, times: np.ndarray) -> Trajectory:
     s2 = chi * chi - w * w  # real; s is purely real or purely imaginary
     s = cmath.sqrt(complex(s2, 0.0))
 
+    data = np.empty((len(t), 4), dtype=complex)
     # non-finite inputs propagate as NaN/inf to the caller's finiteness guard
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # (1+n)/(1+2n) - e^{-2 chi t}/(2(1+2n)), restructured so t = 0 is exactly 1/2
         rho11 = 0.5 - np.expm1(-2.0 * chi * t) / (2.0 * one_plus_2n)
-        rho22 = 1.0 - rho11
-
-        z2 = s2 * t * t
-        small = np.abs(z2) < _SERIES_THRESHOLD**2
 
         a = np.exp((-chi + s) * t)
         b = np.exp((-chi - s) * t)
-        pair = (a + b) / 4.0 + (chi + 1j * w) * (a - b) / (4.0 * s)
+        rho12 = (a + b) / 4.0 + (chi + 1j * w) * (a - b) / (4.0 * s)
+        del a, b
 
         # small |s*t|: cosh(z) and sinh(z)/z expanded, exact through z^4
+        z2 = s2 * t * t
+        small = np.abs(z2) < _SERIES_THRESHOLD**2
+        ts, z2 = t[small], z2[small]
         cosh_ser = 1.0 + z2 / 2.0 + z2 * z2 / 24.0
         sinhc_ser = 1.0 + z2 / 6.0 + z2 * z2 / 120.0
-        series = np.exp(-chi * t) * (cosh_ser + (chi + 1j * w) * t * sinhc_ser) / 2.0
+        rho12[small] = np.exp(-chi * ts) * (cosh_ser + (chi + 1j * w) * ts * sinhc_ser) / 2.0
 
-    rho12 = np.where(small, series, pair)
-
-    data = np.empty((len(t), 4), dtype=complex)
     data[:, 0] = rho11
     data[:, 1] = rho12
     data[:, 2] = np.conj(rho12)
-    data[:, 3] = rho22
+    data[:, 3] = 1.0 - rho11
     data.setflags(write=False)
     return Trajectory(times=t, data=data)
 

@@ -21,6 +21,10 @@ the delta sums going in by indexing.  The rates as written are purely real:
 principal-value (Lamb-shift) parts of the correlation integrals are already
 dropped, and no secular approximation is made, so the rho12 <-> rho21
 coupling is kept.
+
+Propagation is fixed-step RK4 on d y/dt = L y: stacked powers of the RK4
+stride map advance a trajectory a block of samples per matmul.  They are built
+for K generators at once, so a sweep pays that set-up once per stack.
 """
 
 from __future__ import annotations
@@ -188,18 +192,54 @@ def time_grid(t_end: float, n_steps: int, store_every: int = 1) -> np.ndarray:
 
 
 def _rk4_step_matrix(L: np.ndarray, h: float) -> np.ndarray:
-    """One classical RK4 step of d y/dt = L y, as a matrix.
+    """One classical RK4 step of d y/dt = L y, as a matrix, for a stack of L.
 
     Applying textbook RK4 to the identity columns gives the exact one-step
     map of the method for this linear, autonomous system; advancing n steps
-    is then n applications of this fixed matrix.
+    is then n applications of this fixed matrix.  L has shape (K, 4, 4).
     """
-    eye = np.eye(L.shape[0], dtype=complex)
+    eye = np.eye(L.shape[-1], dtype=complex)
     k1 = L @ eye
     k2 = L @ (eye + 0.5 * h * k1)
     k3 = L @ (eye + 0.5 * h * k2)
     k4 = L @ (eye + h * k3)
     return eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def check_step(tensor: RedfieldTensor, eig: EigenSystem, t_end: float, n_steps: int) -> None:
+    """StepSizeError, naming the least n_steps, unless h*max(omega_21, 2*|R_1212|) <= 0.1."""
+    h = t_end / n_steps
+    scale = max(eig.omega_21, 2.0 * tensor.chi_effective)
+    if h * scale > _MAX_STEP_PRODUCT * (1.0 + 1e-9):
+        n_min = t_end * scale / _MAX_STEP_PRODUCT  # inf when beyond the float range
+        if math.isfinite(n_min):
+            n_min = math.ceil(n_min)
+        raise StepSizeError(
+            f"step h={h:.6g} ps gives h*max(omega_21, 2*chi)={h * scale:.6g} > "
+            f"{_MAX_STEP_PRODUCT}; increase n_steps to at least {n_min}"
+        )
+
+
+def stride_powers(L: np.ndarray, h: float, store_every: int, n_stored: int) -> np.ndarray:
+    """RK4 stride powers 1..min(64, n_stored) of K generators L (K, 4, 4): (K, B, 4, 4)."""
+    stride = np.linalg.matrix_power(_rk4_step_matrix(L, h), store_every)
+    powers = np.empty((len(L), min(_POWER_BLOCK, n_stored), 4, 4), dtype=complex)
+    powers[:, 0] = stride
+    for j in range(1, powers.shape[1]):
+        np.matmul(powers[:, j - 1], stride, out=powers[:, j])
+    return powers
+
+
+def propagate_powers(powers: np.ndarray, rho0: DensityMatrix, times: np.ndarray) -> Trajectory:
+    """The stored samples on a time_grid, from one generator's stride powers (B, 4, 4)."""
+    n_stored, block = len(times) - 1, len(powers)
+    data = np.empty((n_stored + 1, 4), dtype=complex)
+    data[0] = rho0.as_vector()
+    for filled in range(0, n_stored, block):
+        take = min(block, n_stored - filled)
+        np.matmul(powers[:take], data[filled], out=data[filled + 1 : filled + 1 + take])
+    data.setflags(write=False)
+    return Trajectory(times=times, data=data)
 
 
 def propagate_numeric(
@@ -213,43 +253,11 @@ def propagate_numeric(
     """Fixed-step RK4 integration of the master equation.
 
     Samples every store_every-th step (plus t = 0); store_every must divide
-    n_steps.  The step must satisfy h * max(omega_21, 2*|R_1212|) <= 0.1,
-    otherwise a StepSizeError names the minimum admissible n_steps.
+    n_steps.  The step must pass check_step.  A stack of one: sweeps stack
+    the stride powers of many points and propagate each with propagate_powers.
     """
     times = time_grid(t_end, n_steps, store_every)
-    h = t_end / n_steps
-    scale = max(eig.omega_21, 2.0 * tensor.chi_effective)
-    if h * scale > _MAX_STEP_PRODUCT * (1.0 + 1e-9):
-        n_min = t_end * scale / _MAX_STEP_PRODUCT  # inf when beyond the float range
-        if math.isfinite(n_min):
-            n_min = math.ceil(n_min)
-        raise StepSizeError(
-            f"step h={h:.6g} ps gives h*max(omega_21, 2*chi)={h * scale:.6g} > "
-            f"{_MAX_STEP_PRODUCT}; increase n_steps to at least {n_min}"
-        )
-
-    L = liouvillian(tensor, eig)
-    step = _rk4_step_matrix(L, h)
-    stride = np.linalg.matrix_power(step, store_every)
-
-    # stacked powers stride^1..stride^B advance a whole block per matmul
-    n_stored = n_steps // store_every
-    block = min(_POWER_BLOCK, n_stored)
-    powers = np.empty((block, 4, 4), dtype=complex)
-    powers[0] = stride
-    for j in range(1, block):
-        powers[j] = powers[j - 1] @ stride
-
-    data = np.empty((n_stored + 1, 4), dtype=complex)
-    y = rho0.as_vector()
-    data[0] = y
-    filled = 0
-    while filled < n_stored:
-        take = min(block, n_stored - filled)
-        vals = powers[:take] @ y
-        data[filled + 1 : filled + 1 + take] = vals
-        y = vals[-1]
-        filled += take
-
-    data.setflags(write=False)
-    return Trajectory(times=times, data=data)
+    check_step(tensor, eig, t_end, n_steps)
+    L = liouvillian(tensor, eig)[None]
+    powers = stride_powers(L, t_end / n_steps, store_every, len(times) - 1)
+    return propagate_powers(powers[0], rho0, times)

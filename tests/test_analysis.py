@@ -12,6 +12,7 @@ from dqdsim import (
     OhmicBath,
     PiezoelectricBath,
     SweepError,
+    SweepPoint,
     SweepSpec,
     TrajectoryTooShortError,
     build_tensor,
@@ -19,6 +20,7 @@ from dqdsim import (
     closed_form_trajectory,
     decoherence_time_analytic,
     decoherence_time_empirical,
+    decoherence_times,
     equilibrium_populations,
     initial_state,
     propagate_numeric,
@@ -224,13 +226,13 @@ class TestRunSweep:
 
     def test_first_failing_point_stops_the_sweep(self, monkeypatch):
         calls = []
-        evaluate = analysis.evaluate_point
+        finish = analysis._finish
 
         def recording(*args, **kwargs):
             calls.append(threading.current_thread())
-            return evaluate(*args, **kwargs)
+            return finish(*args, **kwargs)
 
-        monkeypatch.setattr(analysis, "evaluate_point", recording)
+        monkeypatch.setattr(analysis, "_finish", recording)
         spec = _sweep(
             OhmicBath(eta=0.0),
             "temperature",
@@ -249,20 +251,20 @@ class TestRunSweep:
     def test_each_follows_every_point_with_full_trajectories(self, monkeypatch):
         events = []
         handed_out = []
-        evaluate = analysis.evaluate_point
+        finish = analysis._finish
 
-        def recording(*args, **kwargs):
-            events.append(("evaluate", args[1]))
+        def recording(prep, powers):
+            events.append(("evaluate", prep.temperature))
             # earlier points' trajectories are released before the next is evaluated
             assert all(ref() is None for ref in handed_out)
-            return evaluate(*args, **kwargs)
+            return finish(prep, powers)
 
         def each(point, run):
             events.append(("each", point.temperature))
             assert len(run.closed) == len(run.numeric) == 2001  # not thinned
             handed_out.append(weakref.ref(run))
 
-        monkeypatch.setattr(analysis, "evaluate_point", recording)
+        monkeypatch.setattr(analysis, "_finish", recording)
         spec = _sweep(
             PiezoelectricBath(),
             "temperature",
@@ -279,6 +281,113 @@ class TestRunSweep:
             ("evaluate", 1.0), ("each", 1.0),
         ]
         assert [p.temperature for p in result.points] == [0.03, 0.2, 1.0]
+
+
+
+# 40 values: two full stacks of points and a ragged one of 8
+STACKED_SWEEPS = [
+    (
+        "temperature",
+        dict(base_bath=PiezoelectricBath(), tunneling_Tc=0.05),
+        np.geomspace(0.02, 1.0, 40),
+    ),
+    (
+        "eta",
+        dict(base_bath=OhmicBath(eta=0.04), temperature=0.030, tunneling_Tc=0.05),
+        np.geomspace(0.5, 20.0, 40),
+    ),
+]
+
+
+class TestStackedSweep:
+    """Sweep points are prepared a stack at a time; each still equals its one-point run."""
+
+    @pytest.mark.parametrize("parameter,fixed,values", STACKED_SWEEPS, ids=["temperature", "eta"])
+    def test_every_point_equals_a_one_point_evaluation(self, parameter, fixed, values):
+        grid = dict(t_end=1000.0, n_steps=4000, store_every=4)
+        spec = SweepSpec(parameter, tuple(values.tolist()), engine="both", **fixed, **grid)
+        seen = []
+
+        def each(point, run):
+            temperature = point.value if parameter == "temperature" else fixed["temperature"]
+            bath = fixed["base_bath"]
+            if parameter == "eta":
+                bath = OhmicBath(eta=point.value)
+            alone = analysis.evaluate_point(bath, temperature, 0.05, "both", **grid)
+            assert run.numeric.data.tobytes() == alone.numeric.data.tobytes()
+            assert run.closed.data.tobytes() == alone.closed.data.tobytes()
+            expected = SweepPoint(
+                len(seen), parameter, point.value, alone.eig.omega_21, temperature,
+                alone.rate.chi, alone.rate.n_occ, *decoherence_times(alone), alone.max_abs_diff,
+            )
+            assert repr(point) == repr(expected)
+            seen.append(point)
+
+        result = run_sweep(spec, each)
+        assert result.points == tuple(seen) and len(seen) == 40
+
+    def test_grid_built_once_and_powers_once_per_stack(self, monkeypatch):
+        stacks, grids = [], []
+        stride_powers, time_grid_ = analysis.stride_powers, analysis.time_grid
+
+        def counting_powers(generators, *args):
+            stacks.append(len(generators))
+            return stride_powers(generators, *args)
+
+        def counting_grid(*args):
+            grids.append(args)
+            return time_grid_(*args)
+
+        monkeypatch.setattr(analysis, "stride_powers", counting_powers)
+        monkeypatch.setattr(analysis, "time_grid", counting_grid)
+        spec = _sweep(
+            PiezoelectricBath(),
+            "temperature",
+            np.geomspace(0.02, 1.0, 40).tolist(),
+            t_end=500.0,
+            n_steps=1000,
+            engine="numeric",
+        )
+        assert len(run_sweep(spec).points) == 40
+        assert stacks == [16, 16, 8]
+        assert grids == [(500.0, 1000, 1)]
+
+    @pytest.mark.parametrize("stage", ["prepare", "finish"])
+    def test_failure_after_a_full_stack(self, monkeypatch, stage):
+        """The first failure at index 17: points 0-16 reach each, no later one has a trajectory."""
+        if stage == "prepare":
+            # h = 0.75 passes the step guard up to omega_l = 2/3, not at 0.7
+            values = np.linspace(0.45, 0.66, 17).tolist() + [0.7, 0.72, 0.75]
+            spec = _sweep(
+                PiezoelectricBath(), "omega_l", values, temperature=0.030,
+                t_end=150.0, n_steps=200, engine="numeric",
+            )
+            value, cause, trajectories = 0.7, StepSizeError, 17
+        else:
+            # strongly overdamped from eta ~ 260 on: |rho12| barely decays in 300 ps
+            values = np.geomspace(1.0, 180.0, 17).tolist() + [260.0, 360.0, 500.0]
+            spec = _sweep(
+                OhmicBath(eta=1.0), "eta", values, temperature=0.030, tunneling_Tc=0.05,
+                t_end=300.0, n_steps=12000, store_every=20, engine="both",
+            )
+            value, cause, trajectories = 260.0, TrajectoryTooShortError, 18
+        propagated = []
+        propagate = analysis.propagate_powers
+
+        def counting(*args):
+            propagated.append(args)
+            return propagate(*args)
+
+        monkeypatch.setattr(analysis, "propagate_powers", counting)
+        seen = []
+        with pytest.raises(SweepError) as err:
+            run_sweep(spec, lambda point, run: seen.append(point))
+        assert [p.index for p in seen] == list(range(17))
+        assert err.value.partial.points == tuple(seen)
+        assert err.value.value == value
+        assert isinstance(err.value.cause, cause)
+        assert str(err.value).startswith(f"sweep failed at {spec.swept_parameter}={value}: ")
+        assert len(propagated) == trajectories
 
 
 class TestSweepSpecValidation:

@@ -467,6 +467,17 @@ class TestValidationBoundary:
         assert "numerical guard" in err and "closed_form_trajectory" in err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_trajectory_is_named_with_both_engines(self, tmp_path, capsys):
+        # a step small enough for omega_21 = 2e300; the closed form is NaN at t = 0
+        grid = {"engine": "both", "t_end": 1e-300, "n_steps": 1000}
+        cfg = write_config(tmp_path, {**EVOLVE_CFG, "qubit": {"tunneling_Tc": 1e300}, **grid})
+        out = tmp_path / "traj.csv"
+        assert main(["evolve", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical guard: closed_form_trajectory is not finite" in err
+        assert not out.exists()
+
 
 class TestOnePipeline:
     """evolve and t2 are one-point runs of the same pipeline as a sweep point."""

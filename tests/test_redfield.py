@@ -236,6 +236,67 @@ class TestAgainstTheLoops:
         self.check(bath, tc, temperature)
 
 
+
+def reference_propagation(tensor, eig, rho0, t_end, n_steps, store_every):
+    """Per-point RK4 as one 2-D matmul at a time: stride powers, then blocks of samples."""
+    h = t_end / n_steps
+    L = liouvillian(tensor, eig)
+    eye = np.eye(4, dtype=complex)
+    k1 = L @ eye
+    k2 = L @ (eye + 0.5 * h * k1)
+    k3 = L @ (eye + 0.5 * h * k2)
+    k4 = L @ (eye + h * k3)
+    stride = np.linalg.matrix_power(eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), store_every)
+    n_stored = n_steps // store_every
+    block = min(64, n_stored)
+    powers = np.empty((block, 4, 4), dtype=complex)
+    powers[0] = stride
+    for j in range(1, block):
+        powers[j] = powers[j - 1] @ stride
+    data = np.empty((n_stored + 1, 4), dtype=complex)
+    y = rho0.as_vector()
+    data[0] = y
+    filled = 0
+    while filled < n_stored:
+        take = min(block, n_stored - filled)
+        vals = powers[:take] @ y
+        data[filled + 1 : filled + 1 + take] = vals
+        y = vals[-1]
+        filled += take
+    return data
+
+
+class TestStackAgainstThePerPointLoop:
+    """The stacked RK4 set-up propagates bit for bit as the per-point loop."""
+
+    @staticmethod
+    def check(bath, tc, temperature, n_stored, store_every):
+        eig = diagonalize(QubitParams(tc))
+        tensor = build_tensor(eig, bath, temperature)
+        n_steps = n_stored * store_every
+        # a step at 90 % of the guard's limit
+        t_end = 0.09 * n_steps / max(eig.omega_21, 2.0 * tensor.chi_effective)
+        args = (tensor, eig, initial_state(), t_end, n_steps, store_every)
+        expected = reference_propagation(*args)
+        assert propagate_numeric(*args).data.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("label,bath,temperature,tc", FIGURE_SETS)
+    @pytest.mark.parametrize("n_stored,store_every", [(1, 1), (63, 3), (64, 1), (1000, 2)])
+    def test_figure_sets(self, label, bath, temperature, tc, n_stored, store_every):
+        self.check(bath, tc, temperature, n_stored, store_every)
+
+    @given(
+        bath=bath_st,
+        tc=tc_st,
+        temperature=temp_st,
+        n_stored=st.integers(1, 300),
+        store_every=st.integers(1, 9),
+    )
+    @settings(max_examples=100)
+    def test_generated_points(self, bath, tc, temperature, n_stored, store_every):
+        self.check(bath, tc, temperature, n_stored, store_every)
+
+
 class TestPropagation:
     def test_isolated_system_phase(self, eig_default):
         # zero tensor: rho12(t) = exp(+i w21 t)/2 since omega_12 = -omega_21
