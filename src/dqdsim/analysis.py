@@ -253,7 +253,9 @@ class PointEvaluation:
 
 def _require_finite(**fields) -> None:
     for name, value in fields.items():
-        if value is not None and not np.all(np.isfinite(value)):
+        if value is None:
+            continue
+        if not (math.isfinite(value) if isinstance(value, float) else np.all(np.isfinite(value))):
             raise NonFiniteResultError(f"{name} is not finite")
 
 

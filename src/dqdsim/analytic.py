@@ -9,7 +9,8 @@ toward (1+n)/(1+2n), n/(1+2n), and the coherences obey the coupled pair
 
 valid in one formula for the underdamped (s imaginary), overdamped (s real)
 and critically damped (s -> 0) regimes; a series branch protects the s -> 0
-limit.  The implied initial state is every element equal to 1/2.
+limit.  Underdamped, the exponentials are conjugates: one complex exp per
+sample.  The implied initial state is every element equal to 1/2.
 """
 
 from __future__ import annotations
@@ -72,7 +73,8 @@ def closed_form_trajectory(rate: ChiRate, times: np.ndarray) -> Trajectory:
         rho11 = 0.5 - np.expm1(-2.0 * chi * t) / (2.0 * one_plus_2n)
 
         a = np.exp((-chi + s) * t)
-        b = np.exp((-chi - s) * t)
+        # underdamped, s is purely imaginary: the second exponent is the conjugate of the first
+        b = np.conj(a) if s2 < 0 else np.exp((-chi - s) * t)
         rho12 = (a + b) / 4.0 + (chi + 1j * w) * (a - b) / (4.0 * s)
         del a, b
 

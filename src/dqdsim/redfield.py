@@ -22,14 +22,15 @@ principal-value (Lamb-shift) parts of the correlation integrals are already
 dropped, and no secular approximation is made, so the rho12 <-> rho21
 coupling is kept.
 
-Propagation is fixed-step RK4 on d y/dt = L y: stacked powers of the RK4
-stride map advance a trajectory a block of samples per matmul.  They are built
-for K generators at once, so a sweep pays that set-up once per stack.
+Propagation is fixed-step RK4 on d y/dt = L y: the B stacked powers of the RK4
+stride map, one (4B, 4) matrix, advance a block of B samples per matrix-vector
+product.  They are built for K generators at once, one set-up per sweep stack.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,9 @@ from .system import DensityMatrix, EigenSystem
 # Accuracy/stability guard for the fixed-step integrator.
 _MAX_STEP_PRODUCT = 0.1
 _POWER_BLOCK = 64
+
+# the read-only grids time_grid built, strictly increasing by construction: id -> grid
+_GRIDS: "weakref.WeakValueDictionary[int, np.ndarray]" = weakref.WeakValueDictionary()
 
 
 class StepSizeError(ValueError):
@@ -74,6 +78,8 @@ class Trajectory:
             raise ValueError("trajectory must be non-empty")
         if len(self.times) != len(self.data):
             raise ValueError("times and data lengths differ")
+        if _GRIDS.get(id(self.times)) is self.times:
+            return  # finite i*d for d > 0 rises strictly while i < 2**51: valid by construction
         if len(self.times) > 1 and not np.all(np.diff(self.times) > 0):
             raise ValueError("times must be strictly increasing")
 
@@ -186,8 +192,12 @@ def time_grid(t_end: float, n_steps: int, store_every: int = 1) -> np.ndarray:
     h = t_end / n_steps
     if not h > 0:
         raise ValueError(f"the step t_end/n_steps underflows to 0 for t_end={t_end!r}")
-    times = np.arange(n_steps // store_every + 1) * (store_every * h)
+    n_stored, stride = n_steps // store_every, store_every * h
+    if not math.isfinite(n_stored * stride):
+        raise ValueError(f"the last sample time overflows to inf for t_end={t_end!r}")
+    times = np.arange(n_stored + 1) * stride
     times.setflags(write=False)
+    _GRIDS[id(times)] = times
     return times
 
 
@@ -233,11 +243,13 @@ def stride_powers(L: np.ndarray, h: float, store_every: int, n_stored: int) -> n
 def propagate_powers(powers: np.ndarray, rho0: DensityMatrix, times: np.ndarray) -> Trajectory:
     """The stored samples on a time_grid, from one generator's stride powers (B, 4, 4)."""
     n_stored, block = len(times) - 1, len(powers)
+    rows = powers.reshape(-1, 4)  # a view for C-contiguous powers: row 4j+r is row r of power j
     data = np.empty((n_stored + 1, 4), dtype=complex)
+    flat = data.reshape(-1)  # a view: sample i is flat[4i : 4i + 4]
     data[0] = rho0.as_vector()
     for filled in range(0, n_stored, block):
-        take = min(block, n_stored - filled)
-        np.matmul(powers[:take], data[filled], out=data[filled + 1 : filled + 1 + take])
+        take, begin = min(block, n_stored - filled), 4 * (filled + 1)
+        np.matmul(rows[: 4 * take], data[filled], out=flat[begin : begin + 4 * take])
     data.setflags(write=False)
     return Trajectory(times=times, data=data)
 

@@ -8,6 +8,7 @@ and the bath coupling operator sigma_z purely off-diagonal there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,8 @@ class QubitParams:
     def __post_init__(self) -> None:
         if not self.tunneling_Tc > 0:
             raise ValueError(f"tunneling_Tc must be positive, got {self.tunneling_Tc}")
+        if not math.isfinite(2.0 * self.tunneling_Tc):
+            raise ValueError(f"tunneling_Tc={self.tunneling_Tc!r} overflows the splitting 2*T_c")
 
 
 @dataclass(frozen=True, eq=False)

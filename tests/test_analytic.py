@@ -1,7 +1,10 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from conftest import FIGURE_SETS
@@ -16,6 +19,7 @@ from dqdsim import (
     closed_form_trajectory,
     diagonalize,
     initial_state,
+    time_grid,
 )
 from test_redfield import oracle_jn
 
@@ -158,6 +162,75 @@ class TestClosedForm:
             closed_form_rdm(rate, -1.0)
         with pytest.raises(ValueError):
             closed_form_derivative(rate, -1.0)
+
+
+def two_exponential_closed_form(chi: float, w: float, n: float, t: np.ndarray) -> np.ndarray:
+    """The closed form with both exponentials evaluated in every regime, series under its mask."""
+    one_plus_2n = 1.0 + 2.0 * n
+    s2 = chi * chi - w * w
+    s = cmath.sqrt(complex(s2, 0.0))
+    data = np.empty((len(t), 4), dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rho11 = 0.5 - np.expm1(-2.0 * chi * t) / (2.0 * one_plus_2n)
+        a = np.exp((-chi + s) * t)
+        b = np.exp((-chi - s) * t)
+        rho12 = (a + b) / 4.0 + (chi + 1j * w) * (a - b) / (4.0 * s)
+        z2 = s2 * t * t
+        small = np.abs(z2) < 1e-4**2
+        ts, z2 = t[small], z2[small]
+        cosh_ser = 1.0 + z2 / 2.0 + z2 * z2 / 24.0
+        sinhc_ser = 1.0 + z2 / 6.0 + z2 * z2 / 120.0
+        rho12[small] = np.exp(-chi * ts) * (cosh_ser + (chi + 1j * w) * ts * sinhc_ser) / 2.0
+    data[:, 0] = rho11
+    data[:, 1] = rho12
+    data[:, 2] = np.conj(rho12)
+    data[:, 3] = 1.0 - rho11
+    return data
+
+
+@st.composite
+def damped_rates(draw):
+    """(chi, w, n): underdamped, critically damped (s2 == 0) or overdamped, chi = 0 and inf too."""
+    w = draw(st.floats(1e-3, 10.0))
+    regime = draw(st.sampled_from(["under", "critical", "over"]))
+    if regime == "under":
+        chi = w * draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)))
+    elif regime == "critical":
+        chi = w
+    else:
+        overdamped = st.floats(1.0, 1e3, exclude_min=True).map(lambda f: w * f)
+        chi = draw(st.one_of(overdamped, st.just(1e300), st.just(math.inf)))
+    return chi, w, draw(st.floats(0.0, 10.0))
+
+
+class TestConjugatePairBitForBit:
+    """The closed form equals its two-exponential evaluation byte for byte, in every regime."""
+
+    @given(
+        rate=damped_rates(),
+        n_series=st.integers(1, 8),
+        n_wide=st.integers(0, 300),
+        span=st.floats(1e-3, 50.0),
+    )
+    @settings(max_examples=300)
+    def test_generated_rates_and_grids(self, rate, n_series, n_wide, span):
+        chi, w, n = rate
+        s2 = chi * chi - w * w
+        scale = 1.0 / math.sqrt(abs(s2)) if 0.0 < abs(s2) < math.inf else 1.0 / w
+        # t = 0 and samples with |s*t| inside the series region, then a wide stretch
+        series = np.arange(n_series) * (1e-5 * scale)
+        wide = 1e-4 * scale + np.arange(1, n_wide + 1) * (span * scale / max(n_wide, 1))
+        times = np.concatenate([series, wide])
+        got = closed_form_trajectory(ChiRate(chi=chi, n_occ=n, omega_21=w), times)
+        assert got.data.tobytes() == two_exponential_closed_form(chi, w, n, times).tobytes()
+
+    @pytest.mark.parametrize("label,bath,temperature,tc", FIGURE_SETS)
+    def test_figure_sets_on_a_time_grid(self, label, bath, temperature, tc):
+        rate = chi_rate(diagonalize(QubitParams(tc)), bath, temperature)
+        times = time_grid(5.0 / rate.chi, 2500)
+        got = closed_form_trajectory(rate, times)
+        expected = two_exponential_closed_form(rate.chi, rate.omega_21, rate.n_occ, times)
+        assert got.data.tobytes() == expected.tobytes()
 
 
 class TestDerivative:

@@ -529,6 +529,26 @@ class TestOnePipeline:
         assert main(["t2", "--config", point]) == 2
         assert main(["sweep", "--config", sweep]) == 2
 
+    @pytest.mark.parametrize("command", ["evolve", "t2", "sweep"])
+    @pytest.mark.parametrize("tc", [9e307, 1.7e308])
+    def test_overflowing_splitting_is_a_named_config_error(self, tmp_path, capsys, command, tc):
+        payload = {
+            "bath": {"kind": "ohmic", "eta": 0.125, "omega_c": 0.125, "s_exponent": 1.0},
+            "qubit": {"tunneling_Tc": tc},
+            "engine": "closed_form",
+            "t_end": 10.0,
+            "n_steps": 1,
+            "temperature_mK": 10.0,
+        }
+        if command == "sweep":
+            payload["sweep"] = {"parameter": "eta", "values": [0.125]}
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: tunneling_Tc=") and "overflow" in err, err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 
 def _reference_rendering(fmt, meta, columns, rows, max_abs_diff) -> str:

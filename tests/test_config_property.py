@@ -15,7 +15,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from dqdsim import bath_from_dict, spectral_density
@@ -174,6 +174,20 @@ def _run(command: str, cfg: dict) -> int:
 
 @settings(max_examples=60, deadline=None)
 @given(case=configs())
+@example(  # 2*T_c overflows to inf: once a traceback, now a config error
+    case=(
+        "evolve",
+        {
+            "bath": {"kind": "ohmic", "eta": 0.125, "omega_c": 0.125, "s_exponent": 1.0},
+            "qubit": {"tunneling_Tc": 1.7e308},
+            "engine": "closed_form",
+            "t_end": 10.0,
+            "n_steps": 1,
+            "temperature_mK": 10.0,
+            "format": "csv",
+        },
+    )
+)
 def test_every_config_exits_with_a_named_code(case):
     command, cfg = case
     event(f"{command} exit {_run(command, cfg)}")
@@ -212,11 +226,19 @@ SPECTRAL_GRID = {"omega_min": 0.0, "omega_max": 2.0, "count": 2}
         ("evolve", {**HEAVY_OHMIC, "engine": "closed_form"}, 3),
         ("evolve", {**HEAVY_OHMIC, "engine": "numeric"}, 3),
         ("evolve", {"bath": PCPB, "temperature_mK": 10.0, "t_end": 5e-324, "n_steps": 2}, 2),
+        (
+            "evolve",
+            {
+                "bath": PCPB, "temperature_mK": 10.0,
+                "t_end": 1.7976931348623157e308, "n_steps": 3, "store_every": 3,
+            },
+            2,
+        ),
     ],
     ids=[
         "omega_l-squared-overflows", "sinc-of-inf", "omega_l-squared-underflows",
         "omega-power-overflows", "bose-overflows", "closed-form-overflow-warning",
-        "step-guard-at-inf", "step-underflows",
+        "step-guard-at-inf", "step-underflows", "last-time-overflows",
     ],
 )
 def test_float_range_edges_exit_with_a_named_code(command, cfg, code):

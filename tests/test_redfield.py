@@ -26,6 +26,7 @@ from dqdsim import (
     propagate_numeric,
     time_grid,
 )
+from dqdsim.redfield import propagate_powers, stride_powers
 
 INDICES = (1, 2)
 
@@ -297,6 +298,39 @@ class TestStackAgainstThePerPointLoop:
         self.check(bath, tc, temperature, n_stored, store_every)
 
 
+def per_matrix_blocks(powers: np.ndarray, y: np.ndarray, n_stored: int) -> np.ndarray:
+    """Samples 1..n_stored as one (4, 4) @ (4,) product per power, block after block."""
+    data = [y]
+    for filled in range(0, n_stored, len(powers)):
+        vals = powers[: min(len(powers), n_stored - filled)] @ data[-1]
+        data.extend(vals)
+    return np.array(data)
+
+
+class TestOneProductPerBlock:
+    """propagate_powers' one matrix-vector product per block equals the per-matrix products."""
+
+    @pytest.mark.parametrize("n_stored", [1, 37, 64, 65, 3 * 64 + 17])
+    def test_ragged_last_block(self, eig_default, n_stored):
+        L = liouvillian(build_tensor(eig_default, PiezoelectricBath(), 0.030), eig_default)
+        powers = stride_powers(L[None], 0.5, 3, n_stored)[0]
+        times = time_grid(1.5 * n_stored, 3 * n_stored, 3)
+        got = propagate_powers(powers, initial_state(), times)
+        expected = per_matrix_blocks(powers, initial_state().as_vector(), n_stored)
+        assert got.data.tobytes() == expected.tobytes()
+
+    @given(seed=st.integers(0, 2**32 - 1), n_stored=st.integers(1, 400))
+    @settings(max_examples=100)
+    def test_random_powers(self, seed, n_stored):
+        rng = np.random.default_rng(seed)
+        shape = (min(64, n_stored), 4, 4)
+        powers = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / 4.0
+        rho0 = initial_state()
+        got = propagate_powers(powers, rho0, time_grid(float(n_stored), n_stored))
+        expected = per_matrix_blocks(powers, rho0.as_vector(), n_stored)
+        assert got.data.tobytes() == expected.tobytes()
+
+
 class TestPropagation:
     def test_isolated_system_phase(self, eig_default):
         # zero tensor: rho12(t) = exp(+i w21 t)/2 since omega_12 = -omega_21
@@ -414,6 +448,14 @@ class TestTrajectory:
             Trajectory(times=np.array([0.0, 1.0]), data=np.zeros((3, 4), dtype=complex))
         with pytest.raises(ValueError):
             Trajectory(times=np.array([0.0, 0.0]), data=np.zeros((2, 4), dtype=complex))
+
+    def test_only_the_time_grid_itself_skips_the_order_check(self):
+        times = time_grid(10.0, 10)
+        data = np.zeros((11, 4), dtype=complex)
+        assert len(Trajectory(times=times, data=data)) == 11
+        for unordered in (times[::-1], times[::-1].copy()):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                Trajectory(times=unordered, data=data)
 
     def test_time_grid_values(self):
         times = time_grid(10.0, 10, 2)
