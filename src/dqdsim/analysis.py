@@ -5,9 +5,11 @@ of points, then it is finished (trajectories); evaluate_point is a stack of one.
 
 The decoherence time is defined as the 1/e time of the |rho12| envelope,
 T2 = 1/chi.  The empirical extractor recovers it from a sampled trajectory:
-in the underdamped regime by a log-linear fit through the local maxima of
-|rho12| (the maxima decay exactly geometrically, one per half period), in the
-overdamped regime by the first crossing below e^-1/2.
+in the underdamped regime by a log-linear fit through the samples where
+|rho12| is stationary (they sit on the e^{-chi t}/2 envelope, one per half
+period), in the overdamped regime by the first crossing below e^-1/2.
+|rho12| never rises here: the coherence rows of the Liouvillian give
+d|rho12|^2/dt = -4 chi (Im rho12)^2 <= 0 for every Hermitian state.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .redfield import propagate_powers, stride_powers, time_grid
 from .system import EigenSystem, QubitParams, diagonalize, initial_state
 
 _DECAY_THRESHOLD = 0.5 * math.exp(-1.0)
-# required drop of the maxima envelope before a fit is trusted
+# required drop of the stationary-sample envelope before a fit is trusted
 _MIN_DECAY_RATIO = 0.9
 
 ENGINES = ("closed_form", "numeric", "both")
@@ -76,31 +78,13 @@ def equilibrium_populations(n_occ: float) -> tuple[float, float]:
     return p_lower, 1.0 - p_lower
 
 
-def _refined_maxima(times: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Strict 3-point local maxima, refined by quadratic interpolation."""
-    interior = (amps[1:-1] > amps[:-2]) & (amps[1:-1] > amps[2:])
-    idx = np.nonzero(interior)[0] + 1
-    if len(idx) == 0:
-        return np.empty(0), np.empty(0)
-    left, mid, right = amps[idx - 1], amps[idx], amps[idx + 1]
-    denom = left - 2.0 * mid + right
-    safe = denom < 0
-    shift = np.zeros_like(mid)
-    peak = mid.copy()
-    dt = times[idx + 1] - times[idx]
-    shift[safe] = 0.5 * (left[safe] - right[safe]) / denom[safe]
-    peak[safe] = mid[safe] - 0.125 * (left[safe] - right[safe]) ** 2 / denom[safe]
-    return times[idx] + shift * dt, peak
-
-
 def _stationary_samples(times: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Samples where |rho12| is momentarily flat.
 
-    For the coherent initial state |rho12| decays monotonically with a
-    stationary inflection every half period, and those flat spots sit exactly
-    on the e^{-chi t}/2 envelope; they are found as strict local minima of
-    the central-difference slope magnitude (which also catches genuine local
-    maxima, where the slope crosses zero).
+    |rho12| decays monotonically with a stationary inflection every half
+    period, where Im rho12 = 0, and those flat spots sit exactly on the
+    e^{-chi t}/2 envelope; they are found as strict local minima of the
+    central-difference slope magnitude.
     """
     if len(amps) < 7:
         return np.empty(0), np.empty(0)
@@ -113,25 +97,23 @@ def _stationary_samples(times: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray
 def decoherence_time_empirical(traj: Trajectory) -> float:
     """Extract T2 from the decay of |rho12| along a sampled trajectory.
 
-    Tries, in order: a log-linear fit through refined local maxima of
-    |rho12|; the same fit through its stationary (zero-slope) samples, which
-    is what a monotonically modulated decay offers; the first crossing below
-    e^-1/2 (overdamped).  Each fit needs >= 3 samples whose envelope has
-    dropped by at least 10%.
+    A log-linear fit through the positive stationary samples of |rho12|,
+    which needs >= 3 of them whose envelope has dropped by at least 10%;
+    failing that, the first crossing below e^-1/2 (overdamped); failing
+    that, TrajectoryTooShortError.
     """
     times = traj.times
     amps = traj.abs_rho12
 
-    for detect in (_refined_maxima, _stationary_samples):
-        t_s, a_s = detect(times, amps)
-        positive = a_s > 0
-        t_s, a_s = t_s[positive], a_s[positive]
-        if len(a_s) >= 3 and a_s[-1] < _MIN_DECAY_RATIO * a_s[0]:
-            log_a = np.log(a_s)
-            t_c = t_s - t_s.mean()
-            slope = float(np.dot(t_c, log_a - log_a.mean()) / np.dot(t_c, t_c))
-            if slope < 0:
-                return -1.0 / slope
+    t_s, a_s = _stationary_samples(times, amps)
+    positive = a_s > 0
+    t_s, a_s = t_s[positive], a_s[positive]
+    if len(a_s) >= 3 and a_s[-1] < _MIN_DECAY_RATIO * a_s[0]:
+        log_a = np.log(a_s)
+        t_c = t_s - t_s.sum() / len(t_s)
+        slope = float(np.dot(t_c, log_a - log_a.sum() / len(log_a)) / np.dot(t_c, t_c))
+        if slope < 0:
+            return -1.0 / slope
 
     below = amps < _DECAY_THRESHOLD
     if below[0]:
@@ -141,7 +123,6 @@ def decoherence_time_empirical(traj: Trajectory) -> float:
         frac = (_DECAY_THRESHOLD - amps[i - 1]) / (amps[i] - amps[i - 1])
         return float(times[i - 1] + frac * (times[i] - times[i - 1]))
 
-    t_s, a_s = _stationary_samples(times, amps)
     raise TrajectoryTooShortError(_too_short_message(times, t_s, a_s))
 
 

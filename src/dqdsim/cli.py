@@ -13,10 +13,10 @@ table (column names plus one tuple of values per row) rendered by one streamed
 row-template writer; CSV floats carry 17 significant digits, a CSV cell
 holding a comma, a quote or a line break is quoted (RFC 4180), JSON floats are
 their shortest round-trip repr (as json writes them), lines end with \\n, JSON
-keys are sorted.  Exit codes: 0 success, 2 usage/config error, 3 numerical
-guard (including a NaN or infinite result), 4 i/o failure.  A sweep writes
-each point's trajectory file as soon as the point is evaluated and the summary
-once every point has passed.
+keys are sorted.  Exit codes: 0 success, 2 usage/config error (including a
+grid too large for memory), 3 numerical guard (including a NaN or infinite
+result), 4 i/o failure.  A sweep writes each point's trajectory file as soon
+as the point is evaluated and the summary once every point has passed.
 """
 
 from __future__ import annotations
@@ -449,6 +449,10 @@ def main(argv=None) -> int:
                 cmd_point(args.command, cfg, out, engine, fmt)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        detail = str(exc) or "allocation failed"
+        print(f"config error: not enough memory for this run ({detail})", file=sys.stderr)
         return EXIT_CONFIG
     except SweepError as exc:
         done = len(exc.partial.points)

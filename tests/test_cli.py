@@ -478,6 +478,34 @@ class TestValidationBoundary:
         assert "numerical guard: closed_form_trajectory is not finite" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command,payload,target",
+        [
+            ("evolve", {**EVOLVE_CFG, "t_end": 1e9, "n_steps": 10**11}, "time_grid"),
+            (
+                "spectral",
+                {"bath": PCPB, "grid": {"omega_min": 0, "omega_max": 0.1, "count": 3}},
+                "spectral_density",
+            ),
+        ],
+        ids=["evolve", "spectral"],
+    )
+    def test_grid_too_large_for_memory_is_a_config_error(
+        self, tmp_path, capsys, monkeypatch, command, payload, target
+    ):
+        # the failed allocation is simulated; a real one would ask for hundreds of GiB
+        def allocate(*args, **kwargs):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+
+        monkeypatch.setattr(cli, target, allocate)
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "o.csv"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: not enough memory")
+        assert "745. GiB" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestOnePipeline:
     """evolve and t2 are one-point runs of the same pipeline as a sweep point."""

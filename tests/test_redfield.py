@@ -10,6 +10,7 @@ import oracle
 from conftest import FIGURE_SETS
 from dqdsim import (
     DeformationBath,
+    DensityMatrix,
     OhmicBath,
     PiezoelectricBath,
     QubitParams,
@@ -296,6 +297,41 @@ class TestStackAgainstThePerPointLoop:
     @settings(max_examples=100)
     def test_generated_points(self, bath, tc, temperature, n_stored, store_every):
         self.check(bath, tc, temperature, n_stored, store_every)
+
+
+class TestCoherenceNeverRises:
+    """|rho12| never rises: d|rho12|^2/dt = -4 chi (Im rho12)^2 for every Hermitian state.
+
+    This is why the T2 extractor fits stationary samples and looks for no maxima.
+    """
+
+    @given(
+        bath=bath_st,
+        tc=tc_st,
+        temperature=temp_st,
+        rho11=st.floats(min_value=0.0, max_value=1.0),
+        modulus=st.floats(min_value=0.0, max_value=1.0),
+        phase=st.floats(min_value=-np.pi, max_value=np.pi),
+        n_stored=st.integers(1, 400),
+        store_every=st.integers(1, 9),
+    )
+    @settings(max_examples=100)
+    def test_generated_points(
+        self, bath, tc, temperature, rho11, modulus, phase, n_stored, store_every
+    ):
+        eig = diagonalize(QubitParams(tc))
+        tensor = build_tensor(eig, bath, temperature)
+        n_steps = n_stored * store_every
+        # a step at 90 % of the guard's limit
+        t_end = 0.09 * n_steps / max(eig.omega_21, 2.0 * tensor.chi_effective)
+        rho12 = modulus * np.sqrt(rho11 * (1.0 - rho11)) * np.exp(1j * phase)
+        rho0 = DensityMatrix(rho11, rho12, np.conj(rho12), 1.0 - rho11)
+        numeric = propagate_numeric(tensor, eig, rho0, t_end, n_steps, store_every)
+        closed = closed_form_trajectory(chi_rate(eig, bath, temperature), numeric.times)
+        # rounding is relative for normal doubles and absolute among the subnormals
+        slack = 1e-12 * np.finfo(float).tiny
+        for amps in (numeric.abs_rho12, closed.abs_rho12):
+            assert np.all(amps[1:] <= amps[:-1] * (1 + 1e-12) + slack)
 
 
 def per_matrix_blocks(powers: np.ndarray, y: np.ndarray, n_stored: int) -> np.ndarray:
