@@ -422,6 +422,59 @@ class TestSweepCommand:
 INF = float("inf")
 NAN = float("nan")
 
+_NO_TEMPERATURE = {k: v for k, v in EVOLVE_CFG.items() if k != "temperature_mK"}
+_NO_GRID = {k: v for k, v in EVOLVE_CFG.items() if k not in ("t_end", "n_steps")}
+_SWEEP = {"bath": PCPB, "temperature_mK": 30, "sweep": {"parameter": "omega_l", "values": [0.5]}}
+# (command, config, reason): the config is a dict written as JSON, or the file's bytes
+CONFIG_ERROR_REASONS = {
+    "not-an-object": ("evolve", b"[1, 2]", "config must be a JSON object"),
+    "block-not-an-object": (
+        "spectral", {"bath": PCPB, "grid": 5}, "grid must be an object with keys"
+    ),
+    "no-bath": (
+        "evolve", {k: v for k, v in EVOLVE_CFG.items() if k != "bath"},
+        "config needs a 'bath' object",
+    ),
+    "no-temperature": ("evolve", _NO_TEMPERATURE, "config needs temperature_K or temperature_mK"),
+    "qubit-both-keys": (
+        "t2", {**EVOLVE_CFG, "qubit": {"tunneling_Tc": 0.05, "omega_l": 0.5}},
+        "qubit needs exactly one of tunneling_Tc and omega_l",
+    ),
+    "qubit-neither-key": (
+        "t2", {**EVOLVE_CFG, "qubit": {}}, "qubit needs exactly one of tunneling_Tc and omega_l"
+    ),
+    "t_end-alone": ("t2", {**_NO_GRID, "t_end": 10.0}, "t_end and n_steps must be given together"),
+    "evolve-without-grid": ("evolve", _NO_GRID, "config needs t_end and n_steps"),
+    "store_every-without-grid": (
+        "t2", {**_NO_GRID, "store_every": 2}, "store_every needs a time grid (t_end, n_steps)"
+    ),
+    "out-not-a-string": ("evolve", {**EVOLVE_CFG, "out": 5}, "out must be a string path"),
+    "bad-sweep-parameter": (
+        "sweep", {**_SWEEP, "sweep": {"parameter": "g", "values": [0.5]}},
+        "sweep.parameter must be one of",
+    ),
+    "empty-sweep-values": (
+        "sweep", {**_SWEEP, "sweep": {"parameter": "omega_l", "values": []}},
+        "sweep.values must be a non-empty list of numbers",
+    ),
+    "negative-sweep-value": (
+        "sweep", {**_SWEEP, "sweep": {"parameter": "omega_l", "values": [-1.0]}},
+        "swept values must be positive",
+    ),
+    "trajectories-write-not-bool": (
+        "sweep", {**_SWEEP, "trajectories": {"write": "yes"}},
+        "trajectories.write must be a boolean",
+    ),
+    "trajectories-every-below-1": (
+        "sweep", {**_SWEEP, "trajectories": {"write": False, "every": 0}},
+        "trajectories.every must be >= 1",
+    ),
+    "trajectories-without-grid": (
+        "sweep", {**_SWEEP, "trajectories": {"write": True}},
+        "writing sweep trajectories requires a time grid (t_end, n_steps)",
+    ),
+}
+
 
 class TestValidationBoundary:
     @pytest.mark.parametrize(
@@ -457,6 +510,24 @@ class TestValidationBoundary:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, config, reason",
+        list(CONFIG_ERROR_REASONS.values()),
+        ids=list(CONFIG_ERROR_REASONS),
+    )
+    def test_every_config_error_names_its_reason(self, tmp_path, capsys, command, config, reason):
+        path = tmp_path / "config.json"
+        path.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
+        out = tmp_path / "o.csv"
+        argv = [command, "--config", str(path)]
+        if b'"out"' not in path.read_bytes():  # --out would override the config's out
+            argv += ["--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and reason in err, err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.filterwarnings("error")
     def test_non_finite_result_is_a_named_guard(self, tmp_path, capsys):
