@@ -5,18 +5,21 @@
     simulate t2       --config cfg.json [--out file] [--engine E] [--format F]
     simulate sweep    --config cfg.json [--out file] [--engine E] [--format F]
 
-A run is described by a single JSON config; CLI flags override config fields.
-Unknown keys, booleans or non-finite values where numbers belong, and
-temperatures <= 0 are config errors.  evolve and t2 evaluate one point through
-analysis.evaluate_point, the pipeline of every sweep point.  Every output is a
-table (column names plus one tuple of values per row) rendered by one streamed
-row-template writer; CSV floats carry 17 significant digits, a CSV cell
-holding a comma, a quote or a line break is quoted (RFC 4180), JSON floats are
-their shortest round-trip repr (as json writes them), lines end with \\n, JSON
-keys are sorted.  Exit codes: 0 success, 2 usage/config error (including a
-grid too large for memory), 3 numerical guard (including a NaN or infinite
-result), 4 i/o failure.  A sweep writes each point's trajectory file as soon
-as the point is evaluated and the summary once every point has passed.
+A run is described by a single UTF-8 JSON config; CLI flags override config
+fields.  Unknown keys, booleans or non-finite values where numbers belong,
+temperatures <= 0, and any ValueError or ArithmeticError the library raises
+while the config is read into its objects are config errors.  evolve and t2
+evaluate one point through analysis.evaluate_point, the pipeline of every
+sweep point.  Every output is a table (column names plus one tuple of values
+per row) rendered by one streamed row-template writer; CSV floats carry 17
+significant digits, a CSV cell holding a comma, a quote or a line break is
+quoted (RFC 4180), JSON floats are their shortest round-trip repr (as json
+writes them), lines end with \\n, JSON keys are sorted.  Exit codes: 0
+success, 2 usage/config error (including a file that is not UTF-8 JSON, a grid
+too large for memory, and a grid or step count beyond what an array or a float
+can hold), 3 numerical guard (including a NaN or infinite result), 4 i/o
+failure.  A sweep writes each point's trajectory file as soon as the point is
+evaluated and the summary once every point has passed.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from .bath import (
     finite_number,
     spectral_density,
 )
-from .redfield import StepSizeError, Trajectory, time_grid
+from .redfield import MAX_FLOATS, StepSizeError, Trajectory, time_grid
 from .system import QubitParams
 from .units import temperature_from_millikelvin
 
@@ -99,10 +102,11 @@ class ConfigError(ValueError):
 
 def _load_config(path: str) -> dict:
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # ValueError: a JSONDecodeError or a UnicodeDecodeError; RecursionError: too deep
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
@@ -113,13 +117,6 @@ def _check_keys(obj: dict, allowed: set, context: str) -> None:
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"unknown {context} keys: {sorted(unknown)}")
-
-
-def _number(value, name: str) -> float:
-    try:
-        return finite_number(value, name)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _block(cfg: dict, key: str, allowed: tuple, required: tuple = ()) -> dict:
@@ -134,19 +131,26 @@ def _block(cfg: dict, key: str, allowed: tuple, required: tuple = ()) -> dict:
     return block
 
 
+@contextlib.contextmanager
+def _reading_config():
+    """Config values into library objects: any ValueError or ArithmeticError exits 2."""
+    try:
+        yield
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _integer(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
+    finite_number(value, name)  # rejects an integer beyond the float range
     return value
 
 
 def _parse_bath(cfg: dict) -> BathModel:
     if "bath" not in cfg:
         raise ConfigError("config needs a 'bath' object")
-    try:
-        return bath_from_dict(cfg["bath"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return bath_from_dict(cfg["bath"])
 
 
 def _parse_temperature(cfg: dict, required: bool = True) -> Optional[float]:
@@ -158,7 +162,7 @@ def _parse_temperature(cfg: dict, required: bool = True) -> Optional[float]:
             raise ConfigError("config needs temperature_K or temperature_mK")
         return None
     key = keys[0]
-    value = _number(cfg[key], f"config.{key}")
+    value = finite_number(cfg[key], f"config.{key}")
     kelvin = value
     if key == "temperature_mK" and value > 0:  # the helper itself rejects mK <= 0
         kelvin = temperature_from_millikelvin(value)
@@ -182,16 +186,10 @@ def _parse_qubit(cfg: dict, bath: BathModel) -> Optional[float]:
     if ("tunneling_Tc" in qubit) == ("omega_l" in qubit):
         raise ConfigError("qubit needs exactly one of tunneling_Tc and omega_l")
     if "tunneling_Tc" in qubit:
-        return _checked_tc(_number(qubit["tunneling_Tc"], "qubit.tunneling_Tc"))
-    return _checked_tc(TC_BINDING * _number(qubit["omega_l"], "qubit.omega_l"))
-
-
-def _checked_tc(tc: float) -> float:
-    try:
-        QubitParams(tunneling_Tc=tc)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return tc
+        tc = finite_number(qubit["tunneling_Tc"], "qubit.tunneling_Tc")
+    else:
+        tc = TC_BINDING * finite_number(qubit["omega_l"], "qubit.omega_l")
+    return QubitParams(tc).tunneling_Tc
 
 
 def _parse_time_grid(cfg: dict, required: bool) -> tuple[Optional[float], Optional[int], int]:
@@ -203,13 +201,10 @@ def _parse_time_grid(cfg: dict, required: bool) -> tuple[Optional[float], Option
         if "store_every" in cfg:
             raise ConfigError("store_every needs a time grid (t_end, n_steps)")
         return None, None, 1
-    t_end = _number(cfg["t_end"], "config.t_end")
+    t_end = finite_number(cfg["t_end"], "config.t_end")
     n_steps = _integer(cfg["n_steps"], "config.n_steps")
     store_every = _integer(cfg["store_every"], "config.store_every") if "store_every" in cfg else 1
-    try:
-        time_grid(t_end, n_steps, store_every)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    time_grid(t_end, n_steps, store_every)
     return t_end, n_steps, store_every
 
 
@@ -310,16 +305,18 @@ def _point_fields(tc: Optional[float], temperature, grid: tuple, engine: str) ->
 
 
 def cmd_spectral(cfg: dict, out: Optional[str], fmt: str) -> None:
-    bath = _parse_bath(cfg)
-    keys = ("omega_min", "omega_max", "count")
-    grid = _block(cfg, "grid", keys, required=keys)
-    omega_min = _number(grid["omega_min"], "grid.omega_min")
-    omega_max = _number(grid["omega_max"], "grid.omega_max")
-    count = _integer(grid["count"], "grid.count")
-    if omega_min < 0 or omega_max <= omega_min or count < 2:
-        raise ConfigError("grid needs 0 <= omega_min < omega_max and count >= 2")
-
-    omegas = np.linspace(omega_min, omega_max, count).tolist()
+    with _reading_config():
+        bath = _parse_bath(cfg)
+        keys = ("omega_min", "omega_max", "count")
+        grid = _block(cfg, "grid", keys, required=keys)
+        omega_min = finite_number(grid["omega_min"], "grid.omega_min")
+        omega_max = finite_number(grid["omega_max"], "grid.omega_max")
+        count = _integer(grid["count"], "grid.count")
+        if omega_min < 0 or omega_max <= omega_min or count < 2:
+            raise ConfigError("grid needs 0 <= omega_min < omega_max and count >= 2")
+        if count > MAX_FLOATS:
+            raise ConfigError(f"grid.count={count} is more floats than an array can hold")
+        omegas = np.linspace(omega_min, omega_max, count).tolist()
     rows = [(w, spectral_density(bath, w)) for w in omegas]
     grid_meta = {"omega_min": omega_min, "omega_max": omega_max, "count": count}
     _emit_table(fmt, out, _meta("spectral", bath, fmt, out, grid=grid_meta), ("omega", "J"), rows)
@@ -327,12 +324,13 @@ def cmd_spectral(cfg: dict, out: Optional[str], fmt: str) -> None:
 
 def cmd_point(command: str, cfg: dict, out: Optional[str], engine: str, fmt: str) -> None:
     """evolve and t2: one parameter point through the sweep's per-point pipeline."""
-    bath = _parse_bath(cfg)
-    temperature = _parse_temperature(cfg)
-    tc = _parse_qubit(cfg, bath)
-    if tc is None:
-        tc = _checked_tc(TC_BINDING * bath.omega_l)
-    grid = _parse_time_grid(cfg, required=command == "evolve")
+    with _reading_config():
+        bath = _parse_bath(cfg)
+        temperature = _parse_temperature(cfg)
+        tc = _parse_qubit(cfg, bath)
+        if tc is None:
+            tc = QubitParams(TC_BINDING * bath.omega_l).tunneling_Tc
+        grid = _parse_time_grid(cfg, required=command == "evolve")
     run = evaluate_point(bath, temperature, tc, engine, *grid)
     meta = _meta(command, bath, fmt, out, **_point_fields(tc, temperature, grid, engine))
     if command == "evolve":
@@ -351,7 +349,7 @@ def _parse_sweep_block(cfg: dict) -> tuple[str, tuple[float, ...]]:
     values = block.get("values")
     if not isinstance(values, list) or not values:
         raise ConfigError("sweep.values must be a non-empty list of numbers")
-    return parameter, tuple(_number(v, f"sweep.values[{i}]") for i, v in enumerate(values))
+    return parameter, tuple(finite_number(v, f"sweep.values[{i}]") for i, v in enumerate(values))
 
 
 def _parse_trajectories_block(cfg: dict) -> tuple[bool, int]:
@@ -368,21 +366,18 @@ def _parse_trajectories_block(cfg: dict) -> tuple[bool, int]:
 
 
 def cmd_sweep(cfg: dict, out: Optional[str], engine: str, fmt: str) -> None:
-    bath = _parse_bath(cfg)
-    parameter, values = _parse_sweep_block(cfg)
-    temperature = _parse_temperature(cfg, required=(parameter != "temperature"))
-    tc = _parse_qubit(cfg, bath)
-    grid = _parse_time_grid(cfg, required=False)
-    write_traj, every = _parse_trajectories_block(cfg)
-    if write_traj and out is None:
-        raise ConfigError("writing sweep trajectories requires --out (files go next to it)")
-    if write_traj and grid[0] is None:
-        raise ConfigError("writing sweep trajectories requires a time grid (t_end, n_steps)")
-
-    try:  # SweepSpec fields in order
-        spec = SweepSpec(parameter, values, bath, temperature, tc, *grid, engine)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    with _reading_config():
+        bath = _parse_bath(cfg)
+        parameter, values = _parse_sweep_block(cfg)
+        temperature = _parse_temperature(cfg, required=(parameter != "temperature"))
+        tc = _parse_qubit(cfg, bath)
+        grid = _parse_time_grid(cfg, required=False)
+        write_traj, every = _parse_trajectories_block(cfg)
+        if write_traj and out is None:
+            raise ConfigError("writing sweep trajectories requires --out (files go next to it)")
+        if write_traj and grid[0] is None:
+            raise ConfigError("writing sweep trajectories requires a time grid (t_end, n_steps)")
+        spec = SweepSpec(parameter, values, bath, temperature, tc, *grid, engine)  # fields in order
 
     rows = []
 

@@ -40,6 +40,8 @@ from .system import DensityMatrix, EigenSystem
 # Accuracy/stability guard for the fixed-step integrator.
 _MAX_STEP_PRODUCT = 0.1
 _POWER_BLOCK = 64
+# the most float64 values one array can hold
+MAX_FLOATS = np.iinfo(np.intp).max // np.dtype(float).itemsize
 
 
 class StepSizeError(ValueError):
@@ -189,6 +191,8 @@ def time_grid(t_end: float, n_steps: int, store_every: int = 1) -> np.ndarray:
     n_stored, stride = n_steps // store_every, store_every * h
     if not math.isfinite(n_stored * stride):
         raise ValueError(f"the last sample time overflows to inf for t_end={t_end!r}")
+    if n_stored >= MAX_FLOATS:  # np.arange(2**63) would be silently empty
+        raise ValueError(f"n_steps/store_every={n_stored} is more samples than an array can hold")
     times = np.arange(n_stored + 1) * stride
     times.setflags(write=False)
     return times

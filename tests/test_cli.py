@@ -87,6 +87,9 @@ class TestSpectral:
             {"omega_min": 0.0, "omega_max": 0.1, "count": 1},
             {"omega_min": 0.0, "omega_max": 0.1},
             {"omega_min": 0.0, "omega_max": 0.1, "count": 3, "step": 0.1},
+            {"omega_min": 0.0, "omega_max": 0.1, "count": 2**60 + 1},
+            {"omega_min": 0.0, "omega_max": 0.1, "count": 2**63 - 1},
+            {"omega_min": 0.0, "omega_max": 0.1, "count": 10**30},
         ],
     )
     def test_invalid_grid_is_usage_error(self, tmp_path, grid):
@@ -473,6 +476,26 @@ CONFIG_ERROR_REASONS = {
         "sweep", {**_SWEEP, "trajectories": {"write": True}},
         "writing sweep trajectories requires a time grid (t_end, n_steps)",
     ),
+    "not-utf-8": (
+        "t2", b'{"bath": {"kind": "pcpb"}, "temperature_mK": 30, "out": "\xff.csv"}',
+        "is not valid JSON",
+    ),
+    "nested-past-the-recursion-limit": ("t2", b"[" * 100000 + b"]" * 100000, "is not valid JSON"),
+    "grid-count-2**60+1": (
+        "spectral", {"bath": PCPB, "grid": {"omega_min": 0, "omega_max": 0.1, "count": 2**60 + 1}},
+        "grid.count",
+    ),
+    "grid-count-2**63-1": (
+        "spectral", {"bath": PCPB, "grid": {"omega_min": 0, "omega_max": 0.1, "count": 2**63 - 1}},
+        "grid.count",
+    ),
+    "grid-count-1e30": (
+        "spectral", {"bath": PCPB, "grid": {"omega_min": 0, "omega_max": 0.1, "count": 10**30}},
+        "grid.count",
+    ),
+    "n_steps-beyond-float-range": ("evolve", {**EVOLVE_CFG, "n_steps": 10**400}, "config.n_steps"),
+    # np.arange(2**63) is empty, so a time grid this long must be rejected by name
+    "n_steps-2**63-1": ("evolve", {**EVOLVE_CFG, "n_steps": 2**63 - 1}, "n_steps/store_every"),
 }
 
 
