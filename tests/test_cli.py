@@ -425,7 +425,6 @@ class TestSweepCommand:
 INF = float("inf")
 NAN = float("nan")
 
-_NO_TEMPERATURE = {k: v for k, v in EVOLVE_CFG.items() if k != "temperature_mK"}
 _NO_GRID = {k: v for k, v in EVOLVE_CFG.items() if k not in ("t_end", "n_steps")}
 _SWEEP = {"bath": PCPB, "temperature_mK": 30, "sweep": {"parameter": "omega_l", "values": [0.5]}}
 # (command, config, reason): the config is a dict written as JSON, or the file's bytes
@@ -438,7 +437,10 @@ CONFIG_ERROR_REASONS = {
         "evolve", {k: v for k, v in EVOLVE_CFG.items() if k != "bath"},
         "config needs a 'bath' object",
     ),
-    "no-temperature": ("evolve", _NO_TEMPERATURE, "config needs temperature_K or temperature_mK"),
+    "no-temperature": (
+        "evolve", {k: v for k, v in EVOLVE_CFG.items() if k != "temperature_mK"},
+        "config needs temperature_K or temperature_mK",
+    ),
     "qubit-both-keys": (
         "t2", {**EVOLVE_CFG, "qubit": {"tunneling_Tc": 0.05, "omega_l": 0.5}},
         "qubit needs exactly one of tunneling_Tc and omega_l",
