@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -56,11 +56,10 @@ class NonFiniteResultError(ValueError):
 class SweepError(RuntimeError):
     """A sweep point failed; carries the partial results gathered so far."""
 
-    def __init__(self, message: str, partial: "SweepResult", value: float, cause: Exception):
+    def __init__(self, message: str, partial: "SweepResult", value: float):
         super().__init__(message)
         self.partial = partial
         self.value = value
-        self.cause = cause
 
 
 def decoherence_time_analytic(rate: ChiRate) -> float:
@@ -195,9 +194,8 @@ class SweepSpec:
             raise ValueError("t_end and n_steps must be given together")
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    """Result row for a single swept value."""
+class SweepPoint(NamedTuple):
+    """Result row for a single swept value, its fields in the sweep summary's column order."""
 
     index: int
     parameter: str
@@ -343,10 +341,12 @@ def run_sweep(
     The grid is built once; points are prepared _STACK_POINTS at a time,
     their RK4 powers stacked, then finished in order.  each(point, run) gets
     each finished point with its full-resolution trajectories, dropped once
-    it returns.  The first failing point aborts the sweep after the points
-    before it reached each; the SweepError carries its value and those
-    points.  Later points of its stack may be prepared but get no trajectory.
-    An exception from each is not a point failure and propagates as it is.
+    it returns.  The returned points are the whole result: the CLI's sweep
+    summary is written from them.  The first failing point aborts the sweep
+    after the points before it reached each; the SweepError carries its
+    value, those points and, as __cause__, the point's exception.  Later
+    points of its stack may be prepared but get no trajectory.  An exception
+    from each is not a point failure and propagates as it is.
     """
     points: list[SweepPoint] = []
     grid = (spec.t_end, spec.n_steps, spec.store_every)
@@ -377,5 +377,5 @@ def run_sweep(
         if failure is not None:
             value, exc = spec.values[failure[0]], failure[1]
             message = f"sweep failed at {spec.swept_parameter}={value}: {exc}"
-            raise SweepError(message, SweepResult(spec, tuple(points)), value, exc) from exc
+            raise SweepError(message, SweepResult(spec, tuple(points)), value) from exc
     return SweepResult(spec=spec, points=tuple(points))

@@ -11,7 +11,8 @@ temperatures <= 0, and any ValueError or ArithmeticError the library raises
 while the config is read into its objects are config errors.  evolve and t2
 evaluate one point through analysis.evaluate_point, the pipeline of every
 sweep point.  Every output is a table (column names plus one tuple of values
-per row) rendered by one streamed row-template writer; CSV floats carry 17
+per row) rendered by one streamed row-template writer; files are UTF-8 and a
+name that is not UTF-8 is written as its own bytes, CSV floats carry 17
 significant digits, a CSV cell holding a comma, a quote or a line break is
 quoted (RFC 4180), JSON floats are their shortest round-trip repr (as json
 writes them), lines end with \\n, JSON keys are sorted.  Exit codes: 0
@@ -69,11 +70,11 @@ _FORMATS = ("csv", "json")
 
 _TRAJECTORY_COLUMNS = ("t", "rho11", "rho22", "re_rho12", "im_rho12", "abs_rho12")
 _NUMERIC_COLUMNS = tuple(f"{name}_numeric" for name in _TRAJECTORY_COLUMNS[1:])
+# a sweep-summary row is a SweepPoint and its trajectory file; a t2 row is its middle
 _SUMMARY_COLUMNS = (
     "index", "parameter", "value", "omega_21", "temperature_K", "chi", "n_occ",
     "t2_analytic", "t2_empirical", "max_abs_diff", "trajectory",
 )
-# a t2 row is the middle of a sweep-summary row
 _T2_COLUMNS = _SUMMARY_COLUMNS[3:9]
 
 _COMMON_KEYS = {"bath", "format", "out"}
@@ -269,7 +270,10 @@ def _emit_table(fmt, out, meta, columns, rows: Iterable[tuple], max_abs_diff=Non
             return tuple(c if f else _text(fmt, c) for c, f in zip(pick(row), floats))
 
     rows = itertools.chain([first], rows)
-    target = contextlib.nullcontext(sys.stdout) if out is None else open(out, "w", newline="")
+    if out is None:
+        target = contextlib.nullcontext(sys.stdout)
+    else:  # UTF-8 whatever the locale; a name that is not UTF-8 is written as its own bytes
+        target = open(out, "w", encoding="utf-8", errors="surrogateescape", newline="")
     with target as handle:
         handle.write(head)
         lead = "\n"
@@ -379,26 +383,20 @@ def cmd_sweep(cfg: dict, out: Optional[str], engine: str, fmt: str) -> None:
             raise ConfigError("writing sweep trajectories requires a time grid (t_end, n_steps)")
         spec = SweepSpec(parameter, values, bath, temperature, tc, *grid, engine)  # fields in order
 
-    rows = []
+    def sidecar(index: int) -> Optional[str]:
+        """The name of a point's trajectory file, next to out; None when none is written."""
+        return f"{Path(out).stem}_point{index}.csv" if write_traj else None
 
-    def write_point(p, run) -> None:
-        """Write the point's trajectory file, if asked for, and keep its summary row."""
-        name = None
-        if write_traj:
-            name = f"{Path(out).stem}_point{p.index}.csv"
-            columns, traj_rows = _trajectory_table(run.closed, run.numeric, every)
-            sidecar = str(Path(out).with_name(name))
-            _emit_table("csv", sidecar, None, columns, traj_rows, p.max_abs_diff)
-        rows.append(
-            (p.index, p.parameter, p.value, p.omega_21, p.temperature, p.chi, p.n_occ)
-            + (p.t2_analytic, p.t2_empirical, p.max_abs_diff, name)
-        )
+    def write_trajectory(p, run) -> None:
+        columns, rows = _trajectory_table(run.closed, run.numeric, every)
+        path = str(Path(out).with_name(sidecar(p.index)))
+        _emit_table("csv", path, None, columns, rows, p.max_abs_diff)
 
-    run_sweep(spec, write_point)
+    points = run_sweep(spec, write_trajectory if write_traj else None).points
     meta = _meta("sweep", bath, fmt, out, **_point_fields(tc, temperature, grid, engine))
     meta["sweep"] = {"parameter": parameter, "values": list(values)}
     meta["trajectories"] = {"write": write_traj, "every": every}
-    _emit_table(fmt, out, meta, _SUMMARY_COLUMNS, rows)
+    _emit_table(fmt, out, meta, _SUMMARY_COLUMNS, ((*p, sidecar(p.index)) for p in points))
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -40,8 +40,9 @@ from .system import DensityMatrix, EigenSystem
 # Accuracy/stability guard for the fixed-step integrator.
 _MAX_STEP_PRODUCT = 0.1
 _POWER_BLOCK = 64
-# the most float64 values one array can hold
-MAX_FLOATS = np.iinfo(np.intp).max // np.dtype(float).itemsize
+# the longest float64 array np.arange and np.linspace accept: probed near 2**60 with
+# numpy 2.4.6, both refuse 2**60 - 64 on with an unnamed "array is too big"
+MAX_FLOATS = np.iinfo(np.intp).max // np.dtype(float).itemsize - 64
 
 
 class StepSizeError(ValueError):

@@ -14,7 +14,10 @@ from dqdsim import (
     SweepError,
     SweepPoint,
     SweepSpec,
+    Trajectory,
     TrajectoryTooShortError,
+    bath_from_dict,
+    bath_to_dict,
     build_tensor,
     chi_rate,
     closed_form_trajectory,
@@ -25,6 +28,7 @@ from dqdsim import (
     initial_state,
     propagate_numeric,
     run_sweep,
+    spectral_density,
     time_grid,
 )
 from dqdsim import analysis
@@ -212,7 +216,7 @@ class TestRunSweep:
         with pytest.raises(SweepError) as err:
             run_sweep(spec)
         assert err.value.value == 0.7
-        assert isinstance(err.value.cause, StepSizeError)
+        assert isinstance(err.value.__cause__, StepSizeError)
         assert len(err.value.partial.points) == 1
         assert err.value.partial.points[0].value == 0.5
 
@@ -222,7 +226,7 @@ class TestRunSweep:
         )
         with pytest.raises(SweepError) as err:
             run_sweep(spec)
-        assert isinstance(err.value.cause, NoDecoherenceError)
+        assert isinstance(err.value.__cause__, NoDecoherenceError)
 
     def test_first_failing_point_stops_the_sweep(self, monkeypatch):
         calls = []
@@ -385,7 +389,7 @@ class TestStackedSweep:
         assert [p.index for p in seen] == list(range(17))
         assert err.value.partial.points == tuple(seen)
         assert err.value.value == value
-        assert isinstance(err.value.cause, cause)
+        assert isinstance(err.value.__cause__, cause)
         assert str(err.value).startswith(f"sweep failed at {spec.swept_parameter}={value}: ")
         assert len(propagated) == trajectories
 
@@ -416,3 +420,63 @@ class TestSweepSpecValidation:
             _sweep(object(), "temperature", [0.03], tunneling_Tc=0.05)
         with pytest.raises(ValueError, match="non-empty"):
             _sweep(PiezoelectricBath(), "omega_l", [], temperature=0.03)
+
+
+def _trajectory(abs_rho12) -> Trajectory:
+    """A trajectory on t = 0, 1, 2, ... whose real rho12 is the given sequence."""
+    rho12 = np.asarray(abs_rho12, dtype=complex)
+    half = np.full_like(rho12, 0.5)
+    return Trajectory(np.arange(len(rho12), dtype=float), np.stack([half, rho12, rho12, half], 1))
+
+
+_RATE = ChiRate(chi=0.01, n_occ=0.0, omega_21=0.1)
+# (call, exception, message): input checks of the library that the CLI never reaches
+LIBRARY_INPUT_CHECKS = {
+    "sweep-parameter": (
+        lambda: _sweep(PiezoelectricBath(), "g", [0.5], temperature=0.03),
+        ValueError, "swept_parameter must be one of",
+    ),
+    "sweep-engine": (
+        lambda: _sweep(PiezoelectricBath(), "omega_l", [0.5], temperature=0.03, engine="rk45"),
+        ValueError, "engine must be one of",
+    ),
+    "closed-form-empty-times": (
+        lambda: closed_form_trajectory(_RATE, np.array([])), ValueError, "non-empty 1-d array"
+    ),
+    "closed-form-2-d-times": (
+        lambda: closed_form_trajectory(_RATE, np.zeros((2, 2))), ValueError, "non-empty 1-d array"
+    ),
+    "closed-form-negative-times": (
+        lambda: closed_form_trajectory(_RATE, np.array([-1.0, 0.0])),
+        ValueError, "times must be >= 0",
+    ),
+    "time-grid-no-steps": (lambda: time_grid(10.0, 0), ValueError, "n_steps must be >= 1"),
+    "bath-not-an-object": (
+        lambda: bath_from_dict(5), ValueError, "bath must be an object, got int"
+    ),
+    "spectral-density-of-a-non-bath": (
+        lambda: spectral_density("pcpb", 0.1), TypeError, "unknown bath model"
+    ),
+    "bath-to-dict-of-a-non-bath": (lambda: bath_to_dict("pcpb"), TypeError, "unknown bath model"),
+    "empirical-t2-starting-below-the-threshold": (
+        lambda: decoherence_time_empirical(_trajectory([0.1] * 10)), ValueError, "starts below"
+    ),
+}
+
+
+class TestLibraryInputChecks:
+    @pytest.mark.parametrize(
+        "call, exception, message",
+        list(LIBRARY_INPUT_CHECKS.values()),
+        ids=list(LIBRARY_INPUT_CHECKS),
+    )
+    def test_bad_input_is_refused_by_name(self, call, exception, message):
+        with pytest.raises(exception, match=message):
+            call()
+
+    def test_fewer_than_seven_samples_fall_back_to_the_crossing(self):
+        # too few samples to find a stationary one: the e^-1/2 crossing is interpolated
+        threshold = 0.5 * math.exp(-1.0)
+        expected = 2.0 + (threshold - 0.3) / (0.15 - 0.3)
+        t2 = decoherence_time_empirical(_trajectory([0.5, 0.4, 0.3, 0.15, 0.1]))
+        assert t2 == pytest.approx(expected, rel=1e-15)

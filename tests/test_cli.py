@@ -2,13 +2,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 import oracle
-from dqdsim import cli
+from dqdsim import SweepPoint, cli
 from dqdsim.cli import main
 
 
@@ -421,6 +423,66 @@ class TestSweepCommand:
         assert [row[trajectory] for row in rows] == ["a,b_point0.csv", "a,b_point1.csv"]
         assert (tmp_path / "a,b_point1.csv").exists()
 
+    def test_summary_columns_are_the_sweep_point_fields_and_the_file(self):
+        fields = ["temperature_K" if f == "temperature" else f for f in SweepPoint._fields]
+        assert (*fields, "trajectory") == cli._SUMMARY_COLUMNS
+
+
+_SRC = str(Path(cli.__file__).resolve().parents[1])
+_C_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+# runs main on each argv of the JSON list in argv[1]; any other exit code fails the script
+_RUN_ALL = "import json, sys\nfrom dqdsim.cli import main\n" + (
+    "for argv in json.loads(sys.argv[1]):\n    assert main(argv) == 0, argv\n"
+)
+
+
+def _python(args: list, cwd: Path, **env) -> subprocess.CompletedProcess:
+    """The interpreter running this suite, on the package under test."""
+    path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, **env}
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True)
+
+
+class TestFileEncoding:
+    """Every file is UTF-8 whatever the locale; a name that is not UTF-8 keeps its bytes."""
+
+    SWEEP = TestSweepCommand.PASSING
+
+    def test_name_that_is_not_utf_8_is_written_as_its_bytes(self, tmp_path):
+        sweep = {"parameter": "omega_l", "values": [0.5, 0.6]}
+        cfg = write_config(tmp_path, {**self.SWEEP, "sweep": sweep})
+        out = tmp_path / "\udcff.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        rows = out.read_bytes().splitlines()[1:]
+        names = [row.rsplit(b",", 1)[1] for row in rows]
+        assert names == [b"\xff_point0.csv", b"\xff_point1.csv"]
+        assert (tmp_path / "\udcff_point1.csv").exists()
+
+    def test_name_beyond_an_ascii_locale_is_written_as_utf_8(self, tmp_path):
+        cfg = write_config(tmp_path, self.SWEEP)
+        argv = ["-m", "dqdsim.cli", "sweep", "--config", cfg, "--out", "Ωü.csv"]
+        run = _python(argv, tmp_path, **_C_LOCALE)
+        assert (run.returncode, run.stderr) == (0, b"")
+        row = (tmp_path / "Ωü.csv").read_bytes().splitlines()[1]
+        assert row.endswith(",Ωü_point0.csv".encode())
+
+    def test_no_file_is_opened_in_the_default_encoding(self, tmp_path):
+        configs = {
+            "spectral": {"bath": PCPB, "grid": {"omega_min": 0, "omega_max": 0.1, "count": 5}},
+            "evolve": EVOLVE_CFG,
+            "t2": {"bath": PCPB, "temperature_mK": 30, "t_end": 2500.0, "n_steps": 5000},
+            "sweep": self.SWEEP,
+        }
+        runs = [
+            [command, "--config", write_config(tmp_path, cfg, f"{command}.json"),
+             "--out", str(tmp_path / f"{command}.csv")]
+            for command, cfg in configs.items()
+        ]
+        flags = ["-X", "warn_default_encoding", "-W", "error::EncodingWarning"]
+        run = _python([*flags, "-c", _RUN_ALL, json.dumps(runs)], tmp_path)
+        assert (run.returncode, run.stderr) == (0, b""), run.stderr.decode()
+        assert (tmp_path / "sweep_point0.csv").exists()
+
 
 INF = float("inf")
 NAN = float("nan")
@@ -498,6 +560,19 @@ CONFIG_ERROR_REASONS = {
     "n_steps-beyond-float-range": ("evolve", {**EVOLVE_CFG, "n_steps": 10**400}, "config.n_steps"),
     # np.arange(2**63) is empty, so a time grid this long must be rejected by name
     "n_steps-2**63-1": ("evolve", {**EVOLVE_CFG, "n_steps": 2**63 - 1}, "n_steps/store_every"),
+    # np.linspace and np.arange refuse 2**60 - 64 floats and more without naming the field
+    "grid-count-2**60-1": (
+        "spectral", {"bath": PCPB, "grid": {"omega_min": 0, "omega_max": 0.1, "count": 2**60 - 1}},
+        "grid.count",
+    ),
+    "grid-count-2**60-64": (
+        "spectral", {"bath": PCPB, "grid": {"omega_min": 0, "omega_max": 0.1, "count": 2**60 - 64}},
+        "grid.count",
+    ),
+    "n_steps-2**60-2": ("evolve", {**EVOLVE_CFG, "n_steps": 2**60 - 2}, "n_steps/store_every"),
+    "n_steps-2**60-65": ("evolve", {**EVOLVE_CFG, "n_steps": 2**60 - 65}, "n_steps/store_every"),
+    "n_steps-0": ("evolve", {**EVOLVE_CFG, "n_steps": 0}, "n_steps must be >= 1"),
+    "bath-not-an-object": ("evolve", {**EVOLVE_CFG, "bath": 5}, "bath must be an object, got int"),
 }
 
 
