@@ -15,13 +15,14 @@ d|rho12|^2/dt = -4 chi (Im rho12)^2 <= 0 for every Hermitian state.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .analytic import ChiRate, chi_rate, closed_form_trajectory
+from .analytic import SAMPLE_BLOCK, ChiRate, chi_rate, closed_form_trajectory
 from .bath import BATH_KINDS, BathModel, OhmicBath
 from .redfield import Trajectory, build_tensor, check_step, liouvillian
 from .redfield import propagate_powers, stride_powers, time_grid
@@ -87,7 +88,8 @@ def _stationary_samples(times: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray
     """
     if len(amps) < 7:
         return np.empty(0), np.empty(0)
-    slope = np.abs(amps[2:] - amps[:-2])  # centered at index i+1
+    slope = amps[2:] - amps[:-2]  # centered at index i+1
+    np.abs(slope, out=slope)
     interior = (slope[1:-1] < slope[:-2]) & (slope[1:-1] < slope[2:])
     idx = np.nonzero(interior)[0] + 2
     return times[idx], amps[idx]
@@ -231,11 +233,28 @@ class PointEvaluation:
 
 
 def _require_finite(**fields) -> None:
+    """NonFiniteResultError naming the first field that is a non-finite float or array."""
     for name, value in fields.items():
         if value is None:
             continue
-        if not (math.isfinite(value) if isinstance(value, float) else np.all(np.isfinite(value))):
+        if not (math.isfinite(value) if isinstance(value, float) else _all_finite(value)):
             raise NonFiniteResultError(f"{name} is not finite")
+
+
+def _all_finite(data: np.ndarray) -> bool:
+    """Whether a complex array is finite: min and max keep a NaN and show an inf, with no mask."""
+    return all(math.isfinite(p.min()) and math.isfinite(p.max()) for p in (data.real, data.imag))
+
+
+def _max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
+    """max |a - b| over SAMPLE_BLOCK rows at a time.
+
+    The block maxima are folded with np.maximum, which keeps a NaN from any
+    block (Python's max may drop it) and costs nothing for a single block.
+    """
+    maxima = [np.abs(a[i : i + SAMPLE_BLOCK] - b[i : i + SAMPLE_BLOCK]).max()
+              for i in range(0, len(a), SAMPLE_BLOCK)]
+    return float(functools.reduce(np.maximum, maxima))
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,7 +293,10 @@ def _stacked_powers(stack: list[_Prepared], t_end: float, n_steps: int, store_ev
 
 
 def _finish(prep: _Prepared, powers: Optional[np.ndarray]) -> PointEvaluation:
-    """Second stage of a point: the engines' trajectories on the grid, their discrepancy."""
+    """Second stage of a point: the engines' trajectories on the grid, their discrepancy.
+
+    Beyond the grid and the trajectories, nothing held is as long as the grid.
+    """
     closed = numeric = max_abs_diff = None
     if prep.times is not None:
         if prep.engine in ("closed_form", "both"):
@@ -282,7 +304,7 @@ def _finish(prep: _Prepared, powers: Optional[np.ndarray]) -> PointEvaluation:
         if powers is not None:
             numeric = propagate_powers(powers, initial_state(), prep.times)
         if prep.engine == "both":
-            max_abs_diff = float(np.max(np.abs(closed.data - numeric.data)))
+            max_abs_diff = _max_abs_diff(closed.data, numeric.data)
         # a finite max_abs_diff implies that both trajectories are finite
         if max_abs_diff is None or not math.isfinite(max_abs_diff):
             _require_finite(
@@ -345,8 +367,9 @@ def run_sweep(
     summary is written from them.  The first failing point aborts the sweep
     after the points before it reached each; the SweepError carries its
     value, those points and, as __cause__, the point's exception.  Later
-    points of its stack may be prepared but get no trajectory.  An exception
-    from each is not a point failure and propagates as it is.
+    points of its stack may be prepared but get no trajectory.  Neither an
+    exception from each nor a MemoryError is a point failure: a grid too
+    large for memory fails every point alike, so both propagate as they are.
     """
     points: list[SweepPoint] = []
     grid = (spec.t_end, spec.n_steps, spec.store_every)
@@ -357,6 +380,8 @@ def run_sweep(
             try:
                 bath, temperature, tc = _resolve_point(spec, spec.values[i])
                 stack.append(_prepare(bath, temperature, tc, spec.engine, *grid, times))
+            except MemoryError:
+                raise
             except Exception as exc:
                 failure = (i, exc)
                 break
@@ -365,6 +390,8 @@ def run_sweep(
             try:
                 run = _finish(prep, powers)
                 t2s = decoherence_times(run)
+            except MemoryError:
+                raise
             except Exception as exc:
                 failure = (i, exc)
                 break

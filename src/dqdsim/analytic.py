@@ -10,7 +10,9 @@ toward (1+n)/(1+2n), n/(1+2n), and the coherences obey the coupled pair
 valid in one formula for the underdamped (s imaginary), overdamped (s real)
 and critically damped (s -> 0) regimes; a series branch protects the s -> 0
 limit.  Underdamped, the exponentials are conjugates: one complex exp per
-sample.  The implied initial state is every element equal to 1/2.
+sample.  The implied initial state is every element equal to 1/2.  A time
+grid is evaluated SAMPLE_BLOCK samples at a time into its (N, 4) result, so
+no other array as long as the grid is held.
 """
 
 from __future__ import annotations
@@ -26,6 +28,9 @@ from .system import DensityMatrix, EigenSystem
 
 # |s*t| below which the sinh/cosh series replaces the exponential pair.
 _SERIES_THRESHOLD = 1e-4
+# samples evaluated together: beyond its result, the closed form and the
+# cross-engine diff hold no array longer than this
+SAMPLE_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -53,20 +58,33 @@ def chi_rate(eig: EigenSystem, bath: BathModel, temperature: float) -> ChiRate:
 
 
 def closed_form_trajectory(rate: ChiRate, times: np.ndarray) -> Trajectory:
-    """Evaluate the closed form on a whole time grid (vectorized)."""
+    """Evaluate the closed form on a time grid, SAMPLE_BLOCK samples at a time.
+
+    Only the (N, 4) result is as long as the grid.  Every expression acts
+    sample by sample, so a block's values are bit-identical to a whole-grid
+    evaluation's.
+    """
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or len(t) == 0:
         raise ValueError("times must be a non-empty 1-d array")
     if np.any(t < 0):
         raise ValueError("times must be >= 0")
 
+    data = np.empty((len(t), 4), dtype=complex)
+    for lo in range(0, len(t), SAMPLE_BLOCK):
+        _fill_block(rate, t[lo : lo + SAMPLE_BLOCK], data[lo : lo + SAMPLE_BLOCK])
+    data.setflags(write=False)
+    return Trajectory(times=t, data=data)
+
+
+def _fill_block(rate: ChiRate, t: np.ndarray, out: np.ndarray) -> None:
+    """The closed form at the times t, written into out (len(t), 4)."""
     chi, w, n = rate.chi, rate.omega_21, rate.n_occ
     one_plus_2n = 1.0 + 2.0 * n
 
     s2 = chi * chi - w * w  # real; s is purely real or purely imaginary
     s = cmath.sqrt(complex(s2, 0.0))
 
-    data = np.empty((len(t), 4), dtype=complex)
     # non-finite inputs propagate as NaN/inf to the caller's finiteness guard
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # (1+n)/(1+2n) - e^{-2 chi t}/(2(1+2n)), restructured so t = 0 is exactly 1/2
@@ -86,12 +104,10 @@ def closed_form_trajectory(rate: ChiRate, times: np.ndarray) -> Trajectory:
         sinhc_ser = 1.0 + z2 / 6.0 + z2 * z2 / 120.0
         rho12[small] = np.exp(-chi * ts) * (cosh_ser + (chi + 1j * w) * ts * sinhc_ser) / 2.0
 
-    data[:, 0] = rho11
-    data[:, 1] = rho12
-    data[:, 2] = np.conj(rho12)
-    data[:, 3] = 1.0 - rho11
-    data.setflags(write=False)
-    return Trajectory(times=t, data=data)
+    out[:, 0] = rho11
+    out[:, 1] = rho12
+    out[:, 2] = np.conj(rho12)
+    out[:, 3] = 1.0 - rho11
 
 
 def closed_form_rdm(rate: ChiRate, t: float) -> DensityMatrix:

@@ -17,8 +17,8 @@ significant digits, a CSV cell holding a comma, a quote or a line break is
 quoted (RFC 4180), JSON floats are their shortest round-trip repr (as json
 writes them), lines end with \\n, JSON keys are sorted.  Exit codes: 0
 success, 2 usage/config error (including a file that is not UTF-8 JSON, a grid
-too large for memory, and a grid or step count beyond what an array or a float
-can hold), 3 numerical guard (including a NaN or infinite result), 4 i/o
+too large for memory, in a sweep too, and a grid or step count beyond what an
+array or a float can hold), 3 numerical guard (including a NaN or infinite result), 4 i/o
 failure.  A sweep writes each point's trajectory file as soon as the point is
 evaluated and the summary once every point has passed.
 """
@@ -94,7 +94,7 @@ _GUARD_ERRORS = (
 )
 # %r of a Python float is float.__repr__, the shortest round-trip form json writes
 _FLOAT_SPECS = {"csv": "%.17g", "json": "%r"}
-_ROWS_PER_WRITE = 4096
+_ROWS_PER_WRITE = 1024
 
 
 class ConfigError(ValueError):
@@ -242,7 +242,9 @@ def _emit_table(fmt, out, meta, columns, rows: Iterable[tuple], max_abs_diff=Non
     order for JSON) and the first row's cell types, as a column holds one type
     throughout: Python floats go in through _FLOAT_SPECS (a numpy scalar would
     print as np.float64(...) under %r), other cells are rendered first.  Rows
-    are written _ROWS_PER_WRITE at a time, so the body is never held whole.
+    are drawn from the iterator and written _ROWS_PER_WRITE at a time, so the
+    text is never held whole, and neither are the rows of a generator such as
+    _trajectory_table's.
     """
     rows = iter(rows)
     first = next(rows)
@@ -284,16 +286,26 @@ def _emit_table(fmt, out, meta, columns, rows: Iterable[tuple], max_abs_diff=Non
 
 
 def _trajectory_table(closed: Optional[Trajectory], numeric: Optional[Trajectory], every=1):
-    """Columns and every every-th row of a trajectory; numeric columns follow with both."""
+    """Columns and every every-th row of a trajectory; numeric columns follow with both.
+
+    The rows are a generator that makes them _ROWS_PER_WRITE at a time.
+    """
     parts = [traj for traj in (closed, numeric) if traj is not None]
     columns = _TRAJECTORY_COLUMNS + (_NUMERIC_COLUMNS if len(parts) == 2 else ())
-    values = [parts[0].times[::every]]
-    for traj in parts:
-        rho12 = traj.rho12[::every]
-        re, im = rho12.real, rho12.imag
-        # np.hypot gives abs(complex) bit for bit; np.abs differs in the last bit
-        values += [traj.rho11[::every], traj.rho22[::every], re, im, np.hypot(re, im)]
-    return columns, zip(*(v.tolist() for v in values))
+
+    def rows():
+        span = _ROWS_PER_WRITE * every
+        for start in range(0, len(parts[0]), span):
+            block = slice(start, start + span, every)
+            values = [parts[0].times[block]]
+            for traj in parts:
+                rho12 = traj.rho12[block]
+                re, im = rho12.real, rho12.imag
+                # np.hypot gives abs(complex) bit for bit; np.abs differs in the last bit
+                values += [traj.rho11[block], traj.rho22[block], re, im, np.hypot(re, im)]
+            yield from zip(*(v.tolist() for v in values))
+
+    return columns, rows()
 
 
 def _meta(command: str, bath: BathModel, fmt: str, out: Optional[str], **fields) -> dict:

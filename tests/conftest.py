@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,23 @@ FIGURE_SETS = [
     ("ohmic_0.08", OhmicBath(eta=0.08), 0.030, 0.05),
     ("ohmic_0.12", OhmicBath(eta=0.12), 0.030, 0.05),
 ]
+
+
+MiB = 1 << 20
+
+
+def allocation_peak(call):
+    """call()'s result and the peak bytes it allocated beyond what was live before.
+
+    tracemalloc sees numpy's buffers as well as Python objects.
+    """
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

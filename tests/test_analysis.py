@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 import oracle
+from conftest import MiB, allocation_peak
 from dqdsim import (
     ChiRate,
+    DeformationBath,
     NoDecoherenceError,
+    NonFiniteResultError,
     OhmicBath,
     PiezoelectricBath,
     SweepError,
@@ -32,6 +35,7 @@ from dqdsim import (
     time_grid,
 )
 from dqdsim import analysis
+from dqdsim.analytic import SAMPLE_BLOCK
 from dqdsim.redfield import StepSizeError
 
 
@@ -392,6 +396,60 @@ class TestStackedSweep:
         assert isinstance(err.value.__cause__, cause)
         assert str(err.value).startswith(f"sweep failed at {spec.swept_parameter}={value}: ")
         assert len(propagated) == trajectories
+
+
+# two full sample blocks and a ragged tail
+MULTI_BLOCK_GRID = dict(t_end=5000.0, n_steps=2 * SAMPLE_BLOCK + 77)
+
+
+class TestBlockwiseFinish:
+    """The cross-engine diff and the finiteness checks, a sample block at a time."""
+
+    def test_max_abs_diff_equals_the_one_shot_maximum(self):
+        run = analysis.evaluate_point(PiezoelectricBath(), 0.030, 0.05, "both", **MULTI_BLOCK_GRID)
+        one_shot = float(np.max(np.abs(run.closed.data - run.numeric.data)))
+        assert len(run.closed) > 2 * SAMPLE_BLOCK
+        assert np.float64(run.max_abs_diff).tobytes() == np.float64(one_shot).tobytes()
+
+    @pytest.mark.parametrize("poison", [0.25j, complex(math.nan, 0.0)], ids=["largest", "nan"])
+    def test_max_abs_diff_sees_the_ragged_tail(self, poison):
+        a = np.zeros((2 * SAMPLE_BLOCK + 77, 4), dtype=complex)
+        b = a.copy()
+        b[SAMPLE_BLOCK - 1, 0] = 0.125
+        b[-1, 2] = poison
+        expected = float(np.max(np.abs(a - b)))
+        got = analysis._max_abs_diff(a, b)
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+    @pytest.mark.parametrize(
+        "engine,target,name",
+        [
+            ("both", "closed_form_trajectory", "closed_form_trajectory"),
+            ("both", "propagate_powers", "numeric_trajectory"),
+            ("closed_form", "closed_form_trajectory", "closed_form_trajectory"),
+            ("numeric", "propagate_powers", "numeric_trajectory"),
+        ],
+    )
+    @pytest.mark.parametrize("poison", [math.nan, complex(0.5, -math.inf)], ids=["nan", "inf"])
+    def test_non_finite_last_block_is_named(self, monkeypatch, engine, target, name, poison):
+        make = getattr(analysis, target)
+
+        def poisoned(*args):
+            traj = make(*args)
+            data = traj.data.copy()
+            data[-1, 1] = poison
+            return Trajectory(traj.times, data)
+
+        monkeypatch.setattr(analysis, target, poisoned)
+        with pytest.raises(NonFiniteResultError, match=f"^{name} is not finite$"):
+            analysis.evaluate_point(PiezoelectricBath(), 0.030, 0.05, engine, **MULTI_BLOCK_GRID)
+
+    def test_both_engines_hold_little_beyond_their_trajectories(self):
+        # case (II) of the paper: T2 is about 59 ns, so a curve spans 2e5 samples
+        args = (DeformationBath(), 0.030, 0.05, "both", 1.5e5, 200000)
+        run, peak = allocation_peak(lambda: analysis.evaluate_point(*args))
+        held = run.closed.data.nbytes + run.numeric.data.nbytes + run.closed.times.nbytes
+        assert peak <= held + 2 * MiB
 
 
 class TestSweepSpecValidation:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from conftest import FIGURE_SETS
+from conftest import FIGURE_SETS, MiB, allocation_peak
 from dqdsim import (
     ChiRate,
     OhmicBath,
@@ -21,6 +21,7 @@ from dqdsim import (
     initial_state,
     time_grid,
 )
+from dqdsim.analytic import SAMPLE_BLOCK
 from test_redfield import oracle_jn
 
 
@@ -231,6 +232,33 @@ class TestConjugatePairBitForBit:
         got = closed_form_trajectory(rate, times)
         expected = two_exponential_closed_form(rate.chi, rate.omega_21, rate.n_occ, times)
         assert got.data.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "chi,w", [(0.01, 0.1), (0.5, 0.1), (0.1, 0.1)],
+        ids=["underdamped", "overdamped", "critical"],
+    )
+    def test_two_full_blocks_and_a_ragged_tail(self, chi, w):
+        times = np.arange(2 * SAMPLE_BLOCK + 77) * (20.0 / chi / (2 * SAMPLE_BLOCK))
+        got = closed_form_trajectory(ChiRate(chi=chi, n_occ=0.3, omega_21=w), times)
+        assert got.data.tobytes() == two_exponential_closed_form(chi, w, 0.3, times).tobytes()
+
+    def test_series_region_across_a_block_boundary(self):
+        chi, w = 0.05, 0.1
+        s = math.sqrt(w * w - chi * chi)
+        # the first SAMPLE_BLOCK + 100 samples have |s*t| < 1e-4, then a wide stretch
+        series = np.arange(SAMPLE_BLOCK + 100) * (0.99e-4 / s / (SAMPLE_BLOCK + 100))
+        wide = series[-1] + np.arange(1, SAMPLE_BLOCK + 78) * (100.0 / SAMPLE_BLOCK)
+        times = np.concatenate([series, wide])
+        assert s * times[SAMPLE_BLOCK] < 1e-4 <= s * times[SAMPLE_BLOCK + 100]
+        got = closed_form_trajectory(ChiRate(chi=chi, n_occ=0.3, omega_21=w), times)
+        assert got.data.tobytes() == two_exponential_closed_form(chi, w, 0.3, times).tobytes()
+
+
+def test_closed_form_holds_little_beyond_its_output():
+    rate = ChiRate(chi=1.0 / 59000.0, n_occ=0.3, omega_21=0.1)
+    times = time_grid(2.0e5, 200000)
+    traj, peak = allocation_peak(lambda: closed_form_trajectory(rate, times))
+    assert peak <= traj.data.nbytes + 2 * MiB
 
 
 class TestDerivative:

@@ -7,10 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import oracle
-from dqdsim import SweepPoint, cli
+from conftest import MiB, allocation_peak
+from dqdsim import PiezoelectricBath, SweepPoint, cli, evaluate_point
 from dqdsim.cli import main
 
 
@@ -652,14 +654,20 @@ class TestValidationBoundary:
     @pytest.mark.parametrize(
         "command,payload,target",
         [
-            ("evolve", {**EVOLVE_CFG, "t_end": 1e9, "n_steps": 10**11}, "time_grid"),
+            ("evolve", {**EVOLVE_CFG, "t_end": 1e9, "n_steps": 10**11}, "dqdsim.cli.time_grid"),
             (
                 "spectral",
                 {"bath": PCPB, "grid": {"omega_min": 0, "omega_max": 0.1, "count": 3}},
-                "spectral_density",
+                "dqdsim.cli.spectral_density",
+            ),
+            ("t2", EVOLVE_CFG, "dqdsim.analysis.closed_form_trajectory"),
+            (
+                "sweep",
+                {**_SWEEP, "t_end": 500.0, "n_steps": 5000},
+                "dqdsim.analysis.closed_form_trajectory",
             ),
         ],
-        ids=["evolve", "spectral"],
+        ids=["evolve", "spectral", "t2", "sweep"],
     )
     def test_grid_too_large_for_memory_is_a_config_error(
         self, tmp_path, capsys, monkeypatch, command, payload, target
@@ -668,7 +676,7 @@ class TestValidationBoundary:
         def allocate(*args, **kwargs):
             raise MemoryError("Unable to allocate 745. GiB for an array")
 
-        monkeypatch.setattr(cli, target, allocate)
+        monkeypatch.setattr(target, allocate)
         cfg = write_config(tmp_path, payload)
         out = tmp_path / "o.csv"
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
@@ -860,6 +868,46 @@ class TestTableWriter:
         assert sum(n for _, n in body) == total
         assert body[0][0] < total  # the first rows are out before the last one is made
         assert max(n for _, n in body) < total
+
+
+def _whole_table_rows(closed, numeric, every):
+    """The rows as they were made before streaming: whole columns, then zipped."""
+    parts = [traj for traj in (closed, numeric) if traj is not None]
+    values = [parts[0].times[::every]]
+    for traj in parts:
+        rho12 = traj.rho12[::every]
+        re, im = rho12.real, rho12.imag
+        values += [traj.rho11[::every], traj.rho22[::every], re, im, np.hypot(re, im)]
+    return list(zip(*(v.tolist() for v in values)))
+
+
+class TestTrajectoryTable:
+    """Trajectory rows are made a block at a time, equal to whole-column rows."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        # 10 001 samples: ten row blocks at every = 1, four at every = 3
+        return evaluate_point(PiezoelectricBath(), 0.030, 0.05, "both", 2500.0, 10000)
+
+    @pytest.mark.parametrize("every", [1, 3])
+    @pytest.mark.parametrize("engines", ["closed", "numeric", "both"])
+    def test_rows_over_several_blocks(self, run, every, engines):
+        closed = run.closed if engines != "numeric" else None
+        numeric = run.numeric if engines != "closed" else None
+        expected = _whole_table_rows(closed, numeric, every)
+        assert len(expected) > 3 * cli._ROWS_PER_WRITE
+        _, rows = cli._trajectory_table(closed, numeric, every)
+        assert repr(list(rows)) == repr(expected)  # repr tells -0.0 from 0.0
+
+    def test_first_row_of_a_long_table_is_cheap(self):
+        run = evaluate_point(PiezoelectricBath(), 0.030, 0.05, "both", 2500.0, 50000)
+
+        def first_row():
+            return next(cli._trajectory_table(run.closed, run.numeric)[1])
+
+        first, peak = allocation_peak(first_row)
+        assert first == _whole_table_rows(run.closed, run.numeric, 1)[0]
+        assert peak <= 2 * MiB
 
 
 class TestUsage:
