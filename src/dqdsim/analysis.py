@@ -1,7 +1,12 @@
 """The per-point pipeline, decoherence-time extraction and parameter sweeps.
 
 A point is prepared (chi, grid, step guard), its RK4 powers built in a stack
-of points, then it is finished (trajectories); evaluate_point is a stack of one.
+of points, then it is finished; evaluate_point is a stack of one.  A
+finished point holds its trajectories as replays (the closed form on the
+grid, the RK4 recurrence from its stride powers and rho(0)) that compute
+their samples when read; one pass over them decides finiteness, folds the
+cross-engine discrepancy and keeps |rho12| of the T2 source, so the grid
+and that |rho12| are all it holds that is as long as the grid.
 
 The decoherence time is defined as the 1/e time of the |rho12| envelope,
 T2 = 1/chi.  The empirical extractor recovers it from a sampled trajectory:
@@ -15,17 +20,17 @@ d|rho12|^2/dt = -4 chi (Im rho12)^2 <= 0 for every Hermitian state.
 from __future__ import annotations
 
 import dataclasses
-import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .analytic import SAMPLE_BLOCK, ChiRate, chi_rate, closed_form_trajectory
+from .analytic import SAMPLE_BLOCK, ChiRate, chi_rate, closed_form_replay
 from .bath import BATH_KINDS, BathModel, OhmicBath
-from .redfield import Trajectory, build_tensor, check_step, liouvillian
-from .redfield import propagate_powers, stride_powers, time_grid
+from .redfield import Trajectory, build_tensor, check_step, check_time_grid, liouvillian
+from .redfield import replay_powers, stride_powers, time_grid
 from .system import EigenSystem, QubitParams, diagonalize, initial_state
 
 _DECAY_THRESHOLD = 0.5 * math.exp(-1.0)
@@ -103,9 +108,11 @@ def decoherence_time_empirical(traj: Trajectory) -> float:
     failing that, the first crossing below e^-1/2 (overdamped); failing
     that, TrajectoryTooShortError.
     """
-    times = traj.times
-    amps = traj.abs_rho12
+    return _t2_from(traj.times, traj.abs_rho12)
 
+
+def _t2_from(times: np.ndarray, amps: np.ndarray) -> float:
+    """decoherence_time_empirical on |rho12| sampled at times."""
     t_s, a_s = _stationary_samples(times, amps)
     positive = a_s > 0
     t_s, a_s = t_s[positive], a_s[positive]
@@ -192,8 +199,17 @@ class SweepSpec:
             raise ValueError("the Ohmic bath needs an explicit qubit (tunneling_Tc)")
         if self.engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}")
-        if (self.t_end is None) != (self.n_steps is None):
-            raise ValueError("t_end and n_steps must be given together")
+        _check_grid(self.t_end, self.n_steps, self.store_every)
+
+
+def _check_grid(t_end: Optional[float], n_steps: Optional[int], store_every: int) -> None:
+    """time_grid's checks on an optional grid, without building it; store_every needs one."""
+    if (t_end is None) != (n_steps is None):
+        raise ValueError("t_end and n_steps must be given together")
+    if t_end is not None:
+        check_time_grid(t_end, n_steps, store_every)
+    elif isinstance(store_every, bool) or store_every != 1:
+        raise ValueError(f"store_every needs a time grid (t_end, n_steps), got {store_every!r}")
 
 
 class SweepPoint(NamedTuple):
@@ -221,8 +237,10 @@ class SweepResult:
 class PointEvaluation:
     """One parameter point before T2 extraction: eigensystem, rate, trajectories.
 
-    Trajectories exist only when a time grid was given; max_abs_diff only
-    with engine "both".
+    Trajectories exist only when a time grid was given, as replays that
+    compute their full-resolution samples when read; abs_rho12 is |rho12|
+    of the T2 source (numeric preferred) with them.  max_abs_diff exists
+    only with engine "both".
     """
 
     eig: EigenSystem
@@ -230,6 +248,7 @@ class PointEvaluation:
     closed: Optional[Trajectory] = None
     numeric: Optional[Trajectory] = None
     max_abs_diff: Optional[float] = None
+    abs_rho12: Optional[np.ndarray] = None
 
 
 def _require_finite(**fields) -> None:
@@ -246,15 +265,33 @@ def _all_finite(data: np.ndarray) -> bool:
     return all(math.isfinite(p.min()) and math.isfinite(p.max()) for p in (data.real, data.imag))
 
 
-def _max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
-    """max |a - b| over SAMPLE_BLOCK rows at a time.
+def _sample_pass(closed: Optional[Trajectory], numeric: Optional[Trajectory]):
+    """One in-order pass over the engines' samples, SAMPLE_BLOCK at a time.
 
-    The block maxima are folded with np.maximum, which keeps a NaN from any
-    block (Python's max may drop it) and costs nothing for a single block.
+    Returns max |closed - numeric| (None unless both are given), the name of
+    the first engine, in that order, with a NaN or inf sample (None if there
+    is none), and |rho12| of the T2 source, numeric preferred.  The block
+    maxima are folded with np.maximum, which keeps a NaN from any block; a
+    finite block maximum implies both blocks are finite.
     """
-    maxima = [np.abs(a[i : i + SAMPLE_BLOCK] - b[i : i + SAMPLE_BLOCK]).max()
-              for i in range(0, len(a), SAMPLE_BLOCK)]
-    return float(functools.reduce(np.maximum, maxima))
+    named = [(name, traj) for name, traj in
+             (("closed_form_trajectory", closed), ("numeric_trajectory", numeric))
+             if traj is not None]
+    amps = np.empty(len(named[-1][1]))
+    max_abs_diff, non_finite = None, set()
+    readers = zip(*(traj.blocks(SAMPLE_BLOCK) for _, traj in named))
+    for lo, blocks in zip(itertools.count(0, SAMPLE_BLOCK), readers):
+        np.abs(blocks[-1][:, 1], out=amps[lo : lo + len(blocks[-1])])
+        if len(blocks) == 2:
+            block_max = np.abs(blocks[0] - blocks[1]).max()
+            max_abs_diff = block_max if max_abs_diff is None else np.maximum(max_abs_diff, block_max)
+            if math.isfinite(block_max):
+                continue
+        non_finite.update(name for (name, _), block in zip(named, blocks) if not _all_finite(block))
+        if named[0][0] in non_finite:  # named first whatever the later blocks hold
+            break
+    first = next((name for name, _ in named if name in non_finite), None)
+    return None if max_abs_diff is None else float(max_abs_diff), first, amps
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,26 +330,26 @@ def _stacked_powers(stack: list[_Prepared], t_end: float, n_steps: int, store_ev
 
 
 def _finish(prep: _Prepared, powers: Optional[np.ndarray]) -> PointEvaluation:
-    """Second stage of a point: the engines' trajectories on the grid, their discrepancy.
+    """Second stage of a point: the engines' replays on the grid and one pass over them.
 
-    Beyond the grid and the trajectories, nothing held is as long as the grid.
+    After the pass (_sample_pass), NonFiniteResultError names the first
+    engine with a NaN or inf sample before anything else reads them; the
+    pass leaves the cross-engine discrepancy and |rho12| of the T2 source.
+    The trajectories themselves are not stored: beyond the grid and that
+    |rho12|, nothing held is as long as the grid.
     """
-    closed = numeric = max_abs_diff = None
-    if prep.times is not None:
-        if prep.engine in ("closed_form", "both"):
-            closed = closed_form_trajectory(prep.rate, prep.times)
-        if powers is not None:
-            numeric = propagate_powers(powers, initial_state(), prep.times)
-        if prep.engine == "both":
-            max_abs_diff = _max_abs_diff(closed.data, numeric.data)
-        # a finite max_abs_diff implies that both trajectories are finite
-        if max_abs_diff is None or not math.isfinite(max_abs_diff):
-            _require_finite(
-                closed_form_trajectory=None if closed is None else closed.data,
-                numeric_trajectory=None if numeric is None else numeric.data,
-                max_abs_diff=max_abs_diff,
-            )
-    return PointEvaluation(prep.eig, prep.rate, closed, numeric, max_abs_diff)
+    if prep.times is None:
+        return PointEvaluation(prep.eig, prep.rate)
+    closed = numeric = None
+    if prep.engine in ("closed_form", "both"):
+        closed = closed_form_replay(prep.rate, prep.times)
+    if powers is not None:
+        numeric = replay_powers(powers, initial_state(), prep.times)
+    max_abs_diff, non_finite, abs_rho12 = _sample_pass(closed, numeric)
+    if non_finite is not None:
+        raise NonFiniteResultError(f"{non_finite} is not finite")
+    _require_finite(max_abs_diff=max_abs_diff)
+    return PointEvaluation(prep.eig, prep.rate, closed, numeric, max_abs_diff, abs_rho12)
 
 
 def evaluate_point(
@@ -326,9 +363,12 @@ def evaluate_point(
 ) -> PointEvaluation:
     """The per-point pipeline: chi, then the engines' trajectories on the grid.
 
-    A sweep's stages for one point, with a stack of one RK4 power set.
-    Raises NonFiniteResultError when a result is NaN or infinite.
+    A sweep's stages for one point, with a stack of one RK4 power set.  The
+    trajectories are replays, computed again whenever they are read; the
+    point holds the grid and |rho12| of the T2 source.  Raises
+    NonFiniteResultError when a result is NaN or infinite.
     """
+    _check_grid(t_end, n_steps, store_every)
     prep = _prepare(bath, temperature, tunneling_Tc, engine, t_end, n_steps, store_every)
     return _finish(prep, *_stacked_powers([prep], t_end, n_steps, store_every))
 
@@ -337,7 +377,7 @@ def decoherence_times(run: PointEvaluation) -> tuple[float, Optional[float]]:
     """(analytic T2, empirical T2 or None without trajectories); numeric preferred."""
     t2_analytic = decoherence_time_analytic(run.rate)
     traj = run.numeric if run.numeric is not None else run.closed
-    t2_empirical = None if traj is None else decoherence_time_empirical(traj)
+    t2_empirical = None if traj is None else _t2_from(traj.times, run.abs_rho12)
     _require_finite(t2_analytic=t2_analytic, t2_empirical=t2_empirical)
     return t2_analytic, t2_empirical
 
@@ -362,9 +402,10 @@ def run_sweep(
 
     The grid is built once; points are prepared _STACK_POINTS at a time,
     their RK4 powers stacked, then finished in order.  each(point, run) gets
-    each finished point with its full-resolution trajectories, dropped once
-    it returns.  The returned points are the whole result: the CLI's sweep
-    summary is written from them.  The first failing point aborts the sweep
+    each finished point with its full-resolution trajectories, replayed
+    whenever they are read (a point stores only its grid and |rho12|), and
+    the point is dropped once each returns.  The returned points are the
+    whole result: the CLI's sweep summary is written from them.  The first failing point aborts the sweep
     after the points before it reached each; the SweepError carries its
     value, those points and, as __cause__, the point's exception.  Later
     points of its stack may be prepared but get no trajectory.  Neither an
@@ -400,7 +441,7 @@ def run_sweep(
                                      run.max_abs_diff))
             if each is not None:
                 each(points[-1], run)
-            del run  # so the next point is finished without this one's trajectories
+            del run  # so the next point is finished without this one's |rho12|
         if failure is not None:
             value, exc = spec.values[failure[0]], failure[1]
             message = f"sweep failed at {spec.swept_parameter}={value}: {exc}"

@@ -10,26 +10,28 @@ toward (1+n)/(1+2n), n/(1+2n), and the coherences obey the coupled pair
 valid in one formula for the underdamped (s imaginary), overdamped (s real)
 and critically damped (s -> 0) regimes; a series branch protects the s -> 0
 limit.  Underdamped, the exponentials are conjugates: one complex exp per
-sample.  The implied initial state is every element equal to 1/2.  A time
-grid is evaluated SAMPLE_BLOCK samples at a time into its (N, 4) result, so
-no other array as long as the grid is held.
+sample.  The implied initial state is every element equal to 1/2.  On a
+time grid the closed form is a replayed trajectory: its samples are
+evaluated when they are read, SAMPLE_BLOCK at a time, and are not stored;
+closed_form_trajectory materializes them into one (N, 4) array.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bath import BathModel, bose_occupation, spectral_density
-from .redfield import Trajectory
+from .redfield import ReplayedTrajectory, Trajectory
 from .system import DensityMatrix, EigenSystem
 
 # |s*t| below which the sinh/cosh series replaces the exponential pair.
 _SERIES_THRESHOLD = 1e-4
-# samples evaluated together: beyond its result, the closed form and the
-# cross-engine diff hold no array longer than this
+# samples evaluated together: the closed form, and a point's pass over its
+# engines, hold no other array longer than this
 SAMPLE_BLOCK = 1 << 14
 
 
@@ -57,24 +59,37 @@ def chi_rate(eig: EigenSystem, bath: BathModel, temperature: float) -> ChiRate:
     return ChiRate(chi=j * (1.0 + 2.0 * n) / 2.0, n_occ=n, omega_21=eig.omega_21)
 
 
-def closed_form_trajectory(rate: ChiRate, times: np.ndarray) -> Trajectory:
-    """Evaluate the closed form on a time grid, SAMPLE_BLOCK samples at a time.
+def closed_form_replay(rate: ChiRate, times: np.ndarray) -> Trajectory:
+    """The closed form on a time grid, evaluated when read.
 
-    Only the (N, 4) result is as long as the grid.  Every expression acts
-    sample by sample, so a block's values are bit-identical to a whole-grid
-    evaluation's.
+    Every expression acts sample by sample, so a block's values are
+    bit-identical to a whole-grid evaluation's, whatever the block size and
+    thinning.
     """
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or len(t) == 0:
         raise ValueError("times must be a non-empty 1-d array")
     if np.any(t < 0):
         raise ValueError("times must be >= 0")
+    return ReplayedTrajectory(t, functools.partial(_closed_form_blocks, rate, t))
 
-    data = np.empty((len(t), 4), dtype=complex)
-    for lo in range(0, len(t), SAMPLE_BLOCK):
-        _fill_block(rate, t[lo : lo + SAMPLE_BLOCK], data[lo : lo + SAMPLE_BLOCK])
-    data.setflags(write=False)
-    return Trajectory(times=t, data=data)
+
+def closed_form_trajectory(rate: ChiRate, times: np.ndarray) -> Trajectory:
+    """closed_form_replay's samples, stored; only the (N, 4) result is as long as the grid."""
+    replay = closed_form_replay(rate, times)
+    return Trajectory(replay.times, replay.data)
+
+
+def _closed_form_blocks(rate: ChiRate, times: np.ndarray, size: int, every: int):
+    """Every every-th sample, size rows at a time in one buffer, SAMPLE_BLOCK evaluated at once."""
+    t = times[::every]
+    out = np.empty((min(size, len(t)), 4), dtype=complex)
+    for lo in range(0, len(t), size):
+        block = out[: min(size, len(t) - lo)]
+        for sub in range(0, len(block), SAMPLE_BLOCK):
+            hi = min(sub + SAMPLE_BLOCK, len(block))
+            _fill_block(rate, t[lo + sub : lo + hi], block[sub:hi])
+        yield block
 
 
 def _fill_block(rate: ChiRate, t: np.ndarray, out: np.ndarray) -> None:

@@ -57,7 +57,7 @@ from .bath import (
     finite_number,
     spectral_density,
 )
-from .redfield import MAX_FLOATS, StepSizeError, Trajectory, time_grid
+from .redfield import MAX_FLOATS, StepSizeError, Trajectory, check_time_grid
 from .system import QubitParams
 from .units import temperature_from_millikelvin
 
@@ -205,7 +205,7 @@ def _parse_time_grid(cfg: dict, required: bool) -> tuple[Optional[float], Option
     t_end = finite_number(cfg["t_end"], "config.t_end")
     n_steps = _integer(cfg["n_steps"], "config.n_steps")
     store_every = _integer(cfg["store_every"], "config.store_every") if "store_every" in cfg else 1
-    time_grid(t_end, n_steps, store_every)
+    check_time_grid(t_end, n_steps, store_every)
     return t_end, n_steps, store_every
 
 
@@ -244,7 +244,8 @@ def _emit_table(fmt, out, meta, columns, rows: Iterable[tuple], max_abs_diff=Non
     print as np.float64(...) under %r), other cells are rendered first.  Rows
     are drawn from the iterator and written _ROWS_PER_WRITE at a time, so the
     text is never held whole, and neither are the rows of a generator such as
-    _trajectory_table's.
+    _trajectory_table's, whose replayed trajectories are computed as the rows
+    are drawn.  out is opened once the first row is made.
     """
     rows = iter(rows)
     first = next(rows)
@@ -288,21 +289,22 @@ def _emit_table(fmt, out, meta, columns, rows: Iterable[tuple], max_abs_diff=Non
 def _trajectory_table(closed: Optional[Trajectory], numeric: Optional[Trajectory], every=1):
     """Columns and every every-th row of a trajectory; numeric columns follow with both.
 
-    The rows are a generator that makes them _ROWS_PER_WRITE at a time.
+    The rows are a generator that reads the engines' blocks together, so it
+    makes them _ROWS_PER_WRITE at a time and a replayed trajectory is
+    computed as they are drawn.
     """
     parts = [traj for traj in (closed, numeric) if traj is not None]
     columns = _TRAJECTORY_COLUMNS + (_NUMERIC_COLUMNS if len(parts) == 2 else ())
 
     def rows():
         span = _ROWS_PER_WRITE * every
-        for start in range(0, len(parts[0]), span):
-            block = slice(start, start + span, every)
-            values = [parts[0].times[block]]
-            for traj in parts:
-                rho12 = traj.rho12[block]
-                re, im = rho12.real, rho12.imag
+        readers = zip(*(traj.blocks(_ROWS_PER_WRITE, every) for traj in parts))
+        for start, blocks in zip(itertools.count(0, span), readers):
+            values = [parts[0].times[start : start + span : every]]
+            for block in blocks:
+                re, im = block[:, 1].real, block[:, 1].imag
                 # np.hypot gives abs(complex) bit for bit; np.abs differs in the last bit
-                values += [traj.rho11[block], traj.rho22[block], re, im, np.hypot(re, im)]
+                values += [block[:, 0].real, block[:, 3].real, re, im, np.hypot(re, im)]
             yield from zip(*(v.tolist() for v in values))
 
     return columns, rows()

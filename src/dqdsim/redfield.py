@@ -25,12 +25,17 @@ coupling is kept.
 Propagation is fixed-step RK4 on d y/dt = L y: the B stacked powers of the RK4
 stride map, one (4B, 4) matrix, advance a block of B samples per matrix-vector
 product.  They are built for K generators at once, one set-up per sweep stack.
+From a generator's powers and rho(0) the samples are a replayed trajectory:
+the block recurrence runs again each time they are read, a block at a time,
+so they are never stored; propagate_powers materializes them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -40,6 +45,8 @@ from .system import DensityMatrix, EigenSystem
 # Accuracy/stability guard for the fixed-step integrator.
 _MAX_STEP_PRODUCT = 0.1
 _POWER_BLOCK = 64
+# power blocks a replay computes before it copies out the samples it keeps
+_WINDOW_BLOCKS = 16
 # the longest float64 array np.arange and np.linspace accept: probed near 2**60 with
 # numpy 2.4.6, both refuse 2**60 - 64 on with an unnamed "array is too big"
 MAX_FLOATS = np.iinfo(np.intp).max // np.dtype(float).itemsize - 64
@@ -65,30 +72,45 @@ class RedfieldTensor:
         return abs(float(self.r[0, 1, 0, 1]))
 
 
-@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Time grid plus density-matrix samples (vector order rho11,12,21,22)."""
+    """Time grid plus density-matrix samples (vector order rho11,12,21,22), stored (N, 4).
 
-    times: np.ndarray  # (N,), ps, strictly increasing
-    data: np.ndarray  # (N, 4), complex
+    Readers walk the samples in order through blocks(); ReplayedTrajectory
+    computes them there instead of storing them.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.times) == 0:
-            raise ValueError("trajectory must be non-empty")
-        if len(self.times) != len(self.data):
-            raise ValueError("times and data lengths differ")
-        if not (self.times[1:] > self.times[:-1]).all():
-            raise ValueError("times must be strictly increasing")
+    def __init__(self, times: np.ndarray, data: np.ndarray) -> None:
+        self.times = _sample_times(times, len(data))
+        self._data = data
 
     def __len__(self) -> int:
         return len(self.times)
+
+    def blocks(self, size: int, every: int = 1) -> Iterator[np.ndarray]:
+        """Every every-th sample, in order, size rows at a time.
+
+        A block is valid until the next one is drawn: a computed trajectory
+        refills one buffer of min(size, samples) rows.
+        """
+        if size < 1 or every < 1:
+            raise ValueError(f"size and every must be >= 1, got {size} and {every}")
+        return self._blocks(size, every)
+
+    def _blocks(self, size: int, every: int) -> Iterator[np.ndarray]:
+        span = size * every
+        for lo in range(0, len(self), span):
+            yield self._data[lo : lo + span : every]
+
+    @property
+    def data(self) -> np.ndarray:
+        return self._data
 
     def state(self, i: int) -> DensityMatrix:
         return DensityMatrix.from_vector(self.data[i])
 
     @property
     def states(self):
-        return [self.state(i) for i in range(len(self))]
+        return [DensityMatrix.from_vector(row) for row in self.data]
 
     @property
     def rho11(self) -> np.ndarray:
@@ -105,6 +127,40 @@ class Trajectory:
     @property
     def abs_rho12(self) -> np.ndarray:
         return np.abs(self.data[:, 1])
+
+
+class ReplayedTrajectory(Trajectory):
+    """A trajectory whose samples source(size, every) computes each time they are read.
+
+    Nothing as long as the grid is held but the grid itself.  data
+    materializes every sample on each access; it is not cached, and every
+    accessor built on it (state, states, rho11, rho22, rho12, abs_rho12)
+    replays the whole trajectory on each call, so a loop over state(i) is
+    quadratic in its length.  Walk the samples with blocks() instead.
+    """
+
+    def __init__(self, times: np.ndarray, source: Callable[[int, int], Iterator[np.ndarray]]):
+        self.times = _sample_times(times, len(times))
+        self._source = source
+
+    def _blocks(self, size: int, every: int) -> Iterator[np.ndarray]:
+        return self._source(size, every)
+
+    @property
+    def data(self) -> np.ndarray:
+        (data,) = self.blocks(len(self))
+        data.setflags(write=False)
+        return data
+
+
+def _sample_times(times: np.ndarray, n_samples: int) -> np.ndarray:
+    if len(times) == 0:
+        raise ValueError("trajectory must be non-empty")
+    if len(times) != n_samples:
+        raise ValueError("times and data lengths differ")
+    if not (times[1:] > times[:-1]).all():
+        raise ValueError("times must be strictly increasing")
+    return times
 
 
 def _rate(eig: EigenSystem, bath: BathModel, temperature: float, a: int, b: int) -> float:
@@ -172,16 +228,14 @@ def liouvillian(tensor: RedfieldTensor, eig: EigenSystem) -> np.ndarray:
     return tensor.r.reshape(4, 4) + np.diag([0.0, 1j * w, -1j * w, 0.0])
 
 
-def time_grid(t_end: float, n_steps: int, store_every: int = 1) -> np.ndarray:
-    """Sample times of a stored trajectory: every store_every-th step plus 0.
-
-    Shared by the numerical propagator and the closed-form evaluator so that
-    cross-engine comparisons run on bit-identical grids.
-    """
+def check_time_grid(t_end: float, n_steps: int, store_every: int = 1) -> tuple[int, float]:
+    """time_grid's checks without the grid: the samples after t = 0 and their spacing."""
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     if not t_end > 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
+    if isinstance(store_every, bool):
+        raise ValueError(f"store_every must be an integer, got {store_every!r}")
     if store_every < 1 or n_steps % store_every != 0:
         raise ValueError(
             f"store_every must be >= 1 and divide n_steps, got {store_every} for {n_steps}"
@@ -194,6 +248,16 @@ def time_grid(t_end: float, n_steps: int, store_every: int = 1) -> np.ndarray:
         raise ValueError(f"the last sample time overflows to inf for t_end={t_end!r}")
     if n_stored >= MAX_FLOATS:  # np.arange(2**63) would be silently empty
         raise ValueError(f"n_steps/store_every={n_stored} is more samples than an array can hold")
+    return n_stored, stride
+
+
+def time_grid(t_end: float, n_steps: int, store_every: int = 1) -> np.ndarray:
+    """Sample times of a stored trajectory: every store_every-th step plus 0.
+
+    Shared by the numerical propagator and the closed-form evaluator so that
+    cross-engine comparisons run on bit-identical grids.
+    """
+    n_stored, stride = check_time_grid(t_end, n_steps, store_every)
     times = np.arange(n_stored + 1) * stride
     times.setflags(write=False)
     return times
@@ -238,18 +302,56 @@ def stride_powers(L: np.ndarray, h: float, store_every: int, n_stored: int) -> n
     return powers
 
 
+def replay_powers(powers: np.ndarray, rho0: DensityMatrix, times: np.ndarray) -> Trajectory:
+    """The samples on a time_grid from one generator's stride powers (B, 4, 4), replayed when read."""
+    blocks = functools.partial(_rk4_blocks, powers, rho0.as_vector(), len(times) - 1)
+    return ReplayedTrajectory(times, blocks)
+
+
 def propagate_powers(powers: np.ndarray, rho0: DensityMatrix, times: np.ndarray) -> Trajectory:
-    """The stored samples on a time_grid, from one generator's stride powers (B, 4, 4)."""
-    n_stored, block = len(times) - 1, len(powers)
+    """replay_powers' samples, stored."""
+    return Trajectory(times, replay_powers(powers, rho0, times).data)
+
+
+def _rk4_blocks(powers: np.ndarray, rho0: np.ndarray, n_stored: int, size: int, every: int):
+    """Every every-th sample of the RK4 block recurrence, size rows at a time.
+
+    Sample Bj + i (i = 1..B) is stride power i applied to sample Bj, one
+    (4B, 4) x (4,) product per block of B.  The blocks share one buffer of
+    min(size, samples) rows.  Products fill a window of _WINDOW_BLOCKS
+    blocks whose kept samples are copied out, so a thinned read does not
+    hold the samples it skips beyond the window.
+    """
+    block = len(powers)
     rows = powers.reshape(-1, 4)  # a view for C-contiguous powers: row 4j+r is row r of power j
-    data = np.empty((n_stored + 1, 4), dtype=complex)
-    flat = data.reshape(-1)  # a view: sample i is flat[4i : 4i + 4]
-    data[0] = rho0.as_vector()
+    out = np.empty((min(size, n_stored // every + 1), 4), dtype=complex)
+    out[0] = rho0
+    k = 1  # rows of out filled
+
+    def copy_out(kept: np.ndarray):
+        nonlocal k
+        while len(kept):
+            if k == len(out):
+                yield out
+                k = 0
+            n = min(len(kept), len(out) - k)
+            out[k : k + n] = kept[:n]
+            kept, k = kept[n:], k + n
+
+    window = np.empty((min(n_stored, block * _WINDOW_BLOCKS) + 1, 4), dtype=complex)
+    window_flat = window.reshape(-1)
+    window[0] = rho0
+    base, w = 0, 1  # window row r holds sample base + r; rows filled
     for filled in range(0, n_stored, block):
-        take, begin = min(block, n_stored - filled), 4 * (filled + 1)
-        np.matmul(rows[: 4 * take], data[filled], out=flat[begin : begin + 4 * take])
-    data.setflags(write=False)
-    return Trajectory(times=times, data=data)
+        take = min(block, n_stored - filled)
+        if w + take > len(window):
+            yield from copy_out(window[(-base - 1) % every + 1 : w : every])
+            window[0] = window[w - 1]
+            base, w = base + w - 1, 1
+        np.matmul(rows[: 4 * take], window[w - 1], out=window_flat[4 * w : 4 * (w + take)])
+        w += take
+    yield from copy_out(window[(-base - 1) % every + 1 : w : every])
+    yield out[:k]
 
 
 def propagate_numeric(

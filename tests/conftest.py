@@ -28,11 +28,18 @@ def allocation_peak(call):
 
     tracemalloc sees numpy's buffers as well as Python objects.
     """
+    result, peak, _ = allocations(call)
+    return result, peak
+
+
+def allocations(call):
+    """call()'s result, its peak allocation and what it left live, both beyond what was live before."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         result = call()
-        return result, tracemalloc.get_traced_memory()[1] - before
+        live, peak = tracemalloc.get_traced_memory()
+        return result, peak - before, live - before
     finally:
         tracemalloc.stop()
 

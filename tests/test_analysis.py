@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracle
-from conftest import MiB, allocation_peak
+from conftest import MiB, allocation_peak, allocations
 from dqdsim import (
     ChiRate,
     DeformationBath,
@@ -380,13 +380,13 @@ class TestStackedSweep:
             )
             value, cause, trajectories = 260.0, TrajectoryTooShortError, 18
         propagated = []
-        propagate = analysis.propagate_powers
+        replay = analysis.replay_powers
 
         def counting(*args):
             propagated.append(args)
-            return propagate(*args)
+            return replay(*args)
 
-        monkeypatch.setattr(analysis, "propagate_powers", counting)
+        monkeypatch.setattr(analysis, "replay_powers", counting)
         seen = []
         with pytest.raises(SweepError) as err:
             run_sweep(spec, lambda point, run: seen.append(point))
@@ -400,6 +400,8 @@ class TestStackedSweep:
 
 # two full sample blocks and a ragged tail
 MULTI_BLOCK_GRID = dict(t_end=5000.0, n_steps=2 * SAMPLE_BLOCK + 77)
+# a point's engines are replays; these are the functions that store their samples
+REPLAY_OF = {"closed_form_trajectory": "closed_form_replay", "propagate_powers": "replay_powers"}
 
 
 class TestBlockwiseFinish:
@@ -418,7 +420,8 @@ class TestBlockwiseFinish:
         b[SAMPLE_BLOCK - 1, 0] = 0.125
         b[-1, 2] = poison
         expected = float(np.max(np.abs(a - b)))
-        got = analysis._max_abs_diff(a, b)
+        times = np.arange(len(a), dtype=float)
+        got, _, _ = analysis._sample_pass(Trajectory(times, a), Trajectory(times, b))
         assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
     @pytest.mark.parametrize(
@@ -432,7 +435,8 @@ class TestBlockwiseFinish:
     )
     @pytest.mark.parametrize("poison", [math.nan, complex(0.5, -math.inf)], ids=["nan", "inf"])
     def test_non_finite_last_block_is_named(self, monkeypatch, engine, target, name, poison):
-        make = getattr(analysis, target)
+        source = REPLAY_OF[target]  # the replay that target materializes
+        make = getattr(analysis, source)
 
         def poisoned(*args):
             traj = make(*args)
@@ -440,9 +444,21 @@ class TestBlockwiseFinish:
             data[-1, 1] = poison
             return Trajectory(traj.times, data)
 
-        monkeypatch.setattr(analysis, target, poisoned)
+        monkeypatch.setattr(analysis, source, poisoned)
         with pytest.raises(NonFiniteResultError, match=f"^{name} is not finite$"):
             analysis.evaluate_point(PiezoelectricBath(), 0.030, 0.05, engine, **MULTI_BLOCK_GRID)
+
+    def test_a_point_holds_its_grid_and_abs_rho12(self):
+        # case (II) of the paper on its 2e5-sample grid; the trajectories are replays
+        args = (DeformationBath(), 0.030, 0.05, "both", 1.5e5, 200000)
+        run, peak, live = allocations(lambda: analysis.evaluate_point(*args))
+        held = run.closed.times.nbytes + run.abs_rho12.nbytes
+        assert len(run.abs_rho12) == len(run.closed) == 200001
+        assert peak <= held + 6 * MiB
+        assert live <= held + MiB // 2
+        # T2 reads the stored |rho12|: one slope array as long as the grid, and masks
+        _, peak = allocation_peak(lambda: decoherence_times(run))
+        assert peak <= run.abs_rho12.nbytes + MiB
 
     def test_both_engines_hold_little_beyond_their_trajectories(self):
         # case (II) of the paper: T2 is about 59 ns, so a curve spans 2e5 samples
@@ -478,6 +494,48 @@ class TestSweepSpecValidation:
             _sweep(object(), "temperature", [0.03], tunneling_Tc=0.05)
         with pytest.raises(ValueError, match="non-empty"):
             _sweep(PiezoelectricBath(), "omega_l", [], temperature=0.03)
+
+
+GRID_ERRORS = {
+    "store_every-not-dividing": (dict(t_end=100.0, n_steps=1000, store_every=3), "divide n_steps"),
+    "store_every-zero": (dict(t_end=100.0, n_steps=1000, store_every=0), "store_every must be >= 1"),
+    "store_every-bool": (dict(t_end=100.0, n_steps=1000, store_every=True), "must be an integer"),
+    "no-steps": (dict(t_end=100.0, n_steps=0), "n_steps must be >= 1"),
+    "negative-t_end": (dict(t_end=-1.0, n_steps=1000), "t_end must be positive"),
+    "underflowing-step": (dict(t_end=5e-324, n_steps=10), "underflows to 0"),
+    "no-grid-store_every-zero": (dict(store_every=0), "needs a time grid"),
+    "no-grid-store_every-7": (dict(store_every=7), "needs a time grid"),
+    "no-grid-store_every-bool": (dict(store_every=True), "needs a time grid"),
+    "no-grid-store_every-negative": (dict(store_every=-2), "needs a time grid"),
+}
+
+
+class TestTimeGridValidation:
+    """A SweepSpec and evaluate_point check their time grid up front, as time_grid does."""
+
+    @pytest.mark.parametrize("grid,message", list(GRID_ERRORS.values()), ids=list(GRID_ERRORS))
+    def test_sweep_spec_refuses_a_bad_grid(self, grid, message):
+        with pytest.raises(ValueError, match=message):
+            _sweep(PiezoelectricBath(), "temperature", [0.03], tunneling_Tc=0.05, **grid)
+
+    @pytest.mark.parametrize("grid,message", list(GRID_ERRORS.values()), ids=list(GRID_ERRORS))
+    def test_evaluate_point_refuses_a_bad_grid(self, grid, message):
+        with pytest.raises(ValueError, match=message):
+            analysis.evaluate_point(PiezoelectricBath(), 0.030, 0.05, "closed_form", **grid)
+
+    def test_the_spec_error_is_not_a_point_failure(self):
+        grid = dict(t_end=100.0, n_steps=1000, store_every=3)
+        with pytest.raises(ValueError, match="divide n_steps") as err:
+            _sweep(PiezoelectricBath(), "temperature", [0.03], tunneling_Tc=0.05, **grid)
+        assert not isinstance(err.value, SweepError)
+
+    def test_the_grid_is_checked_without_being_built(self):
+        # 1e15 samples would need 8 PB: only the checks run
+        spec = _sweep(
+            PiezoelectricBath(), "temperature", [0.03], tunneling_Tc=0.05,
+            t_end=1.0, n_steps=10**15,
+        )
+        assert spec.n_steps == 10**15
 
 
 def _trajectory(abs_rho12) -> Trajectory:

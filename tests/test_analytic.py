@@ -21,8 +21,8 @@ from dqdsim import (
     initial_state,
     time_grid,
 )
-from dqdsim.analytic import SAMPLE_BLOCK
-from test_redfield import oracle_jn
+from dqdsim.analytic import SAMPLE_BLOCK, closed_form_replay
+from test_redfield import DAMPING_REGIMES, REPLAY_SAMPLES, REPLAY_SIZES, oracle_jn
 
 
 def oracle_rate(bath, temperature, tc):
@@ -244,14 +244,51 @@ class TestConjugatePairBitForBit:
 
     def test_series_region_across_a_block_boundary(self):
         chi, w = 0.05, 0.1
-        s = math.sqrt(w * w - chi * chi)
-        # the first SAMPLE_BLOCK + 100 samples have |s*t| < 1e-4, then a wide stretch
-        series = np.arange(SAMPLE_BLOCK + 100) * (0.99e-4 / s / (SAMPLE_BLOCK + 100))
-        wide = series[-1] + np.arange(1, SAMPLE_BLOCK + 78) * (100.0 / SAMPLE_BLOCK)
-        times = np.concatenate([series, wide])
-        assert s * times[SAMPLE_BLOCK] < 1e-4 <= s * times[SAMPLE_BLOCK + 100]
+        times = series_across_a_block_boundary()
         got = closed_form_trajectory(ChiRate(chi=chi, n_occ=0.3, omega_21=w), times)
         assert got.data.tobytes() == two_exponential_closed_form(chi, w, 0.3, times).tobytes()
+
+
+def series_across_a_block_boundary() -> np.ndarray:
+    """Times whose first SAMPLE_BLOCK + 100 samples have |s*t| < 1e-4 (chi = 0.05, w = 0.1)."""
+    s = math.sqrt(0.1 * 0.1 - 0.05 * 0.05)
+    series = np.arange(SAMPLE_BLOCK + 100) * (0.99e-4 / s / (SAMPLE_BLOCK + 100))
+    wide = series[-1] + np.arange(1, SAMPLE_BLOCK + 78) * (100.0 / SAMPLE_BLOCK)
+    times = np.concatenate([series, wide])
+    assert s * times[SAMPLE_BLOCK] < 1e-4 <= s * times[SAMPLE_BLOCK + 100]
+    return times
+
+
+def replay_times(regime: str) -> tuple[float, float, np.ndarray]:
+    if regime == "series":
+        return 0.05, 0.1, series_across_a_block_boundary()
+    chi, w = DAMPING_REGIMES[regime]
+    return chi, w, np.arange(REPLAY_SAMPLES) * (20.0 / chi / (2 * SAMPLE_BLOCK))
+
+
+class TestReplayedClosedForm:
+    """closed_form_replay's blocks are the whole-grid closed form, bit for bit, at any size
+    and thinning."""
+
+    @pytest.mark.parametrize("size", REPLAY_SIZES)
+    @pytest.mark.parametrize("every", [1, 3, 80])
+    @pytest.mark.parametrize("regime", [*DAMPING_REGIMES, "series"])
+    def test_blocks_are_the_stored_rows(self, regime, every, size):
+        chi, w, times = replay_times(regime)
+        traj = closed_form_replay(ChiRate(chi=chi, n_occ=0.3, omega_21=w), times)
+        blocks = [block.copy() for block in traj.blocks(size, every)]
+        assert [len(block) for block in blocks[:-1]] == [size] * (len(blocks) - 1)
+        expected = two_exponential_closed_form(chi, w, 0.3, times)[::every]
+        assert np.concatenate(blocks).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("regime", [*DAMPING_REGIMES, "series"])
+    def test_data_is_closed_form_trajectory_materialized_on_each_read(self, regime):
+        chi, w, times = replay_times(regime)
+        rate = ChiRate(chi=chi, n_occ=0.3, omega_21=w)
+        traj = closed_form_replay(rate, times)
+        first = traj.data
+        assert first.tobytes() == closed_form_trajectory(rate, times).data.tobytes()
+        assert traj.data is not first and not first.flags.writeable
 
 
 def test_closed_form_holds_little_beyond_its_output():

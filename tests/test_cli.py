@@ -654,17 +654,21 @@ class TestValidationBoundary:
     @pytest.mark.parametrize(
         "command,payload,target",
         [
-            ("evolve", {**EVOLVE_CFG, "t_end": 1e9, "n_steps": 10**11}, "dqdsim.cli.time_grid"),
+            (
+                "evolve",
+                {**EVOLVE_CFG, "t_end": 1e9, "n_steps": 10**11},
+                "dqdsim.analysis.time_grid",
+            ),
             (
                 "spectral",
                 {"bath": PCPB, "grid": {"omega_min": 0, "omega_max": 0.1, "count": 3}},
                 "dqdsim.cli.spectral_density",
             ),
-            ("t2", EVOLVE_CFG, "dqdsim.analysis.closed_form_trajectory"),
+            ("t2", EVOLVE_CFG, "dqdsim.analysis.closed_form_replay"),
             (
                 "sweep",
                 {**_SWEEP, "t_end": 500.0, "n_steps": 5000},
-                "dqdsim.analysis.closed_form_trajectory",
+                "dqdsim.analysis.closed_form_replay",
             ),
         ],
         ids=["evolve", "spectral", "t2", "sweep"],
@@ -908,6 +912,13 @@ class TestTrajectoryTable:
         first, peak = allocation_peak(first_row)
         assert first == _whole_table_rows(run.closed, run.numeric, 1)[0]
         assert peak <= 2 * MiB
+
+    def test_fig5_sweep_holds_little(self, tmp_path, configs_dir):
+        # four 2e5-sample points with both engines, trajectory files thinned 80-fold
+        argv = ["sweep", "--config", str(configs_dir / "fig5.json"), "--out", str(tmp_path / "f.csv")]
+        code, peak = allocation_peak(lambda: main(argv))
+        assert code == 0 and len(list(tmp_path.glob("f_point*.csv"))) == 4
+        assert peak <= 10 * MiB
 
 
 class TestUsage:

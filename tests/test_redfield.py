@@ -1,3 +1,4 @@
+import functools
 import itertools
 import re
 
@@ -27,7 +28,8 @@ from dqdsim import (
     propagate_numeric,
     time_grid,
 )
-from dqdsim.redfield import propagate_powers, stride_powers
+from dqdsim.analytic import SAMPLE_BLOCK
+from dqdsim.redfield import ReplayedTrajectory, propagate_powers, replay_powers, stride_powers
 
 INDICES = (1, 2)
 
@@ -365,6 +367,82 @@ class TestOneProductPerBlock:
         got = propagate_powers(powers, rho0, time_grid(float(n_stored), n_stored))
         expected = per_matrix_blocks(powers, rho0.as_vector(), n_stored)
         assert got.data.tobytes() == expected.tobytes()
+
+
+# (chi, omega_21) of the three damping regimes, n = 0.3 throughout
+DAMPING_REGIMES = {"underdamped": (0.01, 0.1), "overdamped": (0.5, 0.1), "critical": (0.1, 0.1)}
+# two full sample blocks and a ragged tail
+REPLAY_SAMPLES = 2 * SAMPLE_BLOCK + 77
+# a row count that is not a multiple of the 64 power blocks, one that is, and one past a
+# sample block
+REPLAY_SIZES = [100, 1024, SAMPLE_BLOCK + 37]
+
+
+def decay_generator(chi: float, w: float, n: float) -> np.ndarray:
+    """A 4x4 Liouvillian with this model's structure: populations relax at 2 chi toward
+    (1+n)/(1+2n), coherences decay at -chi +- sqrt(chi^2 - w^2), so chi picks the regime."""
+    down, up = 2.0 * chi * (1.0 + n) / (1.0 + 2.0 * n), 2.0 * chi * n / (1.0 + 2.0 * n)
+    return np.array(
+        [
+            [-up, 0.0, 0.0, down],
+            [0.0, 1j * w - chi, chi, 0.0],
+            [0.0, chi, -1j * w - chi, 0.0],
+            [up, 0.0, 0.0, -down],
+        ]
+    )
+
+
+@functools.cache
+def replay_case(regime: str):
+    """Stride powers, grid and per-matrix reference samples of one damping regime."""
+    chi, w = DAMPING_REGIMES[regime]
+    n_stored = REPLAY_SAMPLES - 1
+    times = time_grid(20.0 / chi, n_stored)
+    powers = stride_powers(decay_generator(chi, w, 0.3)[None], times[1], 1, n_stored)[0]
+    return powers, times, per_matrix_blocks(powers, initial_state().as_vector(), n_stored)
+
+
+class TestReplayedRecurrence:
+    """replay_powers' blocks are the stored samples, bit for bit, at any size and thinning."""
+
+    @pytest.mark.parametrize("size", REPLAY_SIZES)
+    @pytest.mark.parametrize("every", [1, 3, 80])
+    @pytest.mark.parametrize("regime", list(DAMPING_REGIMES))
+    def test_blocks_are_the_stored_rows(self, regime, every, size):
+        powers, times, expected = replay_case(regime)
+        traj = replay_powers(powers, initial_state(), times)
+        blocks = [block.copy() for block in traj.blocks(size, every)]
+        assert [len(block) for block in blocks[:-1]] == [size] * (len(blocks) - 1)
+        assert 0 < len(blocks[-1]) <= size
+        assert np.concatenate(blocks).tobytes() == expected[::every].tobytes()
+
+    @pytest.mark.parametrize("regime", list(DAMPING_REGIMES))
+    def test_data_is_propagate_powers_materialized_on_each_read(self, regime):
+        powers, times, expected = replay_case(regime)
+        traj = replay_powers(powers, initial_state(), times)
+        assert isinstance(traj, ReplayedTrajectory) and len(traj) == REPLAY_SAMPLES
+        first = traj.data
+        stored = propagate_powers(powers, initial_state(), times).data
+        assert first.tobytes() == stored.tobytes() == expected.tobytes()
+        assert traj.data is not first and not first.flags.writeable
+
+    @pytest.mark.parametrize("n_stored", [1, 63, 64, 65])
+    @pytest.mark.parametrize("size", [1, 2, 64])
+    def test_short_grids_and_small_blocks(self, eig_default, n_stored, size):
+        L = liouvillian(build_tensor(eig_default, PiezoelectricBath(), 0.030), eig_default)
+        powers = stride_powers(L[None], 0.5, 1, n_stored)[0]
+        times = time_grid(0.5 * n_stored, n_stored)
+        expected = per_matrix_blocks(powers, initial_state().as_vector(), n_stored)
+        for every in (1, 2, 3):
+            blocks = replay_powers(powers, initial_state(), times).blocks(size, every)
+            got = np.concatenate([block.copy() for block in blocks])
+            assert got.tobytes() == expected[::every].tobytes()
+
+    def test_block_arguments_are_checked(self):
+        traj = Trajectory(np.arange(3.0), np.zeros((3, 4), dtype=complex))
+        for size, every in ((0, 1), (1, 0)):
+            with pytest.raises(ValueError, match="size and every must be >= 1"):
+                traj.blocks(size, every)
 
 
 class TestPropagation:
