@@ -6,7 +6,10 @@ finished point holds its trajectories as replays (the closed form on the
 grid, the RK4 recurrence from its stride powers and rho(0)) that compute
 their samples when read; one pass over them decides finiteness, folds the
 cross-engine discrepancy and keeps |rho12| of the T2 source, so the grid
-and that |rho12| are all it holds that is as long as the grid.
+and that |rho12| are all it holds that is as long as the grid.  On a grid
+of at most _STACK_ROWS samples a sweep replays the numeric samples of a
+group of its stack's points in one batched recurrence, and each point's
+pass reads its rows of that group; a longer grid's point replays its own.
 
 The decoherence time is defined as the 1/e time of the |rho12| envelope,
 T2 = 1/chi.  The empirical extractor recovers it from a sampled trajectory:
@@ -30,7 +33,7 @@ import numpy as np
 from .analytic import SAMPLE_BLOCK, ChiRate, chi_rate, closed_form_replay
 from .bath import BATH_KINDS, BathModel, OhmicBath
 from .redfield import Trajectory, build_tensor, check_step, check_time_grid, liouvillian
-from .redfield import replay_powers, stride_powers, time_grid
+from .redfield import replay_powers, replay_stack, stride_powers, time_grid
 from .system import EigenSystem, QubitParams, diagonalize, initial_state
 
 _DECAY_THRESHOLD = 0.5 * math.exp(-1.0)
@@ -45,6 +48,8 @@ TC_BINDING = 0.1
 
 # sweep points whose RK4 powers are built together, 16 KiB each
 _STACK_POINTS = 16
+# numeric samples a group of a stack's points replays together, 64 B each: 512 KiB
+_STACK_ROWS = 8192
 
 
 class NoDecoherenceError(ValueError):
@@ -272,7 +277,10 @@ def _sample_pass(closed: Optional[Trajectory], numeric: Optional[Trajectory]):
     the first engine, in that order, with a NaN or inf sample (None if there
     is none), and |rho12| of the T2 source, numeric preferred.  The block
     maxima are folded with np.maximum, which keeps a NaN from any block; a
-    finite block maximum implies both blocks are finite.
+    finite block maximum implies both blocks are finite.  The difference is
+    written over the numeric block once its |rho12| is read, so the numeric
+    blocks must be scratch; with the closed form's block finite, the
+    difference is non-finite where the numeric samples are.
     """
     named = [(name, traj) for name, traj in
              (("closed_form_trajectory", closed), ("numeric_trajectory", numeric))
@@ -283,7 +291,7 @@ def _sample_pass(closed: Optional[Trajectory], numeric: Optional[Trajectory]):
     for lo, blocks in zip(itertools.count(0, SAMPLE_BLOCK), readers):
         np.abs(blocks[-1][:, 1], out=amps[lo : lo + len(blocks[-1])])
         if len(blocks) == 2:
-            block_max = np.abs(blocks[0] - blocks[1]).max()
+            block_max = np.abs(np.subtract(*blocks, out=blocks[1])).max()
             max_abs_diff = block_max if max_abs_diff is None else np.maximum(max_abs_diff, block_max)
             if math.isfinite(block_max):
                 continue
@@ -329,14 +337,18 @@ def _stacked_powers(stack: list[_Prepared], t_end: float, n_steps: int, store_ev
     return stride_powers(generators, t_end / n_steps, store_every, len(stack[0].times) - 1)
 
 
-def _finish(prep: _Prepared, powers: Optional[np.ndarray]) -> PointEvaluation:
+def _finish(
+    prep: _Prepared, powers: Optional[np.ndarray], samples: Optional[np.ndarray] = None
+) -> PointEvaluation:
     """Second stage of a point: the engines' replays on the grid and one pass over them.
 
-    After the pass (_sample_pass), NonFiniteResultError names the first
-    engine with a NaN or inf sample before anything else reads them; the
-    pass leaves the cross-engine discrepancy and |rho12| of the T2 source.
-    The trajectories themselves are not stored: beyond the grid and that
-    |rho12|, nothing held is as long as the grid.
+    The pass (_sample_pass) reads the numeric samples from samples, the
+    point's rows of its group's replay_stack, when given, and replays them
+    from powers otherwise; it overwrites them.  After it, NonFiniteResultError
+    names the first engine with a NaN or inf sample before anything else
+    reads them; the pass leaves the cross-engine discrepancy and |rho12| of
+    the T2 source.  The trajectories themselves are not stored: beyond the
+    grid and that |rho12|, nothing held is as long as the grid.
     """
     if prep.times is None:
         return PointEvaluation(prep.eig, prep.rate)
@@ -345,7 +357,8 @@ def _finish(prep: _Prepared, powers: Optional[np.ndarray]) -> PointEvaluation:
         closed = closed_form_replay(prep.rate, prep.times)
     if powers is not None:
         numeric = replay_powers(powers, initial_state(), prep.times)
-    max_abs_diff, non_finite, abs_rho12 = _sample_pass(closed, numeric)
+    read = numeric if samples is None else Trajectory(prep.times, samples)
+    max_abs_diff, non_finite, abs_rho12 = _sample_pass(closed, read)
     if non_finite is not None:
         raise NonFiniteResultError(f"{non_finite} is not finite")
     _require_finite(max_abs_diff=max_abs_diff)
@@ -395,26 +408,44 @@ def _resolve_point(spec: SweepSpec, value: float) -> tuple[BathModel, float, flo
     return bath, float(temperature), tc
 
 
+def _group_buffer(spec: SweepSpec) -> Optional[np.ndarray]:
+    """Room for the numeric samples of a group of points, (K, N, 4) with K*N <= _STACK_ROWS.
+
+    None without the numeric engine, or on a grid longer than _STACK_ROWS,
+    where each point replays its own samples a block at a time.
+    """
+    if spec.t_end is None or spec.engine == "closed_form":
+        return None
+    n_samples = check_time_grid(spec.t_end, spec.n_steps, spec.store_every)[0] + 1
+    group = min(_STACK_ROWS // n_samples, _STACK_POINTS, len(spec.values))
+    return np.empty((group, n_samples, 4), dtype=complex) if group else None
+
+
 def run_sweep(
     spec: SweepSpec, each: Optional[Callable[[SweepPoint, PointEvaluation], None]] = None
 ) -> SweepResult:
     """Evaluate every swept value in order on the calling thread.
 
     The grid is built once; points are prepared _STACK_POINTS at a time,
-    their RK4 powers stacked, then finished in order.  each(point, run) gets
-    each finished point with its full-resolution trajectories, replayed
-    whenever they are read (a point stores only its grid and |rho12|), and
-    the point is dropped once each returns.  The returned points are the
-    whole result: the CLI's sweep summary is written from them.  The first failing point aborts the sweep
-    after the points before it reached each; the SweepError carries its
-    value, those points and, as __cause__, the point's exception.  Later
-    points of its stack may be prepared but get no trajectory.  Neither an
-    exception from each nor a MemoryError is a point failure: a grid too
+    their RK4 powers stacked, then finished in order.  On a grid of at most
+    _STACK_ROWS samples the numeric samples of a group of a stack's points,
+    as many as fit _STACK_ROWS rows, are replayed together into one buffer
+    that every group reuses, and each point's pass reads its rows.
+    each(point, run) gets each finished point with its full-resolution
+    trajectories, replayed whenever they are read (a point stores only its
+    grid and |rho12|), and the point is dropped once each returns.  The
+    returned points are the whole result: the CLI's sweep summary is written
+    from them.  The first failing point aborts the sweep after the points
+    before it reached each; the SweepError carries its value, those points
+    and, as __cause__, the point's exception.  Later points of its stack may
+    be prepared, and later points of its group may have had their numeric
+    samples replayed, but none of them gets a pass or reaches each.  Neither
+    an exception from each nor a MemoryError is a point failure: a grid too
     large for memory fails every point alike, so both propagate as they are.
     """
     points: list[SweepPoint] = []
     grid = (spec.t_end, spec.n_steps, spec.store_every)
-    times = None
+    times, buffer = None, _group_buffer(spec)
     for start in range(0, len(spec.values), _STACK_POINTS):
         stack, failure = [], None
         for i in range(start, min(start + _STACK_POINTS, len(spec.values))):
@@ -427,9 +458,13 @@ def run_sweep(
                 failure = (i, exc)
                 break
             times = stack[-1].times
-        for i, (prep, powers) in enumerate(zip(stack, _stacked_powers(stack, *grid)), start):
+        stack_powers = _stacked_powers(stack, *grid)
+        for i, (prep, powers) in enumerate(zip(stack, stack_powers), start):
             try:
-                run = _finish(prep, powers)
+                if buffer is not None and (i - start) % len(buffer) == 0:
+                    group = stack_powers[i - start : i - start + len(buffer)]
+                    samples = iter(replay_stack(group, initial_state(), buffer[: len(group)]))
+                run = _finish(prep, powers, None if buffer is None else next(samples))
                 t2s = decoherence_times(run)
             except MemoryError:
                 raise

@@ -24,15 +24,17 @@ coupling is kept.
 
 Propagation is fixed-step RK4 on d y/dt = L y: the B stacked powers of the RK4
 stride map, one (4B, 4) matrix, advance a block of B samples per matrix-vector
-product.  They are built for K generators at once, one set-up per sweep stack.
-From a generator's powers and rho(0) the samples are a replayed trajectory:
-the block recurrence runs again each time they are read, a block at a time,
-so they are never stored; propagate_powers materializes them.
+product.  They are built for K generators at once, one set-up per sweep stack,
+and one block recurrence advances any such stack: a (K, 4B, 4) x (K, 4, 1)
+product per block of B.  replay_stack runs it for a group of generators into
+one buffer.  From one generator's powers and rho(0) the samples are a replayed
+trajectory, the recurrence's K = 1 case: it runs again each time they are
+read, a block at a time, so they are never stored; propagate_powers
+materializes them.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -304,7 +306,12 @@ def stride_powers(L: np.ndarray, h: float, store_every: int, n_stored: int) -> n
 
 def replay_powers(powers: np.ndarray, rho0: DensityMatrix, times: np.ndarray) -> Trajectory:
     """The samples on a time_grid from one generator's stride powers (B, 4, 4), replayed when read."""
-    blocks = functools.partial(_rk4_blocks, powers, rho0.as_vector(), len(times) - 1)
+    stack, y0, n_stored = powers[None], rho0.as_vector(), len(times) - 1
+
+    def blocks(size: int, every: int) -> Iterator[np.ndarray]:
+        for block in _rk4_blocks(stack, y0, n_stored, size, every):
+            yield block[0]
+
     return ReplayedTrajectory(times, blocks)
 
 
@@ -313,45 +320,68 @@ def propagate_powers(powers: np.ndarray, rho0: DensityMatrix, times: np.ndarray)
     return Trajectory(times, replay_powers(powers, rho0, times).data)
 
 
-def _rk4_blocks(powers: np.ndarray, rho0: np.ndarray, n_stored: int, size: int, every: int):
-    """Every every-th sample of the RK4 block recurrence, size rows at a time.
+def replay_stack(powers: np.ndarray, rho0: DensityMatrix, out: np.ndarray) -> np.ndarray:
+    """Every sample of K generators' stride powers (K, B, 4, 4), written into out (K, N, 4).
 
-    Sample Bj + i (i = 1..B) is stride power i applied to sample Bj, one
-    (4B, 4) x (4,) product per block of B.  The blocks share one buffer of
-    min(size, samples) rows.  Products fill a window of _WINDOW_BLOCKS
-    blocks whose kept samples are copied out, so a thinned read does not
-    hold the samples it skips beyond the window.
+    Sample rows out[k] are replay_powers' samples for powers[k], bit for bit.
     """
-    block = len(powers)
-    rows = powers.reshape(-1, 4)  # a view for C-contiguous powers: row 4j+r is row r of power j
-    out = np.empty((min(size, n_stored // every + 1), 4), dtype=complex)
-    out[0] = rho0
+    (samples,) = _rk4_blocks(powers, rho0.as_vector(), out.shape[1] - 1, out.shape[1], 1, out)
+    return samples
+
+
+def _rk4_blocks(
+    powers: np.ndarray,
+    rho0: np.ndarray,
+    n_stored: int,
+    size: int,
+    every: int,
+    out: np.ndarray | None = None,
+) -> Iterator[np.ndarray]:
+    """Every every-th sample of K RK4 block recurrences, (K, size, 4) at a time.
+
+    Sample Bj + i (i = 1..B) of generator k is its stride power i applied to
+    its sample Bj: one (K, 4B, 4) x (K, 4, 1) product per block of B advances
+    all K generators.  The blocks share one buffer (out, when given) of
+    min(size, samples) rows per generator.  Products fill a window of
+    _WINDOW_BLOCKS blocks whose kept samples are copied out, so a thinned
+    read does not hold the samples it skips beyond the window.
+    """
+    stack, block = powers.shape[:2]
+    # a view for C-contiguous powers: row 4j+r of rows[k] is row r of power j of generator k
+    rows = powers.reshape(stack, -1, 4)
+    if out is None:
+        out = np.empty((stack, min(size, n_stored // every + 1), 4), dtype=complex)
+    out[:, 0] = rho0
     k = 1  # rows of out filled
 
     def copy_out(kept: np.ndarray):
         nonlocal k
-        while len(kept):
-            if k == len(out):
+        lo, n_kept, n_out = 0, kept.shape[1], out.shape[1]
+        while lo < n_kept:
+            if k == n_out:
                 yield out
                 k = 0
-            n = min(len(kept), len(out) - k)
-            out[k : k + n] = kept[:n]
-            kept, k = kept[n:], k + n
+            n = min(n_kept - lo, n_out - k)
+            out[:, k : k + n] = kept[:, lo : lo + n]
+            lo, k = lo + n, k + n
 
-    window = np.empty((min(n_stored, block * _WINDOW_BLOCKS) + 1, 4), dtype=complex)
-    window_flat = window.reshape(-1)
-    window[0] = rho0
-    base, w = 0, 1  # window row r holds sample base + r; rows filled
+    # window[:, r] holds sample base + r as a (4, 1) column, a product's operand; rows
+    # 4r..4r+3 of products are the same sample, a product's output
+    window = np.empty((stack, min(n_stored, block * _WINDOW_BLOCKS) + 1, 4, 1), dtype=complex)
+    products, samples = window.reshape(stack, -1, 1), window[..., 0]
+    samples[:, 0] = rho0
+    base, w, limit = 0, 1, window.shape[1]  # w: rows filled
     for filled in range(0, n_stored, block):
         take = min(block, n_stored - filled)
-        if w + take > len(window):
-            yield from copy_out(window[(-base - 1) % every + 1 : w : every])
-            window[0] = window[w - 1]
+        if w + take > limit:
+            yield from copy_out(samples[:, (-base - 1) % every + 1 : w : every])
+            window[:, 0] = window[:, w - 1]
             base, w = base + w - 1, 1
-        np.matmul(rows[: 4 * take], window[w - 1], out=window_flat[4 * w : 4 * (w + take)])
+        np.matmul(rows if take == block else rows[:, : 4 * take], window[:, w - 1],
+                  out=products[:, 4 * w : 4 * (w + take)])
         w += take
-    yield from copy_out(window[(-base - 1) % every + 1 : w : every])
-    yield out[:k]
+    yield from copy_out(samples[:, (-base - 1) % every + 1 : w : every])
+    yield out[:, :k]
 
 
 def propagate_numeric(

@@ -1,3 +1,4 @@
+import itertools
 import math
 import threading
 import weakref
@@ -261,11 +262,11 @@ class TestRunSweep:
         handed_out = []
         finish = analysis._finish
 
-        def recording(prep, powers):
+        def recording(prep, *args):
             events.append(("evaluate", prep.temperature))
             # earlier points' trajectories are released before the next is evaluated
             assert all(ref() is None for ref in handed_out)
-            return finish(prep, powers)
+            return finish(prep, *args)
 
         def each(point, run):
             events.append(("each", point.temperature))
@@ -396,6 +397,114 @@ class TestStackedSweep:
         assert isinstance(err.value.__cause__, cause)
         assert str(err.value).startswith(f"sweep failed at {spec.swept_parameter}={value}: ")
         assert len(propagated) == trajectories
+
+
+def _one_point_rows(spec: SweepSpec, count: int) -> list:
+    """(row, closed bytes, numeric bytes) of the spec's first count values, each evaluated alone."""
+    rows = []
+    for i, value in enumerate(spec.values[:count]):
+        bath, temperature, tc = analysis._resolve_point(spec, value)
+        grid = (spec.t_end, spec.n_steps, spec.store_every)
+        alone = analysis.evaluate_point(bath, temperature, tc, spec.engine, *grid)
+        point = SweepPoint(
+            i, spec.swept_parameter, value, alone.eig.omega_21, temperature, alone.rate.chi,
+            alone.rate.n_occ, *decoherence_times(alone), alone.max_abs_diff,
+        )
+        rows.append((repr(point), alone.closed.data.tobytes(), alone.numeric.data.tobytes()))
+    return rows
+
+
+def _poison(monkeypatch, engine: str, row: int) -> None:
+    """A NaN as the last rho12 the finishing pass reads from one point's engine: the point at
+    row of the first group for the numeric engine, the row-th point finished for the closed form."""
+    if engine == "numeric_trajectory":
+        replay_stack, groups = analysis.replay_stack, itertools.count()
+
+        def poisoned(powers, rho0, out):
+            samples = replay_stack(powers, rho0, out)
+            if next(groups) == 0:
+                samples[row, -1, 1] = math.nan
+            return samples
+
+        monkeypatch.setattr(analysis, "replay_stack", poisoned)
+    else:
+        replay, points = analysis.closed_form_replay, itertools.count()
+
+        def poisoned(rate, times):
+            traj = replay(rate, times)
+            if next(points) != row:
+                return traj
+            data = traj.data.copy()
+            data[-1, 1] = math.nan
+            return Trajectory(traj.times, data)
+
+        monkeypatch.setattr(analysis, "closed_form_replay", poisoned)
+
+
+def _run_recording(spec: SweepSpec):
+    """run_sweep's SweepError and the (row, closed bytes, numeric bytes) each saw before it."""
+    seen = []
+
+    def each(point, run):
+        seen.append((repr(point), run.closed.data.tobytes(), run.numeric.data.tobytes()))
+
+    with pytest.raises(SweepError) as err:
+        run_sweep(spec, each)
+    return err.value, seen
+
+
+# 2001 samples: groups of 4 points, 8192 // 2001
+GROUP_GRID = dict(t_end=1000.0, n_steps=4000, store_every=2, engine="both")
+
+
+class TestGroupedFinish:
+    """A group's numeric samples are replayed together; its points are still finished in order."""
+
+    @pytest.mark.parametrize("j", [0, 2, 3])
+    @pytest.mark.parametrize("engine", ["closed_form_trajectory", "numeric_trajectory"])
+    def test_non_finite_point_of_a_group(self, monkeypatch, engine, j):
+        values = np.geomspace(0.03, 1.0, 6).tolist()
+        spec = _sweep(PiezoelectricBath(), "temperature", values, **GROUP_GRID)
+        expected = _one_point_rows(spec, j)
+        with monkeypatch.context() as patch:
+            _poison(patch, engine, 0)
+            alone, _ = _run_recording(_sweep(PiezoelectricBath(), "temperature", [values[j]],
+                                             **GROUP_GRID))
+        _poison(monkeypatch, engine, j)
+        err, seen = _run_recording(spec)
+        assert seen == expected  # points 0..j-1, as if alone; no later point
+        assert err.value == values[j]
+        assert [repr(point) for point in err.partial.points] == [row for row, _, _ in expected]
+        assert isinstance(err.__cause__, NonFiniteResultError)
+        assert str(err.__cause__) == str(alone.__cause__) == f"{engine} is not finite"
+
+    def test_too_short_point_of_a_group(self):
+        # strongly overdamped from eta ~ 260 on: |rho12| barely decays in 300 ps; 601 samples
+        values = np.geomspace(1.0, 180.0, 3).tolist() + [260.0, 360.0, 500.0]
+        fixed = dict(temperature=0.030, tunneling_Tc=0.05, t_end=300.0, n_steps=12000,
+                     store_every=20, engine="both")
+        spec = _sweep(OhmicBath(eta=1.0), "eta", values, **fixed)
+        err, seen = _run_recording(spec)
+        alone, _ = _run_recording(_sweep(OhmicBath(eta=1.0), "eta", [260.0], **fixed))
+        assert seen == _one_point_rows(spec, 3)
+        assert err.value == 260.0
+        assert [repr(point) for point in err.partial.points] == [row for row, _, _ in seen]
+        assert isinstance(err.__cause__, TrajectoryTooShortError)
+        assert str(err.__cause__) == str(alone.__cause__)
+
+    def test_a_group_holds_its_samples_not_the_stack(self):
+        # 16 points on a 2501-sample grid: groups of 3, 8192 // 2501
+        grid = dict(t_end=2500.0, n_steps=5000, store_every=2)
+        values = np.geomspace(0.02, 1.0, 16).tolist()
+        args = (PiezoelectricBath(), values[0], 0.05, "both")
+        _, one_point = allocation_peak(lambda: analysis.evaluate_point(*args, **grid))
+        spec = _sweep(PiezoelectricBath(), "temperature", values, engine="both", **grid)
+        result, peak = allocation_peak(lambda: run_sweep(spec))
+        assert len(result.points) == 16
+        # the stride powers of all 16 points, built together before the first group
+        stack_powers = 16 * 64 * 16 * np.dtype(complex).itemsize
+        # a group's 8192 numeric rows are 512 KiB; the 16 points' samples would be 2.4 MiB
+        assert peak <= MiB // 2 + one_point + stack_powers
 
 
 # two full sample blocks and a ragged tail

@@ -29,7 +29,8 @@ from dqdsim import (
     time_grid,
 )
 from dqdsim.analytic import SAMPLE_BLOCK
-from dqdsim.redfield import ReplayedTrajectory, propagate_powers, replay_powers, stride_powers
+from dqdsim.redfield import ReplayedTrajectory, _rk4_blocks, propagate_powers, replay_powers
+from dqdsim.redfield import replay_stack, stride_powers
 
 INDICES = (1, 2)
 
@@ -443,6 +444,51 @@ class TestReplayedRecurrence:
         for size, every in ((0, 1), (1, 0)):
             with pytest.raises(ValueError, match="size and every must be >= 1"):
                 traj.blocks(size, every)
+
+
+# past three windows of 16 power blocks, with a ragged last power block of 13
+STACK_SAMPLES = 3 * 1024 + 78
+
+
+@functools.cache
+def stack_case(stack: int):
+    """Stride powers (stack, 64, 4, 4) cycling through the damping regimes, and each one's
+    per-matrix reference samples; generator j is its regime's scaled by 1 + j/8."""
+    regimes = list(DAMPING_REGIMES.values())
+    generators = np.stack(
+        [decay_generator(chi * (1 + j / 8), w * (1 + j / 8), 0.3)
+         for j, (chi, w) in zip(range(stack), itertools.cycle(regimes))]
+    )
+    n_stored = STACK_SAMPLES - 1
+    powers = stride_powers(generators, 0.03, 1, n_stored)
+    return powers, [per_matrix_blocks(p, initial_state().as_vector(), n_stored) for p in powers]
+
+
+class TestStackedRecurrence:
+    """The recurrence of a stack of generators gives each one's per-matrix samples, bit for bit."""
+
+    @pytest.mark.parametrize("size", [100, 1024 + 37])
+    @pytest.mark.parametrize("every", [1, 3, 80])
+    @pytest.mark.parametrize("stack", [1, 2, 3, 16])
+    def test_blocks_are_each_generators_reference(self, stack, every, size):
+        powers, expected = stack_case(stack)
+        y0 = initial_state().as_vector()
+        blocks = [block.copy() for block in _rk4_blocks(powers, y0, STACK_SAMPLES - 1, size, every)]
+        assert [block.shape for block in blocks[:-1]] == [(stack, size, 4)] * (len(blocks) - 1)
+        assert blocks[-1].shape[0] == stack and 0 < blocks[-1].shape[1] <= size
+        got = np.concatenate(blocks, axis=1)
+        for samples, reference in zip(got, expected, strict=True):
+            assert samples.tobytes() == reference[::every].tobytes()
+
+    @pytest.mark.parametrize("stack", [1, 2, 3, 16])
+    def test_replay_stack_fills_its_buffer(self, stack):
+        powers, expected = stack_case(stack)
+        out = np.empty((stack, STACK_SAMPLES, 4), dtype=complex)
+        got = replay_stack(powers, initial_state(), out)
+        assert got.shape == out.shape and np.shares_memory(got, out)
+        assert got.tobytes() == np.stack(expected).tobytes()
+        alone = replay_powers(powers[-1], initial_state(), time_grid(1.0, STACK_SAMPLES - 1))
+        assert alone.data.tobytes() == expected[-1].tobytes()
 
 
 class TestPropagation:
