@@ -4,12 +4,14 @@ A point is prepared (chi, grid, step guard), its RK4 powers built in a stack
 of points, then it is finished; evaluate_point is a stack of one.  A
 finished point holds its trajectories as replays (the closed form on the
 grid, the RK4 recurrence from its stride powers and rho(0)) that compute
-their samples when read; one pass over them decides finiteness, folds the
-cross-engine discrepancy and keeps |rho12| of the T2 source, so the grid
-and that |rho12| are all it holds that is as long as the grid.  On a grid
-of at most _STACK_ROWS samples a sweep replays the numeric samples of a
-group of its stack's points in one batched recurrence, and each point's
-pass reads its rows of that group; a longer grid's point replays its own.
+their samples when read; one pass over them, a window of SAMPLE_BLOCK
+samples at a time, decides finiteness, folds the cross-engine discrepancy
+and keeps |rho12| of the T2 source, so the grid and that |rho12| are all it
+holds that is as long as the grid.  On a grid of N <= SAMPLE_BLOCK samples
+a sweep replays the numeric samples of a group of up to SAMPLE_BLOCK // N
+of its stack's points in one batched recurrence, in one window it reuses, and
+each point's pass reads its rows of that group; a longer grid's point
+replays its own.
 
 The decoherence time is defined as the 1/e time of the |rho12| envelope,
 T2 = 1/chi.  The empirical extractor recovers it from a sampled trajectory:
@@ -30,10 +32,10 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .analytic import SAMPLE_BLOCK, ChiRate, chi_rate, closed_form_replay
+from .analytic import ChiRate, chi_rate, closed_form_replay
 from .bath import BATH_KINDS, BathModel, OhmicBath
-from .redfield import Trajectory, build_tensor, check_step, check_time_grid, liouvillian
-from .redfield import replay_powers, replay_stack, stride_powers, time_grid
+from .redfield import SAMPLE_BLOCK, Trajectory, build_tensor, check_step, check_time_grid
+from .redfield import liouvillian, replay_powers, replay_stack, stride_powers, time_grid
 from .system import EigenSystem, QubitParams, diagonalize, initial_state
 
 _DECAY_THRESHOLD = 0.5 * math.exp(-1.0)
@@ -48,8 +50,6 @@ TC_BINDING = 0.1
 
 # sweep points whose RK4 powers are built together, 16 KiB each
 _STACK_POINTS = 16
-# numeric samples a group of a stack's points replays together, 64 B each: 512 KiB
-_STACK_ROWS = 8192
 
 
 class NoDecoherenceError(ValueError):
@@ -270,8 +270,8 @@ def _all_finite(data: np.ndarray) -> bool:
     return all(math.isfinite(p.min()) and math.isfinite(p.max()) for p in (data.real, data.imag))
 
 
-def _sample_pass(closed: Optional[Trajectory], numeric: Optional[Trajectory]):
-    """One in-order pass over the engines' samples, SAMPLE_BLOCK at a time.
+def _sample_pass(n_samples: int, closed, numeric):
+    """One in-order pass over the engines' blocks (None or as Trajectory.blocks() yields them).
 
     Returns max |closed - numeric| (None unless both are given), the name of
     the first engine, in that order, with a NaN or inf sample (None if there
@@ -282,13 +282,12 @@ def _sample_pass(closed: Optional[Trajectory], numeric: Optional[Trajectory]):
     blocks must be scratch; with the closed form's block finite, the
     difference is non-finite where the numeric samples are.
     """
-    named = [(name, traj) for name, traj in
+    named = [(name, blocks) for name, blocks in
              (("closed_form_trajectory", closed), ("numeric_trajectory", numeric))
-             if traj is not None]
-    amps = np.empty(len(named[-1][1]))
+             if blocks is not None]
+    amps = np.empty(n_samples)
     max_abs_diff, non_finite = None, set()
-    readers = zip(*(traj.blocks(SAMPLE_BLOCK) for _, traj in named))
-    for lo, blocks in zip(itertools.count(0, SAMPLE_BLOCK), readers):
+    for lo, blocks in zip(itertools.count(0, SAMPLE_BLOCK), zip(*(b for _, b in named))):
         np.abs(blocks[-1][:, 1], out=amps[lo : lo + len(blocks[-1])])
         if len(blocks) == 2:
             block_max = np.abs(np.subtract(*blocks, out=blocks[1])).max()
@@ -357,8 +356,10 @@ def _finish(
         closed = closed_form_replay(prep.rate, prep.times)
     if powers is not None:
         numeric = replay_powers(powers, initial_state(), prep.times)
-    read = numeric if samples is None else Trajectory(prep.times, samples)
-    max_abs_diff, non_finite, abs_rho12 = _sample_pass(closed, read)
+    read = [None if traj is None else traj.blocks() for traj in (closed, numeric)]
+    if samples is not None:
+        read[1] = [samples]
+    max_abs_diff, non_finite, abs_rho12 = _sample_pass(len(prep.times), *read)
     if non_finite is not None:
         raise NonFiniteResultError(f"{non_finite} is not finite")
     _require_finite(max_abs_diff=max_abs_diff)
@@ -408,16 +409,16 @@ def _resolve_point(spec: SweepSpec, value: float) -> tuple[BathModel, float, flo
     return bath, float(temperature), tc
 
 
-def _group_buffer(spec: SweepSpec) -> Optional[np.ndarray]:
-    """Room for the numeric samples of a group of points, (K, N, 4) with K*N <= _STACK_ROWS.
+def _group_window(spec: SweepSpec) -> Optional[np.ndarray]:
+    """The window a group of points replays its numeric samples in: (K, N, 4), K*N <= SAMPLE_BLOCK.
 
-    None without the numeric engine, or on a grid longer than _STACK_ROWS,
-    where each point replays its own samples a block at a time.
+    None without the numeric engine, or on a grid longer than SAMPLE_BLOCK,
+    where each point replays its own samples a window at a time.
     """
     if spec.t_end is None or spec.engine == "closed_form":
         return None
     n_samples = check_time_grid(spec.t_end, spec.n_steps, spec.store_every)[0] + 1
-    group = min(_STACK_ROWS // n_samples, _STACK_POINTS, len(spec.values))
+    group = min(SAMPLE_BLOCK // n_samples, _STACK_POINTS, len(spec.values))
     return np.empty((group, n_samples, 4), dtype=complex) if group else None
 
 
@@ -428,8 +429,8 @@ def run_sweep(
 
     The grid is built once; points are prepared _STACK_POINTS at a time,
     their RK4 powers stacked, then finished in order.  On a grid of at most
-    _STACK_ROWS samples the numeric samples of a group of a stack's points,
-    as many as fit _STACK_ROWS rows, are replayed together into one buffer
+    SAMPLE_BLOCK samples the numeric samples of a group of a stack's points,
+    as many as fit SAMPLE_BLOCK rows, are replayed together in one window
     that every group reuses, and each point's pass reads its rows.
     each(point, run) gets each finished point with its full-resolution
     trajectories, replayed whenever they are read (a point stores only its
@@ -445,7 +446,7 @@ def run_sweep(
     """
     points: list[SweepPoint] = []
     grid = (spec.t_end, spec.n_steps, spec.store_every)
-    times, buffer = None, _group_buffer(spec)
+    times, window = None, _group_window(spec)
     for start in range(0, len(spec.values), _STACK_POINTS):
         stack, failure = [], None
         for i in range(start, min(start + _STACK_POINTS, len(spec.values))):
@@ -461,10 +462,10 @@ def run_sweep(
         stack_powers = _stacked_powers(stack, *grid)
         for i, (prep, powers) in enumerate(zip(stack, stack_powers), start):
             try:
-                if buffer is not None and (i - start) % len(buffer) == 0:
-                    group = stack_powers[i - start : i - start + len(buffer)]
-                    samples = iter(replay_stack(group, initial_state(), buffer[: len(group)]))
-                run = _finish(prep, powers, None if buffer is None else next(samples))
+                if window is not None and (i - start) % len(window) == 0:
+                    group = stack_powers[i - start : i - start + len(window)]
+                    samples = iter(replay_stack(group, initial_state(), window[: len(group)]))
+                run = _finish(prep, powers, None if window is None else next(samples))
                 t2s = decoherence_times(run)
             except MemoryError:
                 raise

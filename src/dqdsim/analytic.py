@@ -12,8 +12,9 @@ and critically damped (s -> 0) regimes; a series branch protects the s -> 0
 limit.  Underdamped, the exponentials are conjugates: one complex exp per
 sample.  The implied initial state is every element equal to 1/2.  On a
 time grid the closed form is a replayed trajectory: its samples are
-evaluated when they are read, SAMPLE_BLOCK at a time, and are not stored;
-closed_form_trajectory materializes them into one (N, 4) array.
+evaluated when they are read, the kept samples of one window of
+SAMPLE_BLOCK at a time, and are not stored; closed_form_trajectory
+materializes them into one (N, 4) array.
 """
 
 from __future__ import annotations
@@ -25,14 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import BathModel, bose_occupation, spectral_density
-from .redfield import ReplayedTrajectory, Trajectory
+from .redfield import SAMPLE_BLOCK, ReplayedTrajectory, Trajectory, sample_windows
 from .system import DensityMatrix, EigenSystem
 
 # |s*t| below which the sinh/cosh series replaces the exponential pair.
 _SERIES_THRESHOLD = 1e-4
-# samples evaluated together: the closed form, and a point's pass over its
-# engines, hold no other array longer than this
-SAMPLE_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -60,36 +58,31 @@ def chi_rate(eig: EigenSystem, bath: BathModel, temperature: float) -> ChiRate:
 
 
 def closed_form_replay(rate: ChiRate, times: np.ndarray) -> Trajectory:
-    """The closed form on a time grid, evaluated when read.
+    """The closed form on a time_grid, evaluated when read; the grid is not checked again.
 
     Every expression acts sample by sample, so a block's values are
-    bit-identical to a whole-grid evaluation's, whatever the block size and
-    thinning.
+    bit-identical to a whole-grid evaluation's, whatever the thinning.
     """
+    return ReplayedTrajectory(times, functools.partial(_closed_form_blocks, rate, times))
+
+
+def closed_form_trajectory(rate: ChiRate, times: np.ndarray) -> Trajectory:
+    """The closed form at any times >= 0, stored; only the (N, 4) result is as long as them."""
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or len(t) == 0:
         raise ValueError("times must be a non-empty 1-d array")
     if np.any(t < 0):
         raise ValueError("times must be >= 0")
-    return ReplayedTrajectory(t, functools.partial(_closed_form_blocks, rate, t))
+    return Trajectory(t, closed_form_replay(rate, t).data)
 
 
-def closed_form_trajectory(rate: ChiRate, times: np.ndarray) -> Trajectory:
-    """closed_form_replay's samples, stored; only the (N, 4) result is as long as the grid."""
-    replay = closed_form_replay(rate, times)
-    return Trajectory(replay.times, replay.data)
-
-
-def _closed_form_blocks(rate: ChiRate, times: np.ndarray, size: int, every: int):
-    """Every every-th sample, size rows at a time in one buffer, SAMPLE_BLOCK evaluated at once."""
-    t = times[::every]
-    out = np.empty((min(size, len(t)), 4), dtype=complex)
-    for lo in range(0, len(t), size):
-        block = out[: min(size, len(t) - lo)]
-        for sub in range(0, len(block), SAMPLE_BLOCK):
-            hi = min(sub + SAMPLE_BLOCK, len(block))
-            _fill_block(rate, t[lo + sub : lo + hi], block[sub:hi])
-        yield block
+def _closed_form_blocks(rate: ChiRate, times: np.ndarray, every: int):
+    """The every-th samples of each window, evaluated together into one buffer."""
+    out = np.empty((len(times[:SAMPLE_BLOCK:every]), 4), dtype=complex)
+    for kept in sample_windows(len(times), every):
+        t = times[kept]
+        _fill_block(rate, t, out[: len(t)])
+        yield out[: len(t)]
 
 
 def _fill_block(rate: ChiRate, t: np.ndarray, out: np.ndarray) -> None:

@@ -244,8 +244,9 @@ def _emit_table(fmt, out, meta, columns, rows: Iterable[tuple], max_abs_diff=Non
     print as np.float64(...) under %r), other cells are rendered first.  Rows
     are drawn from the iterator and written _ROWS_PER_WRITE at a time, so the
     text is never held whole, and neither are the rows of a generator such as
-    _trajectory_table's, whose replayed trajectories are computed as the rows
-    are drawn.  out is opened once the first row is made.
+    _trajectory_table's, whose replayed trajectories are computed a window of
+    SAMPLE_BLOCK samples at a time as the rows are drawn.  out is opened once
+    the first row is made.
     """
     rows = iter(rows)
     first = next(rows)
@@ -289,23 +290,25 @@ def _emit_table(fmt, out, meta, columns, rows: Iterable[tuple], max_abs_diff=Non
 def _trajectory_table(closed: Optional[Trajectory], numeric: Optional[Trajectory], every=1):
     """Columns and every every-th row of a trajectory; numeric columns follow with both.
 
-    The rows are a generator that reads the engines' blocks together, so it
-    makes them _ROWS_PER_WRITE at a time and a replayed trajectory is
-    computed as they are drawn.
+    The rows are a generator that reads the engines' blocks together, a
+    window at a time, and makes them _ROWS_PER_WRITE at a time from each
+    window, so a replayed trajectory is computed as they are drawn.
     """
     parts = [traj for traj in (closed, numeric) if traj is not None]
     columns = _TRAJECTORY_COLUMNS + (_NUMERIC_COLUMNS if len(parts) == 2 else ())
 
     def rows():
-        span = _ROWS_PER_WRITE * every
-        readers = zip(*(traj.blocks(_ROWS_PER_WRITE, every) for traj in parts))
-        for start, blocks in zip(itertools.count(0, span), readers):
-            values = [parts[0].times[start : start + span : every]]
-            for block in blocks:
-                re, im = block[:, 1].real, block[:, 1].imag
-                # np.hypot gives abs(complex) bit for bit; np.abs differs in the last bit
-                values += [block[:, 0].real, block[:, 3].real, re, im, np.hypot(re, im)]
-            yield from zip(*(v.tolist() for v in values))
+        kept = parts[0].times[::every]
+        for blocks in zip(*(traj.blocks(every) for traj in parts)):
+            window, kept = kept[: len(blocks[0])], kept[len(blocks[0]) :]
+            for lo in range(0, len(window), _ROWS_PER_WRITE):
+                values = [window[lo : lo + _ROWS_PER_WRITE]]
+                for block in blocks:
+                    part = block[lo : lo + _ROWS_PER_WRITE]
+                    re, im = part[:, 1].real, part[:, 1].imag
+                    # np.hypot gives abs(complex) bit for bit; np.abs differs in the last bit
+                    values += [part[:, 0].real, part[:, 3].real, re, im, np.hypot(re, im)]
+                yield from zip(*(v.tolist() for v in values))
 
     return columns, rows()
 

@@ -26,16 +26,19 @@ Propagation is fixed-step RK4 on d y/dt = L y: the B stacked powers of the RK4
 stride map, one (4B, 4) matrix, advance a block of B samples per matrix-vector
 product.  They are built for K generators at once, one set-up per sweep stack,
 and one block recurrence advances any such stack: a (K, 4B, 4) x (K, 4, 1)
-product per block of B.  replay_stack runs it for a group of generators into
-one buffer.  From one generator's powers and rho(0) the samples are a replayed
+product per block of B.  Every read of a trajectory walks the same windows of
+SAMPLE_BLOCK samples; the recurrence fills one window of K generators at a
+time, and replay_stack runs it for a group of generators whose grids fit one
+window.  From one generator's powers and rho(0) the samples are a replayed
 trajectory, the recurrence's K = 1 case: it runs again each time they are
-read, a block at a time, so they are never stored; propagate_powers
+read, a window at a time, so they are never stored; propagate_powers
 materializes them.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -47,8 +50,9 @@ from .system import DensityMatrix, EigenSystem
 # Accuracy/stability guard for the fixed-step integrator.
 _MAX_STEP_PRODUCT = 0.1
 _POWER_BLOCK = 64
-# power blocks a replay computes before it copies out the samples it keeps
-_WINDOW_BLOCKS = 16
+# samples in a window, a multiple of _POWER_BLOCK: every read of a trajectory walks one
+# window at a time, and a window holds one point of a long grid or a group of short ones
+SAMPLE_BLOCK = 1 << 13
 # the longest float64 array np.arange and np.linspace accept: probed near 2**60 with
 # numpy 2.4.6, both refuse 2**60 - 64 on with an unnamed "array is too big"
 MAX_FLOATS = np.iinfo(np.intp).max // np.dtype(float).itemsize - 64
@@ -82,26 +86,30 @@ class Trajectory:
     """
 
     def __init__(self, times: np.ndarray, data: np.ndarray) -> None:
-        self.times = _sample_times(times, len(data))
+        if len(times) == 0:
+            raise ValueError("trajectory must be non-empty")
+        if len(times) != len(data):
+            raise ValueError("times and data lengths differ")
+        if not (times[1:] > times[:-1]).all():
+            raise ValueError("times must be strictly increasing")
+        self.times = times
         self._data = data
 
     def __len__(self) -> int:
         return len(self.times)
 
-    def blocks(self, size: int, every: int = 1) -> Iterator[np.ndarray]:
-        """Every every-th sample, in order, size rows at a time.
+    def blocks(self, every: int = 1) -> Iterator[np.ndarray]:
+        """The every-th samples of each window of SAMPLE_BLOCK samples, in order.
 
-        A block is valid until the next one is drawn: a computed trajectory
-        refills one buffer of min(size, samples) rows.
+        A block is valid until the next one is drawn: a replay refills one
+        window.
         """
-        if size < 1 or every < 1:
-            raise ValueError(f"size and every must be >= 1, got {size} and {every}")
-        return self._blocks(size, every)
+        if every < 1:
+            raise ValueError(f"every must be >= 1, got {every}")
+        return self._blocks(every)
 
-    def _blocks(self, size: int, every: int) -> Iterator[np.ndarray]:
-        span = size * every
-        for lo in range(0, len(self), span):
-            yield self._data[lo : lo + span : every]
+    def _blocks(self, every: int) -> Iterator[np.ndarray]:
+        return (self._data[kept] for kept in sample_windows(len(self), every))
 
     @property
     def data(self) -> np.ndarray:
@@ -132,8 +140,9 @@ class Trajectory:
 
 
 class ReplayedTrajectory(Trajectory):
-    """A trajectory whose samples source(size, every) computes each time they are read.
+    """A trajectory whose samples source(every) computes each time they are read.
 
+    The times are a time_grid's, already checked, and are not checked again.
     Nothing as long as the grid is held but the grid itself.  data
     materializes every sample on each access; it is not cached, and every
     accessor built on it (state, states, rho11, rho22, rho12, abs_rho12)
@@ -141,28 +150,26 @@ class ReplayedTrajectory(Trajectory):
     quadratic in its length.  Walk the samples with blocks() instead.
     """
 
-    def __init__(self, times: np.ndarray, source: Callable[[int, int], Iterator[np.ndarray]]):
-        self.times = _sample_times(times, len(times))
+    def __init__(self, times: np.ndarray, source: Callable[[int], Iterator[np.ndarray]]):
+        self.times = times
         self._source = source
 
-    def _blocks(self, size: int, every: int) -> Iterator[np.ndarray]:
-        return self._source(size, every)
+    def _blocks(self, every: int) -> Iterator[np.ndarray]:
+        return self._source(every)
 
     @property
     def data(self) -> np.ndarray:
-        (data,) = self.blocks(len(self))
+        data = np.empty((len(self), 4), dtype=complex)
+        for window, block in zip(sample_windows(len(self), 1), self.blocks()):
+            data[window] = block
         data.setflags(write=False)
         return data
 
 
-def _sample_times(times: np.ndarray, n_samples: int) -> np.ndarray:
-    if len(times) == 0:
-        raise ValueError("trajectory must be non-empty")
-    if len(times) != n_samples:
-        raise ValueError("times and data lengths differ")
-    if not (times[1:] > times[:-1]).all():
-        raise ValueError("times must be strictly increasing")
-    return times
+def sample_windows(n_samples: int, every: int) -> Iterator[slice]:
+    """The every-th samples of each window of SAMPLE_BLOCK, as slices of the whole grid."""
+    for lo in range(0, n_samples, SAMPLE_BLOCK):
+        yield slice(lo + (-lo) % every, lo + SAMPLE_BLOCK, every)
 
 
 def _rate(eig: EigenSystem, bath: BathModel, temperature: float, a: int, b: int) -> float:
@@ -232,12 +239,13 @@ def liouvillian(tensor: RedfieldTensor, eig: EigenSystem) -> np.ndarray:
 
 def check_time_grid(t_end: float, n_steps: int, store_every: int = 1) -> tuple[int, float]:
     """time_grid's checks without the grid: the samples after t = 0 and their spacing."""
+    for name, count in (("n_steps", n_steps), ("store_every", store_every)):
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {count!r}")
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     if not t_end > 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
-    if isinstance(store_every, bool):
-        raise ValueError(f"store_every must be an integer, got {store_every!r}")
     if store_every < 1 or n_steps % store_every != 0:
         raise ValueError(
             f"store_every must be >= 1 and divide n_steps, got {store_every} for {n_steps}"
@@ -308,8 +316,8 @@ def replay_powers(powers: np.ndarray, rho0: DensityMatrix, times: np.ndarray) ->
     """The samples on a time_grid from one generator's stride powers (B, 4, 4), replayed when read."""
     stack, y0, n_stored = powers[None], rho0.as_vector(), len(times) - 1
 
-    def blocks(size: int, every: int) -> Iterator[np.ndarray]:
-        for block in _rk4_blocks(stack, y0, n_stored, size, every):
+    def blocks(every: int) -> Iterator[np.ndarray]:
+        for block in _rk4_blocks(stack, y0, n_stored, every):
             yield block[0]
 
     return ReplayedTrajectory(times, blocks)
@@ -321,11 +329,13 @@ def propagate_powers(powers: np.ndarray, rho0: DensityMatrix, times: np.ndarray)
 
 
 def replay_stack(powers: np.ndarray, rho0: DensityMatrix, out: np.ndarray) -> np.ndarray:
-    """Every sample of K generators' stride powers (K, B, 4, 4), written into out (K, N, 4).
+    """Every sample of K generators' stride powers (K, B, 4, 4), computed in the window out.
 
-    Sample rows out[k] are replay_powers' samples for powers[k], bit for bit.
+    out is C-contiguous, (K, N, 4) with N <= SAMPLE_BLOCK: the recurrence
+    fills it in place.  Sample rows out[k] are replay_powers' samples for
+    powers[k], bit for bit.
     """
-    (samples,) = _rk4_blocks(powers, rho0.as_vector(), out.shape[1] - 1, out.shape[1], 1, out)
+    (samples,) = _rk4_blocks(powers, rho0.as_vector(), out.shape[1] - 1, 1, out)
     return samples
 
 
@@ -333,55 +343,36 @@ def _rk4_blocks(
     powers: np.ndarray,
     rho0: np.ndarray,
     n_stored: int,
-    size: int,
     every: int,
-    out: np.ndarray | None = None,
+    window: np.ndarray | None = None,
 ) -> Iterator[np.ndarray]:
-    """Every every-th sample of K RK4 block recurrences, (K, size, 4) at a time.
+    """The every-th samples of K RK4 block recurrences, (K, kept, 4) per window of SAMPLE_BLOCK.
 
     Sample Bj + i (i = 1..B) of generator k is its stride power i applied to
     its sample Bj: one (K, 4B, 4) x (K, 4, 1) product per block of B advances
-    all K generators.  The blocks share one buffer (out, when given) of
-    min(size, samples) rows per generator.  Products fill a window of
-    _WINDOW_BLOCKS blocks whose kept samples are copied out, so a thinned
-    read does not hold the samples it skips beyond the window.
+    all K generators.  Row r of the window, (K, min(SAMPLE_BLOCK, n_stored)
+    + 1, 4) unless given, is sample base + r; its last row, the first sample
+    of the next window, is never yielded and is carried into row 0, so a
+    reader may overwrite the blocks it is given.
     """
     stack, block = powers.shape[:2]
     # a view for C-contiguous powers: row 4j+r of rows[k] is row r of power j of generator k
     rows = powers.reshape(stack, -1, 4)
-    if out is None:
-        out = np.empty((stack, min(size, n_stored // every + 1), 4), dtype=complex)
-    out[:, 0] = rho0
-    k = 1  # rows of out filled
-
-    def copy_out(kept: np.ndarray):
-        nonlocal k
-        lo, n_kept, n_out = 0, kept.shape[1], out.shape[1]
-        while lo < n_kept:
-            if k == n_out:
-                yield out
-                k = 0
-            n = min(n_kept - lo, n_out - k)
-            out[:, k : k + n] = kept[:, lo : lo + n]
-            lo, k = lo + n, k + n
-
-    # window[:, r] holds sample base + r as a (4, 1) column, a product's operand; rows
+    if window is None:
+        window = np.empty((stack, min(SAMPLE_BLOCK, n_stored) + 1, 4), dtype=complex)
+    # columns[:, r] is sample base + r as a (4, 1) column, a product's operand; rows
     # 4r..4r+3 of products are the same sample, a product's output
-    window = np.empty((stack, min(n_stored, block * _WINDOW_BLOCKS) + 1, 4, 1), dtype=complex)
-    products, samples = window.reshape(stack, -1, 1), window[..., 0]
-    samples[:, 0] = rho0
-    base, w, limit = 0, 1, window.shape[1]  # w: rows filled
-    for filled in range(0, n_stored, block):
-        take = min(block, n_stored - filled)
-        if w + take > limit:
-            yield from copy_out(samples[:, (-base - 1) % every + 1 : w : every])
-            window[:, 0] = window[:, w - 1]
-            base, w = base + w - 1, 1
-        np.matmul(rows if take == block else rows[:, : 4 * take], window[:, w - 1],
-                  out=products[:, 4 * w : 4 * (w + take)])
-        w += take
-    yield from copy_out(samples[:, (-base - 1) % every + 1 : w : every])
-    yield out[:, :k]
+    columns, products = window.reshape(stack, -1, 4, 1), window.reshape(stack, -1, 1)
+    window[:, 0] = rho0
+    for base in range(0, n_stored + 1, SAMPLE_BLOCK):
+        if base:
+            window[:, 0] = window[:, SAMPLE_BLOCK]
+        filled = min(SAMPLE_BLOCK, n_stored - base)
+        for r in range(0, filled, block):
+            take = min(block, filled - r)
+            np.matmul(rows if take == block else rows[:, : 4 * take], columns[:, r],
+                      out=products[:, 4 * r + 4 : 4 * (r + take) + 4])
+        yield window[:, (-base) % every : min(filled + 1, SAMPLE_BLOCK) : every]
 
 
 def propagate_numeric(

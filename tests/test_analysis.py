@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import threading
@@ -36,8 +37,7 @@ from dqdsim import (
     time_grid,
 )
 from dqdsim import analysis
-from dqdsim.analytic import SAMPLE_BLOCK
-from dqdsim.redfield import StepSizeError
+from dqdsim.redfield import SAMPLE_BLOCK, StepSizeError
 
 
 class TestAnalyticT2:
@@ -530,7 +530,8 @@ class TestBlockwiseFinish:
         b[-1, 2] = poison
         expected = float(np.max(np.abs(a - b)))
         times = np.arange(len(a), dtype=float)
-        got, _, _ = analysis._sample_pass(Trajectory(times, a), Trajectory(times, b))
+        blocks = [Trajectory(times, data).blocks() for data in (a, b)]
+        got, _, _ = analysis._sample_pass(len(a), *blocks)
         assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
     @pytest.mark.parametrize(
@@ -619,6 +620,26 @@ GRID_ERRORS = {
 }
 
 
+COUNTED_GRID = dict(t_end=1000.0, n_steps=4000, store_every=2)
+# step counts that are not integers: each is refused by name before it reaches an array
+COUNT_ERRORS = {
+    "n_steps-float": (dict(n_steps=4000.0), "n_steps must be an integer, got 4000.0"),
+    "n_steps-bool": (dict(n_steps=True, store_every=1), "n_steps must be an integer, got True"),
+    "store_every-float": (dict(store_every=2.0), "store_every must be an integer, got 2.0"),
+    "store_every-bool": (dict(store_every=True), "store_every must be an integer, got True"),
+}
+# the three ways into a time grid; the numeric engine reaches the RK4 stride power
+GRID_CALLS = {
+    "time_grid": time_grid,
+    "SweepSpec": functools.partial(
+        _sweep, PiezoelectricBath(), "temperature", [0.03], tunneling_Tc=0.05, engine="both"
+    ),
+    "evaluate_point": functools.partial(
+        analysis.evaluate_point, PiezoelectricBath(), 0.030, 0.05, "both"
+    ),
+}
+
+
 class TestTimeGridValidation:
     """A SweepSpec and evaluate_point check their time grid up front, as time_grid does."""
 
@@ -637,6 +658,16 @@ class TestTimeGridValidation:
         with pytest.raises(ValueError, match="divide n_steps") as err:
             _sweep(PiezoelectricBath(), "temperature", [0.03], tunneling_Tc=0.05, **grid)
         assert not isinstance(err.value, SweepError)
+
+    @pytest.mark.parametrize("call", list(GRID_CALLS.values()), ids=list(GRID_CALLS))
+    @pytest.mark.parametrize("counts,message", list(COUNT_ERRORS.values()), ids=list(COUNT_ERRORS))
+    def test_step_counts_are_integers(self, counts, message, call):
+        with pytest.raises(ValueError, match=message):
+            call(**{**COUNTED_GRID, **counts})
+
+    @pytest.mark.parametrize("call", list(GRID_CALLS.values()), ids=list(GRID_CALLS))
+    def test_numpy_integers_are_step_counts(self, call):
+        call(t_end=COUNTED_GRID["t_end"], n_steps=np.int64(4000), store_every=np.int32(2))
 
     def test_the_grid_is_checked_without_being_built(self):
         # 1e15 samples would need 8 PB: only the checks run

@@ -21,8 +21,10 @@ from dqdsim import (
     initial_state,
     time_grid,
 )
-from dqdsim.analytic import SAMPLE_BLOCK, closed_form_replay
-from test_redfield import DAMPING_REGIMES, REPLAY_SAMPLES, REPLAY_SIZES, oracle_jn
+from dqdsim.analytic import closed_form_replay
+from dqdsim.redfield import SAMPLE_BLOCK
+from test_redfield import DAMPING_REGIMES, REPLAY_LENGTHS, REPLAY_SAMPLES, WINDOW_EDGES
+from test_redfield import oracle_jn, window_lengths
 
 
 def oracle_rate(bath, temperature, tc):
@@ -267,17 +269,33 @@ def replay_times(regime: str) -> tuple[float, float, np.ndarray]:
 
 
 class TestReplayedClosedForm:
-    """closed_form_replay's blocks are the whole-grid closed form, bit for bit, at any size
+    """closed_form_replay's blocks are the whole-grid closed form, bit for bit, at any grid
     and thinning."""
 
-    @pytest.mark.parametrize("size", REPLAY_SIZES)
+    @pytest.mark.parametrize("n_samples", REPLAY_LENGTHS)
     @pytest.mark.parametrize("every", [1, 3, 80])
     @pytest.mark.parametrize("regime", [*DAMPING_REGIMES, "series"])
-    def test_blocks_are_the_stored_rows(self, regime, every, size):
+    def test_blocks_are_the_stored_rows(self, regime, every, n_samples):
         chi, w, times = replay_times(regime)
+        times = times[:n_samples]
         traj = closed_form_replay(ChiRate(chi=chi, n_occ=0.3, omega_21=w), times)
-        blocks = [block.copy() for block in traj.blocks(size, every)]
-        assert [len(block) for block in blocks[:-1]] == [size] * (len(blocks) - 1)
+        blocks = [block.copy() for block in traj.blocks(every)]
+        assert [len(block) for block in blocks] == window_lengths(n_samples, every)
+        expected = two_exponential_closed_form(chi, w, 0.3, times)[::every]
+        assert np.concatenate(blocks).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n_samples", WINDOW_EDGES)
+    @pytest.mark.parametrize("every", [1, 3, 80])
+    @pytest.mark.parametrize("regime", [*DAMPING_REGIMES, "series"])
+    def test_window_edges(self, regime, every, n_samples):
+        chi, w, times = replay_times(regime)
+        times = times[:n_samples]
+        traj = closed_form_replay(ChiRate(chi=chi, n_occ=0.3, omega_21=w), times)
+        blocks = []
+        for block in traj.blocks(every):
+            blocks.append(block.copy())
+            block[...] = math.nan  # a reader may overwrite each block
+        assert [len(block) for block in blocks] == window_lengths(n_samples, every)
         expected = two_exponential_closed_form(chi, w, 0.3, times)[::every]
         assert np.concatenate(blocks).tobytes() == expected.tobytes()
 

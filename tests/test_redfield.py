@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import re
 
 import numpy as np
@@ -28,9 +29,8 @@ from dqdsim import (
     propagate_numeric,
     time_grid,
 )
-from dqdsim.analytic import SAMPLE_BLOCK
-from dqdsim.redfield import ReplayedTrajectory, _rk4_blocks, propagate_powers, replay_powers
-from dqdsim.redfield import replay_stack, stride_powers
+from dqdsim.redfield import _POWER_BLOCK, SAMPLE_BLOCK, ReplayedTrajectory, _rk4_blocks
+from dqdsim.redfield import propagate_powers, replay_powers, replay_stack, stride_powers
 
 INDICES = (1, 2)
 
@@ -372,11 +372,19 @@ class TestOneProductPerBlock:
 
 # (chi, omega_21) of the three damping regimes, n = 0.3 throughout
 DAMPING_REGIMES = {"underdamped": (0.01, 0.1), "overdamped": (0.5, 0.1), "critical": (0.1, 0.1)}
-# two full sample blocks and a ragged tail
+# two full sample windows and a ragged tail
 REPLAY_SAMPLES = 2 * SAMPLE_BLOCK + 77
-# a row count that is not a multiple of the 64 power blocks, one that is, and one past a
-# sample block
-REPLAY_SIZES = [100, 1024, SAMPLE_BLOCK + 37]
+# grid lengths: one that is not a multiple of the 64 power blocks, one that is, both within
+# a window, and one past two windows with a ragged tail
+REPLAY_LENGTHS = [100, 1024, 2 * SAMPLE_BLOCK + 37]
+# grid lengths around the window boundaries
+WINDOW_EDGES = [SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1, 2 * SAMPLE_BLOCK + 1]
+
+
+def window_lengths(n_samples: int, every: int) -> list[int]:
+    """The number of every-th samples in each window of SAMPLE_BLOCK of an n_samples grid."""
+    return [len(range(lo + (-lo) % every, min(lo + SAMPLE_BLOCK, n_samples), every))
+            for lo in range(0, n_samples, SAMPLE_BLOCK)]
 
 
 def decay_generator(chi: float, w: float, n: float) -> np.ndarray:
@@ -394,27 +402,26 @@ def decay_generator(chi: float, w: float, n: float) -> np.ndarray:
 
 
 @functools.cache
-def replay_case(regime: str):
+def replay_case(regime: str, n_samples: int = REPLAY_SAMPLES):
     """Stride powers, grid and per-matrix reference samples of one damping regime."""
     chi, w = DAMPING_REGIMES[regime]
-    n_stored = REPLAY_SAMPLES - 1
+    n_stored = n_samples - 1
     times = time_grid(20.0 / chi, n_stored)
     powers = stride_powers(decay_generator(chi, w, 0.3)[None], times[1], 1, n_stored)[0]
     return powers, times, per_matrix_blocks(powers, initial_state().as_vector(), n_stored)
 
 
 class TestReplayedRecurrence:
-    """replay_powers' blocks are the stored samples, bit for bit, at any size and thinning."""
+    """replay_powers' blocks are the stored samples, bit for bit, at any grid and thinning."""
 
-    @pytest.mark.parametrize("size", REPLAY_SIZES)
+    @pytest.mark.parametrize("n_samples", REPLAY_LENGTHS)
     @pytest.mark.parametrize("every", [1, 3, 80])
     @pytest.mark.parametrize("regime", list(DAMPING_REGIMES))
-    def test_blocks_are_the_stored_rows(self, regime, every, size):
-        powers, times, expected = replay_case(regime)
+    def test_blocks_are_the_stored_rows(self, regime, every, n_samples):
+        powers, times, expected = replay_case(regime, n_samples)
         traj = replay_powers(powers, initial_state(), times)
-        blocks = [block.copy() for block in traj.blocks(size, every)]
-        assert [len(block) for block in blocks[:-1]] == [size] * (len(blocks) - 1)
-        assert 0 < len(blocks[-1]) <= size
+        blocks = [block.copy() for block in traj.blocks(every)]
+        assert [len(block) for block in blocks] == window_lengths(n_samples, every)
         assert np.concatenate(blocks).tobytes() == expected[::every].tobytes()
 
     @pytest.mark.parametrize("regime", list(DAMPING_REGIMES))
@@ -428,30 +435,28 @@ class TestReplayedRecurrence:
         assert traj.data is not first and not first.flags.writeable
 
     @pytest.mark.parametrize("n_stored", [1, 63, 64, 65])
-    @pytest.mark.parametrize("size", [1, 2, 64])
-    def test_short_grids_and_small_blocks(self, eig_default, n_stored, size):
+    @pytest.mark.parametrize("every", [1, 2, 64])
+    def test_short_grids_and_small_blocks(self, eig_default, n_stored, every):
         L = liouvillian(build_tensor(eig_default, PiezoelectricBath(), 0.030), eig_default)
         powers = stride_powers(L[None], 0.5, 1, n_stored)[0]
         times = time_grid(0.5 * n_stored, n_stored)
         expected = per_matrix_blocks(powers, initial_state().as_vector(), n_stored)
-        for every in (1, 2, 3):
-            blocks = replay_powers(powers, initial_state(), times).blocks(size, every)
-            got = np.concatenate([block.copy() for block in blocks])
-            assert got.tobytes() == expected[::every].tobytes()
+        (block,) = replay_powers(powers, initial_state(), times).blocks(every)
+        assert block.tobytes() == expected[::every].tobytes()
 
     def test_block_arguments_are_checked(self):
         traj = Trajectory(np.arange(3.0), np.zeros((3, 4), dtype=complex))
-        for size, every in ((0, 1), (1, 0)):
-            with pytest.raises(ValueError, match="size and every must be >= 1"):
-                traj.blocks(size, every)
+        for every in (0, -1):
+            with pytest.raises(ValueError, match="every must be >= 1"):
+                traj.blocks(every)
 
 
-# past three windows of 16 power blocks, with a ragged last power block of 13
+# within one window, with a ragged last power block of 13
 STACK_SAMPLES = 3 * 1024 + 78
 
 
 @functools.cache
-def stack_case(stack: int):
+def stack_case(stack: int, n_samples: int = STACK_SAMPLES):
     """Stride powers (stack, 64, 4, 4) cycling through the damping regimes, and each one's
     per-matrix reference samples; generator j is its regime's scaled by 1 + j/8."""
     regimes = list(DAMPING_REGIMES.values())
@@ -459,7 +464,7 @@ def stack_case(stack: int):
         [decay_generator(chi * (1 + j / 8), w * (1 + j / 8), 0.3)
          for j, (chi, w) in zip(range(stack), itertools.cycle(regimes))]
     )
-    n_stored = STACK_SAMPLES - 1
+    n_stored = n_samples - 1
     powers = stride_powers(generators, 0.03, 1, n_stored)
     return powers, [per_matrix_blocks(p, initial_state().as_vector(), n_stored) for p in powers]
 
@@ -467,17 +472,15 @@ def stack_case(stack: int):
 class TestStackedRecurrence:
     """The recurrence of a stack of generators gives each one's per-matrix samples, bit for bit."""
 
-    @pytest.mark.parametrize("size", [100, 1024 + 37])
+    @pytest.mark.parametrize("n_samples", [100, 1024 + 37])
     @pytest.mark.parametrize("every", [1, 3, 80])
     @pytest.mark.parametrize("stack", [1, 2, 3, 16])
-    def test_blocks_are_each_generators_reference(self, stack, every, size):
-        powers, expected = stack_case(stack)
+    def test_blocks_are_each_generators_reference(self, stack, every, n_samples):
+        powers, expected = stack_case(stack, n_samples)
         y0 = initial_state().as_vector()
-        blocks = [block.copy() for block in _rk4_blocks(powers, y0, STACK_SAMPLES - 1, size, every)]
-        assert [block.shape for block in blocks[:-1]] == [(stack, size, 4)] * (len(blocks) - 1)
-        assert blocks[-1].shape[0] == stack and 0 < blocks[-1].shape[1] <= size
-        got = np.concatenate(blocks, axis=1)
-        for samples, reference in zip(got, expected, strict=True):
+        (block,) = _rk4_blocks(powers, y0, n_samples - 1, every)
+        assert block.shape == (stack, len(range(0, n_samples, every)), 4)
+        for samples, reference in zip(block, expected, strict=True):
             assert samples.tobytes() == reference[::every].tobytes()
 
     @pytest.mark.parametrize("stack", [1, 2, 3, 16])
@@ -489,6 +492,40 @@ class TestStackedRecurrence:
         assert got.tobytes() == np.stack(expected).tobytes()
         alone = replay_powers(powers[-1], initial_state(), time_grid(1.0, STACK_SAMPLES - 1))
         assert alone.data.tobytes() == expected[-1].tobytes()
+
+
+class TestWindowBoundaries:
+    """Every read walks windows of SAMPLE_BLOCK samples; their edges change no bit."""
+
+    def test_windows_start_on_power_blocks(self):
+        # the replay matches the stored recurrence only if each window starts a power block
+        assert SAMPLE_BLOCK % _POWER_BLOCK == 0
+
+    @pytest.mark.parametrize("n_samples", WINDOW_EDGES)
+    @pytest.mark.parametrize("every", [1, 3, 80])
+    @pytest.mark.parametrize("stack", [1, 3])
+    def test_overwritten_blocks_are_each_generators_reference(self, stack, every, n_samples):
+        # the sample pass writes the cross-engine difference over each numeric block, so
+        # overwriting one must leave the later ones as they are
+        powers, expected = stack_case(stack, n_samples)
+        y0 = initial_state().as_vector()
+        blocks = []
+        for block in _rk4_blocks(powers, y0, n_samples - 1, every):
+            blocks.append(block.copy())
+            block[...] = math.nan
+        assert [block.shape for block in blocks] == [
+            (stack, n, 4) for n in window_lengths(n_samples, every)
+        ]
+        for samples, reference in zip(np.concatenate(blocks, axis=1), expected, strict=True):
+            assert samples.tobytes() == reference[::every].tobytes()
+
+    def test_windows_of_a_stored_trajectory(self):
+        data = np.arange(4 * (2 * SAMPLE_BLOCK + 1), dtype=complex).reshape(-1, 4)
+        traj = Trajectory(np.arange(len(data), dtype=float), data)
+        for every in (1, 3, 80):
+            blocks = list(traj.blocks(every))
+            assert [len(block) for block in blocks] == window_lengths(len(data), every)
+            assert np.concatenate(blocks).tobytes() == data[::every].tobytes()
 
 
 class TestPropagation:
