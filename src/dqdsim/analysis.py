@@ -180,7 +180,9 @@ class SweepSpec:
             raise ValueError(f"base_bath must be a bath model, got {kind}")
         ohmic = isinstance(self.base_bath, OhmicBath)
         if self.swept_parameter not in SWEPT_PARAMETERS:
-            raise ValueError(f"swept_parameter must be one of {SWEPT_PARAMETERS}")
+            raise ValueError(
+                f"swept_parameter must be one of {SWEPT_PARAMETERS}, got {self.swept_parameter!r}"
+            )
         if self.swept_parameter == "omega_l" and ohmic:
             raise ValueError("omega_l sweeps apply to the phonon baths only")
         if self.swept_parameter == "eta" and not ohmic:
@@ -200,20 +202,41 @@ class SweepSpec:
                 raise ValueError("fixed temperature conflicts with a temperature sweep")
         elif self.temperature is None or not self.temperature > 0:
             raise ValueError("a positive fixed temperature is required")
-        if ohmic and self.tunneling_Tc is None:
-            raise ValueError("the Ohmic bath needs an explicit qubit (tunneling_Tc)")
-        if self.engine not in ENGINES:
-            raise ValueError(f"engine must be one of {ENGINES}")
-        _check_grid(self.t_end, self.n_steps, self.store_every)
+        run = (self.engine, self.t_end, self.n_steps, self.store_every)
+        if self.swept_parameter == "omega_l":  # T_c is bound to each point's omega_l
+            _check_run(*run)
+        else:
+            check_point(self.base_bath, self.tunneling_Tc, *run)
 
 
-def _check_grid(t_end: Optional[float], n_steps: Optional[int], store_every: int) -> None:
-    """time_grid's checks on an optional grid, without building it; store_every needs one."""
+def bound_tunneling(omega_l: float) -> float:
+    """The interdot tunneling bound to omega_l: T_c = TC_BINDING * omega_l."""
+    return TC_BINDING * omega_l
+
+
+def check_point(bath, tunneling_Tc, engine, t_end=None, n_steps=None, store_every=1) -> float:
+    """The one owner of the rules on a point's inputs; returns its T_c.
+
+    The engine and the grid as _check_run checks them; without tunneling_Tc,
+    T_c is bound to the bath's omega_l, which the Ohmic bath does not have.
+    """
+    _check_run(engine, t_end, n_steps, store_every)
+    if tunneling_Tc is None:
+        if isinstance(bath, OhmicBath):
+            raise ValueError("the Ohmic bath has no omega_l to bind T_c to; give tunneling_Tc")
+        tunneling_Tc = bound_tunneling(bath.omega_l)
+    return QubitParams(tunneling_Tc).tunneling_Tc
+
+
+def _check_run(engine: str, t_end: Optional[float], n_steps: Optional[int], store_every) -> None:
+    """check_point's rules but T_c's: a known engine, and an optional grid time_grid accepts."""
+    if engine not in ENGINES:
+        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
     if (t_end is None) != (n_steps is None):
         raise ValueError("t_end and n_steps must be given together")
     if t_end is not None:
         check_time_grid(t_end, n_steps, store_every)
-    elif isinstance(store_every, bool) or store_every != 1:
+    elif isinstance(store_every, (bool, float)) or store_every != 1:
         raise ValueError(f"store_every needs a time grid (t_end, n_steps), got {store_every!r}")
 
 
@@ -369,7 +392,7 @@ def _finish(
 def evaluate_point(
     bath: BathModel,
     temperature: float,
-    tunneling_Tc: float,
+    tunneling_Tc: Optional[float],
     engine: str,
     t_end: Optional[float] = None,
     n_steps: Optional[int] = None,
@@ -377,12 +400,12 @@ def evaluate_point(
 ) -> PointEvaluation:
     """The per-point pipeline: chi, then the engines' trajectories on the grid.
 
-    A sweep's stages for one point, with a stack of one RK4 power set.  The
-    trajectories are replays, computed again whenever they are read; the
-    point holds the grid and |rho12| of the T2 source.  Raises
-    NonFiniteResultError when a result is NaN or infinite.
+    A sweep's stages for one point, after check_point, with a stack of one
+    RK4 power set.  The trajectories are replays, computed again whenever
+    they are read; the point holds the grid and |rho12| of the T2 source.
+    Raises NonFiniteResultError when a result is NaN or infinite.
     """
-    _check_grid(t_end, n_steps, store_every)
+    tunneling_Tc = check_point(bath, tunneling_Tc, engine, t_end, n_steps, store_every)
     prep = _prepare(bath, temperature, tunneling_Tc, engine, t_end, n_steps, store_every)
     return _finish(prep, *_stacked_powers([prep], t_end, n_steps, store_every))
 
@@ -405,7 +428,7 @@ def _resolve_point(spec: SweepSpec, value: float) -> tuple[BathModel, float, flo
     else:
         bath = dataclasses.replace(bath, **{spec.swept_parameter: value})
     # an omega_l sweep leaves tunneling_Tc unset, so the binding follows omega_l
-    tc = spec.tunneling_Tc if spec.tunneling_Tc is not None else TC_BINDING * bath.omega_l
+    tc = spec.tunneling_Tc if spec.tunneling_Tc is not None else bound_tunneling(bath.omega_l)
     return bath, float(temperature), tc
 
 

@@ -6,13 +6,15 @@
     simulate sweep    --config cfg.json [--out file] [--engine E] [--format F]
 
 A run is described by a single UTF-8 JSON config; CLI flags override config
-fields.  Unknown keys, booleans or non-finite values where numbers belong,
-temperatures <= 0, and any ValueError or ArithmeticError the library raises
-while the config is read into its objects are config errors.  evolve and t2
-evaluate one point through analysis.evaluate_point, the pipeline of every
-sweep point.  Every output is a table (column names plus one tuple of values
-per row) rendered by one streamed row-template writer; files are UTF-8 and a
-name that is not UTF-8 is written as its own bytes, CSV floats carry 17
+fields.  The CLI only reads JSON: unknown keys, wrong JSON types, booleans
+or non-finite values where numbers belong, and temperatures <= 0 are its
+config errors.  The library owns the rules on what may run
+(analysis.check_point, SweepSpec): any ValueError or ArithmeticError it
+raises while the config is read into its objects is a config error too.
+evolve and t2 evaluate one point through analysis.evaluate_point, the
+pipeline of every sweep point.  Every output is a table (column names plus
+one tuple of values per row) rendered by one streamed row-template writer;
+files are UTF-8 and a name that is not UTF-8 is written as its own bytes, CSV floats carry 17
 significant digits, a CSV cell holding a comma, a quote or a line break is
 quoted (RFC 4180), JSON floats are their shortest round-trip repr (as json
 writes them), lines end with \\n, JSON keys are sorted.  Exit codes: 0
@@ -38,27 +40,19 @@ import numpy as np
 
 from .analysis import (
     ENGINES,
-    SWEPT_PARAMETERS,
-    TC_BINDING,
     NoDecoherenceError,
     NonFiniteResultError,
     SweepError,
     SweepSpec,
     TrajectoryTooShortError,
+    bound_tunneling,
+    check_point,
     decoherence_times,
     evaluate_point,
     run_sweep,
 )
-from .bath import (
-    BathModel,
-    OhmicBath,
-    bath_from_dict,
-    bath_to_dict,
-    finite_number,
-    spectral_density,
-)
-from .redfield import MAX_FLOATS, StepSizeError, Trajectory, check_time_grid
-from .system import QubitParams
+from .bath import BathModel, bath_from_dict, bath_to_dict, finite_number, spectral_density
+from .redfield import MAX_FLOATS, StepSizeError, Trajectory
 from .units import temperature_from_millikelvin
 
 EXIT_OK = 0
@@ -172,49 +166,29 @@ def _parse_temperature(cfg: dict, required: bool = True) -> Optional[float]:
     return kelvin
 
 
-def _parse_qubit(cfg: dict, bath: BathModel) -> Optional[float]:
-    """Validated tunneling T_c from the qubit object.
+def _parse_qubit(cfg: dict) -> Optional[float]:
+    """The qubit object's T_c, None without one; the library owns the rules on T_c.
 
-    None without one: T_c then follows the bath's omega_l (TC_BINDING), which
-    a sweep re-applies at every point.
+    analysis.check_point checks T_c and, without a qubit, binds it to the
+    bath's omega_l, as a sweep of omega_l does at every point.
     """
     qubit = cfg.get("qubit")
     if qubit is None:
-        if isinstance(bath, OhmicBath):
-            raise ConfigError("the Ohmic bath has no omega_l; give qubit.tunneling_Tc or omega_l")
         return None
     _block(cfg, "qubit", ("tunneling_Tc", "omega_l"))
     if ("tunneling_Tc" in qubit) == ("omega_l" in qubit):
         raise ConfigError("qubit needs exactly one of tunneling_Tc and omega_l")
     if "tunneling_Tc" in qubit:
-        tc = finite_number(qubit["tunneling_Tc"], "qubit.tunneling_Tc")
-    else:
-        tc = TC_BINDING * finite_number(qubit["omega_l"], "qubit.omega_l")
-    return QubitParams(tc).tunneling_Tc
+        return finite_number(qubit["tunneling_Tc"], "qubit.tunneling_Tc")
+    return bound_tunneling(finite_number(qubit["omega_l"], "qubit.omega_l"))
 
 
-def _parse_time_grid(cfg: dict, required: bool) -> tuple[Optional[float], Optional[int], int]:
-    if ("t_end" in cfg) != ("n_steps" in cfg):
-        raise ConfigError("t_end and n_steps must be given together")
-    if "t_end" not in cfg:
-        if required:
-            raise ConfigError("config needs t_end and n_steps")
-        if "store_every" in cfg:
-            raise ConfigError("store_every needs a time grid (t_end, n_steps)")
-        return None, None, 1
-    t_end = finite_number(cfg["t_end"], "config.t_end")
-    n_steps = _integer(cfg["n_steps"], "config.n_steps")
-    store_every = _integer(cfg["store_every"], "config.store_every") if "store_every" in cfg else 1
-    check_time_grid(t_end, n_steps, store_every)
-    return t_end, n_steps, store_every
-
-
-def _parse_choice(cfg: dict, key: str, override: Optional[str], choices: tuple) -> str:
-    """The flag, else the config field, else the first choice."""
-    value = override or cfg.get(key, choices[0])
-    if value not in choices:
-        raise ConfigError(f"{key} must be one of {choices}, got {value!r}")
-    return value
+def _parse_time_grid(cfg: dict, required: bool) -> tuple:
+    """t_end, n_steps and store_every (1 when absent) as given; the library checks the grid."""
+    if required and "t_end" not in cfg:
+        raise ConfigError("config needs t_end and n_steps")
+    t_end = finite_number(cfg["t_end"], "config.t_end") if "t_end" in cfg else None
+    return t_end, cfg.get("n_steps"), cfg.get("store_every", 1)
 
 
 def _parse_out(cfg: dict, override: Optional[str]) -> Optional[str]:
@@ -348,10 +322,8 @@ def cmd_point(command: str, cfg: dict, out: Optional[str], engine: str, fmt: str
     with _reading_config():
         bath = _parse_bath(cfg)
         temperature = _parse_temperature(cfg)
-        tc = _parse_qubit(cfg, bath)
-        if tc is None:
-            tc = QubitParams(TC_BINDING * bath.omega_l).tunneling_Tc
         grid = _parse_time_grid(cfg, required=command == "evolve")
+        tc = check_point(bath, _parse_qubit(cfg), engine, *grid)
     run = evaluate_point(bath, temperature, tc, engine, *grid)
     meta = _meta(command, bath, fmt, out, **_point_fields(tc, temperature, grid, engine))
     if command == "evolve":
@@ -364,13 +336,11 @@ def cmd_point(command: str, cfg: dict, out: Optional[str], engine: str, fmt: str
 
 def _parse_sweep_block(cfg: dict) -> tuple[str, tuple[float, ...]]:
     block = _block(cfg, "sweep", ("parameter", "values"))
-    parameter = block.get("parameter")
-    if parameter not in SWEPT_PARAMETERS:
-        raise ConfigError(f"sweep.parameter must be one of {SWEPT_PARAMETERS}, got {parameter!r}")
     values = block.get("values")
-    if not isinstance(values, list) or not values:
-        raise ConfigError("sweep.values must be a non-empty list of numbers")
-    return parameter, tuple(finite_number(v, f"sweep.values[{i}]") for i, v in enumerate(values))
+    if not isinstance(values, list):
+        raise ConfigError("sweep.values must be a list of numbers")
+    values = tuple(finite_number(v, f"sweep.values[{i}]") for i, v in enumerate(values))
+    return block.get("parameter"), values
 
 
 def _parse_trajectories_block(cfg: dict) -> tuple[bool, int]:
@@ -391,7 +361,7 @@ def cmd_sweep(cfg: dict, out: Optional[str], engine: str, fmt: str) -> None:
         bath = _parse_bath(cfg)
         parameter, values = _parse_sweep_block(cfg)
         temperature = _parse_temperature(cfg, required=(parameter != "temperature"))
-        tc = _parse_qubit(cfg, bath)
+        tc = _parse_qubit(cfg)
         grid = _parse_time_grid(cfg, required=False)
         write_traj, every = _parse_trajectories_block(cfg)
         if write_traj and out is None:
@@ -447,12 +417,14 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         _check_keys(cfg, _ALLOWED_KEYS[args.command], "config")
-        fmt = _parse_choice(cfg, "format", args.format, _FORMATS)
+        fmt = args.format or cfg.get("format", _FORMATS[0])  # flags override the config
+        if fmt not in _FORMATS:
+            raise ConfigError(f"format must be one of {_FORMATS}, got {fmt!r}")
         out = _parse_out(cfg, args.out)
         if args.command == "spectral":
             cmd_spectral(cfg, out, fmt)
         else:
-            engine = _parse_choice(cfg, "engine", args.engine, ENGINES)
+            engine = args.engine or cfg.get("engine", ENGINES[0])
             if args.command == "sweep":
                 cmd_sweep(cfg, out, engine, fmt)
             else:

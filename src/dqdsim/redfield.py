@@ -250,7 +250,10 @@ def check_time_grid(t_end: float, n_steps: int, store_every: int = 1) -> tuple[i
         raise ValueError(
             f"store_every must be >= 1 and divide n_steps, got {store_every} for {n_steps}"
         )
-    h = t_end / n_steps
+    try:
+        h = t_end / n_steps
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError("n_steps is beyond the float range") from None
     if not h > 0:
         raise ValueError(f"the step t_end/n_steps underflows to 0 for t_end={t_end!r}")
     n_stored, stride = n_steps // store_every, store_every * h

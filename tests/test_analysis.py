@@ -605,6 +605,27 @@ class TestSweepSpecValidation:
         with pytest.raises(ValueError, match="non-empty"):
             _sweep(PiezoelectricBath(), "omega_l", [], temperature=0.03)
 
+    def test_a_bad_tunneling_is_refused_at_construction(self):
+        with pytest.raises(ValueError, match="tunneling_Tc must be positive, got -1.0"):
+            SweepSpec("temperature", (0.03,), PiezoelectricBath(), None, -1.0)
+        # no qubit: T_c is bound to the bath's omega_l, which underflows to T_c = 0 here
+        with pytest.raises(ValueError, match="tunneling_Tc must be positive, got 0.0"):
+            _sweep(PiezoelectricBath(omega_l=5e-324), "temperature", [0.03])
+
+    def test_an_omega_l_sweep_binds_each_point(self):
+        # the base omega_l is replaced at every point, so its binding is not checked
+        spec = _sweep(PiezoelectricBath(omega_l=5e-324), "omega_l", [0.5], temperature=0.03)
+        assert run_sweep(spec).points[0].omega_21 == pytest.approx(0.1, rel=1e-15)
+
+
+class TestCheckPoint:
+    def test_without_a_qubit_tunneling_is_bound_to_omega_l(self):
+        tc = analysis.check_point(PiezoelectricBath(omega_l=0.7), None, "closed_form")
+        assert tc == 0.1 * 0.7
+        # evaluate_point takes its T_c from check_point: 0.1 * 0.5, a splitting of 0.1
+        run = analysis.evaluate_point(PiezoelectricBath(), 0.03, None, "closed_form")
+        assert run.eig.omega_21 == 0.1
+
 
 GRID_ERRORS = {
     "store_every-not-dividing": (dict(t_end=100.0, n_steps=1000, store_every=3), "divide n_steps"),
@@ -627,6 +648,7 @@ COUNT_ERRORS = {
     "n_steps-bool": (dict(n_steps=True, store_every=1), "n_steps must be an integer, got True"),
     "store_every-float": (dict(store_every=2.0), "store_every must be an integer, got 2.0"),
     "store_every-bool": (dict(store_every=True), "store_every must be an integer, got True"),
+    "n_steps-beyond-float-range": (dict(n_steps=10**400), "n_steps is beyond the float range"),
 }
 # the three ways into a time grid; the numeric engine reaches the RK4 stride power
 GRID_CALLS = {
@@ -686,7 +708,7 @@ def _trajectory(abs_rho12) -> Trajectory:
 
 
 _RATE = ChiRate(chi=0.01, n_occ=0.0, omega_21=0.1)
-# (call, exception, message): input checks of the library that the CLI never reaches
+# (call, exception, message): the library refuses each input by name, whoever calls it
 LIBRARY_INPUT_CHECKS = {
     "sweep-parameter": (
         lambda: _sweep(PiezoelectricBath(), "g", [0.5], temperature=0.03),
@@ -695,6 +717,14 @@ LIBRARY_INPUT_CHECKS = {
     "sweep-engine": (
         lambda: _sweep(PiezoelectricBath(), "omega_l", [0.5], temperature=0.03, engine="rk45"),
         ValueError, "engine must be one of",
+    ),
+    "evaluate-point-engine": (
+        lambda: analysis.evaluate_point(PiezoelectricBath(), 0.03, 0.05, "bogus", 500.0, 5000),
+        ValueError, "engine must be one of .*, got 'bogus'",
+    ),
+    "ohmic-point-without-a-qubit": (
+        lambda: analysis.evaluate_point(OhmicBath(), 0.03, None, "closed_form"),
+        ValueError, "the Ohmic bath has no omega_l to bind T_c to",
     ),
     "closed-form-empty-times": (
         lambda: closed_form_trajectory(_RATE, np.array([])), ValueError, "non-empty 1-d array"

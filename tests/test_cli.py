@@ -491,6 +491,7 @@ NAN = float("nan")
 
 _NO_GRID = {k: v for k, v in EVOLVE_CFG.items() if k not in ("t_end", "n_steps")}
 _SWEEP = {"bath": PCPB, "temperature_mK": 30, "sweep": {"parameter": "omega_l", "values": [0.5]}}
+_OHMIC_NEEDS_QUBIT = "the Ohmic bath has no omega_l to bind T_c to"
 # (command, config, reason): the config is a dict written as JSON, or the file's bytes
 CONFIG_ERROR_REASONS = {
     "not-an-object": ("evolve", b"[1, 2]", "config must be a JSON object"),
@@ -520,11 +521,29 @@ CONFIG_ERROR_REASONS = {
     "out-not-a-string": ("evolve", {**EVOLVE_CFG, "out": 5}, "out must be a string path"),
     "bad-sweep-parameter": (
         "sweep", {**_SWEEP, "sweep": {"parameter": "g", "values": [0.5]}},
-        "sweep.parameter must be one of",
+        "swept_parameter must be one of ('omega_l', 'eta', 'temperature'), got 'g'",
     ),
     "empty-sweep-values": (
         "sweep", {**_SWEEP, "sweep": {"parameter": "omega_l", "values": []}},
-        "sweep.values must be a non-empty list of numbers",
+        "values must be non-empty",
+    ),
+    "sweep-values-not-a-list": (
+        "sweep", {**_SWEEP, "sweep": {"parameter": "omega_l", "values": 0.5}},
+        "sweep.values must be a list of numbers",
+    ),
+    "bad-engine": ("evolve", {**EVOLVE_CFG, "engine": "exact"}, "engine must be one of"),
+    "sweep-bad-engine": ("sweep", {**_SWEEP, "engine": "exact"}, "engine must be one of"),
+    "evolve-ohmic-without-qubit": ("evolve", {**EVOLVE_CFG, "bath": OHMIC}, _OHMIC_NEEDS_QUBIT),
+    "t2-ohmic-without-qubit": ("t2", {**_NO_GRID, "bath": OHMIC}, _OHMIC_NEEDS_QUBIT),
+    "sweep-ohmic-without-qubit": (
+        "sweep", {**_SWEEP, "bath": OHMIC, "sweep": {"parameter": "eta", "values": [0.04]}},
+        _OHMIC_NEEDS_QUBIT,
+    ),
+    "sweep-negative-tunneling_Tc": (
+        "sweep",
+        {"bath": PCPB, "qubit": {"tunneling_Tc": -1.0},
+         "sweep": {"parameter": "temperature", "values": [0.03]}},
+        "tunneling_Tc must be positive, got -1.0",
     ),
     "negative-sweep-value": (
         "sweep", {**_SWEEP, "sweep": {"parameter": "omega_l", "values": [-1.0]}},
@@ -559,7 +578,9 @@ CONFIG_ERROR_REASONS = {
         "spectral", {"bath": PCPB, "grid": {"omega_min": 0, "omega_max": 0.1, "count": 10**30}},
         "grid.count",
     ),
-    "n_steps-beyond-float-range": ("evolve", {**EVOLVE_CFG, "n_steps": 10**400}, "config.n_steps"),
+    "n_steps-beyond-float-range": (
+        "evolve", {**EVOLVE_CFG, "n_steps": 10**400}, "n_steps is beyond the float range"
+    ),
     # np.arange(2**63) is empty, so a time grid this long must be rejected by name
     "n_steps-2**63-1": ("evolve", {**EVOLVE_CFG, "n_steps": 2**63 - 1}, "n_steps/store_every"),
     # np.linspace and np.arange refuse 2**60 - 64 floats and more without naming the field
