@@ -265,10 +265,11 @@ class SweepResult:
 class PointEvaluation:
     """One parameter point before T2 extraction: eigensystem, rate, trajectories.
 
-    Trajectories exist only when a time grid was given, as replays that
-    compute their full-resolution samples when read; abs_rho12 is |rho12|
-    of the T2 source (numeric preferred) with them.  max_abs_diff exists
-    only with engine "both".
+    Trajectories exist only when a time grid was given, as replays of their
+    full-resolution samples: blocks() recomputes them, data materializes
+    them once and keeps them.  abs_rho12 is |rho12| of the T2 source
+    (numeric preferred) with them.  max_abs_diff exists only with engine
+    "both".
     """
 
     eig: EigenSystem
@@ -401,8 +402,8 @@ def evaluate_point(
     """The per-point pipeline: chi, then the engines' trajectories on the grid.
 
     A sweep's stages for one point, after check_point, with a stack of one
-    RK4 power set.  The trajectories are replays, computed again whenever
-    they are read; the point holds the grid and |rho12| of the T2 source.
+    RK4 power set.  The trajectories are replays (see PointEvaluation); the
+    point holds the grid and |rho12| of the T2 source until data is read.
     Raises NonFiniteResultError when a result is NaN or infinite.
     """
     tunneling_Tc = check_point(bath, tunneling_Tc, engine, t_end, n_steps, store_every)

@@ -11,10 +11,9 @@ valid in one formula for the underdamped (s imaginary), overdamped (s real)
 and critically damped (s -> 0) regimes; a series branch protects the s -> 0
 limit.  Underdamped, the exponentials are conjugates: one complex exp per
 sample.  The implied initial state is every element equal to 1/2.  On a
-time grid the closed form is a replayed trajectory: its samples are
-evaluated when they are read, the kept samples of one window of
-SAMPLE_BLOCK at a time, and are not stored; closed_form_trajectory
-materializes them into one (N, 4) array.
+time grid the closed form is a replayed trajectory: blocks() evaluates its
+samples when they are read, the kept samples of one window of SAMPLE_BLOCK
+at a time, and they are not stored unless data materializes them, once.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import BathModel, bose_occupation, spectral_density
-from .redfield import SAMPLE_BLOCK, ReplayedTrajectory, Trajectory, sample_windows
+from .redfield import SAMPLE_BLOCK, Trajectory, sample_windows
 from .system import DensityMatrix, EigenSystem
 
 # |s*t| below which the sinh/cosh series replaces the exponential pair.
@@ -63,17 +62,20 @@ def closed_form_replay(rate: ChiRate, times: np.ndarray) -> Trajectory:
     Every expression acts sample by sample, so a block's values are
     bit-identical to a whole-grid evaluation's, whatever the thinning.
     """
-    return ReplayedTrajectory(times, functools.partial(_closed_form_blocks, rate, times))
+    return Trajectory.replay(times, functools.partial(_closed_form_blocks, rate, times))
 
 
 def closed_form_trajectory(rate: ChiRate, times: np.ndarray) -> Trajectory:
-    """The closed form at any times >= 0, stored; only the (N, 4) result is as long as them."""
-    t = np.asarray(times, dtype=float)
+    """The closed form at strictly increasing times >= 0, copied and frozen; replayed when read."""
+    t = np.array(times, dtype=float)
+    t.setflags(write=False)
     if t.ndim != 1 or len(t) == 0:
         raise ValueError("times must be a non-empty 1-d array")
-    if np.any(t < 0):
+    if not np.all(t >= 0):
         raise ValueError("times must be >= 0")
-    return Trajectory(t, closed_form_replay(rate, t).data)
+    if not (t[1:] > t[:-1]).all():
+        raise ValueError("times must be strictly increasing")
+    return closed_form_replay(rate, t)
 
 
 def _closed_form_blocks(rate: ChiRate, times: np.ndarray, every: int):

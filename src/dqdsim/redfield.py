@@ -30,9 +30,9 @@ product per block of B.  Every read of a trajectory walks the same windows of
 SAMPLE_BLOCK samples; the recurrence fills one window of K generators at a
 time, and replay_stack runs it for a group of generators whose grids fit one
 window.  From one generator's powers and rho(0) the samples are a replayed
-trajectory, the recurrence's K = 1 case: it runs again each time they are
-read, a window at a time, so they are never stored; propagate_powers
-materializes them.
+trajectory, the recurrence's K = 1 case: blocks() runs it again each time
+they are read, a window at a time, so they are not stored unless data
+materializes them, once.
 """
 
 from __future__ import annotations
@@ -79,10 +79,11 @@ class RedfieldTensor:
 
 
 class Trajectory:
-    """Time grid plus density-matrix samples (vector order rho11,12,21,22), stored (N, 4).
+    """Time grid plus density-matrix samples (vector order rho11,12,21,22), (N, 4).
 
-    Readers walk the samples in order through blocks(); ReplayedTrajectory
-    computes them there instead of storing them.
+    blocks() walks the samples in order: it slices a stored array or reruns a
+    replay's source.  data, and every accessor built on it, reads the whole
+    array; a replay materializes it once, on first access, and keeps it read-only.
     """
 
     def __init__(self, times: np.ndarray, data: np.ndarray) -> None:
@@ -94,6 +95,14 @@ class Trajectory:
             raise ValueError("times must be strictly increasing")
         self.times = times
         self._data = data
+        self._source = None
+
+    @classmethod
+    def replay(cls, times: np.ndarray, source: Callable[[int], Iterator[np.ndarray]]) -> Trajectory:
+        """Samples that source(every) computes on each blocks(every), on times already checked."""
+        traj = cls.__new__(cls)
+        traj.times, traj._data, traj._source = times, None, source
+        return traj
 
     def __len__(self) -> int:
         return len(self.times)
@@ -104,15 +113,22 @@ class Trajectory:
         A block is valid until the next one is drawn: a replay refills one
         window.
         """
+        if isinstance(every, bool) or not isinstance(every, numbers.Integral):
+            raise ValueError(f"every must be an integer, got {every!r}")
         if every < 1:
             raise ValueError(f"every must be >= 1, got {every}")
-        return self._blocks(every)
-
-    def _blocks(self, every: int) -> Iterator[np.ndarray]:
-        return (self._data[kept] for kept in sample_windows(len(self), every))
+        if self._source is None:
+            return (self._data[kept] for kept in sample_windows(len(self), every))
+        return self._source(every)
 
     @property
     def data(self) -> np.ndarray:
+        if self._data is None:
+            data = np.empty((len(self), 4), dtype=complex)
+            for window, block in zip(sample_windows(len(self), 1), self.blocks()):
+                data[window] = block
+            data.setflags(write=False)
+            self._data = data
         return self._data
 
     def state(self, i: int) -> DensityMatrix:
@@ -137,33 +153,6 @@ class Trajectory:
     @property
     def abs_rho12(self) -> np.ndarray:
         return np.abs(self.data[:, 1])
-
-
-class ReplayedTrajectory(Trajectory):
-    """A trajectory whose samples source(every) computes each time they are read.
-
-    The times are a time_grid's, already checked, and are not checked again.
-    Nothing as long as the grid is held but the grid itself.  data
-    materializes every sample on each access; it is not cached, and every
-    accessor built on it (state, states, rho11, rho22, rho12, abs_rho12)
-    replays the whole trajectory on each call, so a loop over state(i) is
-    quadratic in its length.  Walk the samples with blocks() instead.
-    """
-
-    def __init__(self, times: np.ndarray, source: Callable[[int], Iterator[np.ndarray]]):
-        self.times = times
-        self._source = source
-
-    def _blocks(self, every: int) -> Iterator[np.ndarray]:
-        return self._source(every)
-
-    @property
-    def data(self) -> np.ndarray:
-        data = np.empty((len(self), 4), dtype=complex)
-        for window, block in zip(sample_windows(len(self), 1), self.blocks()):
-            data[window] = block
-        data.setflags(write=False)
-        return data
 
 
 def sample_windows(n_samples: int, every: int) -> Iterator[slice]:
@@ -265,7 +254,7 @@ def check_time_grid(t_end: float, n_steps: int, store_every: int = 1) -> tuple[i
 
 
 def time_grid(t_end: float, n_steps: int, store_every: int = 1) -> np.ndarray:
-    """Sample times of a stored trajectory: every store_every-th step plus 0.
+    """Sample times of a trajectory: every store_every-th step plus 0.
 
     Shared by the numerical propagator and the closed-form evaluator so that
     cross-engine comparisons run on bit-identical grids.
@@ -323,12 +312,7 @@ def replay_powers(powers: np.ndarray, rho0: DensityMatrix, times: np.ndarray) ->
         for block in _rk4_blocks(stack, y0, n_stored, every):
             yield block[0]
 
-    return ReplayedTrajectory(times, blocks)
-
-
-def propagate_powers(powers: np.ndarray, rho0: DensityMatrix, times: np.ndarray) -> Trajectory:
-    """replay_powers' samples, stored."""
-    return Trajectory(times, replay_powers(powers, rho0, times).data)
+    return Trajectory.replay(times, blocks)
 
 
 def replay_stack(powers: np.ndarray, rho0: DensityMatrix, out: np.ndarray) -> np.ndarray:
@@ -389,11 +373,11 @@ def propagate_numeric(
     """Fixed-step RK4 integration of the master equation.
 
     Samples every store_every-th step (plus t = 0); store_every must divide
-    n_steps.  The step must pass check_step.  A stack of one: sweeps stack
-    the stride powers of many points and propagate each with propagate_powers.
+    n_steps.  The step must pass check_step.  A stack of one, returned as
+    replay_powers' replay: sweeps stack the stride powers of many points.
     """
     times = time_grid(t_end, n_steps, store_every)
     check_step(tensor, eig, t_end, n_steps)
     L = liouvillian(tensor, eig)[None]
     powers = stride_powers(L, t_end / n_steps, store_every, len(times) - 1)
-    return propagate_powers(powers[0], rho0, times)
+    return replay_powers(powers[0], rho0, times)

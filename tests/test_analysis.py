@@ -509,8 +509,8 @@ class TestGroupedFinish:
 
 # two full sample blocks and a ragged tail
 MULTI_BLOCK_GRID = dict(t_end=5000.0, n_steps=2 * SAMPLE_BLOCK + 77)
-# a point's engines are replays; these are the functions that store their samples
-REPLAY_OF = {"closed_form_trajectory": "closed_form_replay", "propagate_powers": "replay_powers"}
+# the public entry point of each engine and the replay analysis builds a point's engine from
+REPLAY_OF = {"closed_form_trajectory": "closed_form_replay", "propagate_numeric": "replay_powers"}
 
 
 class TestBlockwiseFinish:
@@ -538,14 +538,14 @@ class TestBlockwiseFinish:
         "engine,target,name",
         [
             ("both", "closed_form_trajectory", "closed_form_trajectory"),
-            ("both", "propagate_powers", "numeric_trajectory"),
+            ("both", "propagate_numeric", "numeric_trajectory"),
             ("closed_form", "closed_form_trajectory", "closed_form_trajectory"),
-            ("numeric", "propagate_powers", "numeric_trajectory"),
+            ("numeric", "propagate_numeric", "numeric_trajectory"),
         ],
     )
     @pytest.mark.parametrize("poison", [math.nan, complex(0.5, -math.inf)], ids=["nan", "inf"])
     def test_non_finite_last_block_is_named(self, monkeypatch, engine, target, name, poison):
-        source = REPLAY_OF[target]  # the replay that target materializes
+        source = REPLAY_OF[target]  # the replay that target returns
         make = getattr(analysis, source)
 
         def poisoned(*args):
@@ -735,6 +735,14 @@ LIBRARY_INPUT_CHECKS = {
     "closed-form-negative-times": (
         lambda: closed_form_trajectory(_RATE, np.array([-1.0, 0.0])),
         ValueError, "times must be >= 0",
+    ),
+    "closed-form-nan-times": (
+        lambda: closed_form_trajectory(_RATE, np.array([math.nan])),
+        ValueError, "times must be >= 0",
+    ),
+    "closed-form-unordered-times": (
+        lambda: closed_form_trajectory(_RATE, np.array([0.0, 2.0, 1.0])),
+        ValueError, "times must be strictly increasing",
     ),
     "time-grid-no-steps": (lambda: time_grid(10.0, 0), ValueError, "n_steps must be >= 1"),
     "bath-not-an-object": (

@@ -21,10 +21,11 @@ from dqdsim import (
     initial_state,
     time_grid,
 )
+from dqdsim import analytic
 from dqdsim.analytic import closed_form_replay
 from dqdsim.redfield import SAMPLE_BLOCK
 from test_redfield import DAMPING_REGIMES, REPLAY_LENGTHS, REPLAY_SAMPLES, WINDOW_EDGES
-from test_redfield import oracle_jn, window_lengths
+from test_redfield import check_one_pass, count_calls, oracle_jn, window_lengths
 
 
 def oracle_rate(bath, temperature, tc):
@@ -300,20 +301,27 @@ class TestReplayedClosedForm:
         assert np.concatenate(blocks).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("regime", [*DAMPING_REGIMES, "series"])
-    def test_data_is_closed_form_trajectory_materialized_on_each_read(self, regime):
+    def test_one_source_pass_serves_every_accessor(self, monkeypatch, regime):
         chi, w, times = replay_times(regime)
-        rate = ChiRate(chi=chi, n_occ=0.3, omega_21=w)
-        traj = closed_form_replay(rate, times)
-        first = traj.data
-        assert first.tobytes() == closed_form_trajectory(rate, times).data.tobytes()
-        assert traj.data is not first and not first.flags.writeable
+        passes = count_calls(monkeypatch, analytic, "_closed_form_blocks")
+        traj = closed_form_trajectory(ChiRate(chi=chi, n_occ=0.3, omega_21=w), times)
+        check_one_pass(traj, passes, two_exponential_closed_form(chi, w, 0.3, times))
 
 
 def test_closed_form_holds_little_beyond_its_output():
     rate = ChiRate(chi=1.0 / 59000.0, n_occ=0.3, omega_21=0.1)
     times = time_grid(2.0e5, 200000)
-    traj, peak = allocation_peak(lambda: closed_form_trajectory(rate, times))
-    assert peak <= traj.data.nbytes + 2 * MiB
+    traj = closed_form_trajectory(rate, times)
+    data, peak = allocation_peak(lambda: traj.data)
+    assert peak <= data.nbytes + 2 * MiB
+
+
+@pytest.mark.parametrize("chi", [0.01, 0.5], ids=["underdamped", "overdamped"])
+def test_infinite_time_is_the_equilibrium_state(chi):
+    rate = ChiRate(chi=chi, n_occ=0.3, omega_21=0.1)
+    state = closed_form_trajectory(rate, [0.0, 1.0, math.inf]).state(2)
+    assert state == closed_form_rdm(rate, math.inf)
+    assert (state.rho11, state.rho12, state.rho22) == (0.8125, 0.0, 0.1875)  # (1+n)/(1+2n)
 
 
 class TestDerivative:

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import io
 import json
 import math
@@ -12,7 +13,7 @@ import pytest
 
 import oracle
 from conftest import MiB, allocation_peak
-from dqdsim import PiezoelectricBath, SweepPoint, cli, evaluate_point
+from dqdsim import PiezoelectricBath, SweepPoint, Trajectory, cli, evaluate_point
 from dqdsim.cli import main
 
 
@@ -940,6 +941,67 @@ class TestTrajectoryTable:
         code, peak = allocation_peak(lambda: main(argv))
         assert code == 0 and len(list(tmp_path.glob("f_point*.csv"))) == 4
         assert peak <= 10 * MiB
+
+
+class TestNoReplayIsMaterialized:
+    """The CLI reads every trajectory through blocks(), so no run holds a whole replay."""
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("evolve", {**EVOLVE_CFG, "engine": "both", "format": "csv"}),
+            ("evolve", {**EVOLVE_CFG, "engine": "both", "format": "json"}),
+            ("t2", {**EVOLVE_CFG, "engine": "both", "format": "csv"}),
+            ("sweep", {**SWEEP_CFG, **GRID, "trajectories": {"write": True, "every": 3}}),
+        ],
+        ids=["evolve-csv", "evolve-json", "t2", "sweep-trajectory-files"],
+    )
+    def test_outputs_are_made_without_data(self, tmp_path, monkeypatch, command, payload):
+        cfg = write_config(tmp_path, payload)
+        where = tmp_path / "out"
+        where.mkdir()
+
+        def run() -> dict:
+            # the same --out both times: the meta names it
+            out = where / f"out.{payload.get('format', 'csv')}"
+            assert main([command, "--config", cfg, "--out", str(out)]) == 0
+            written = {path.name: path.read_bytes() for path in where.iterdir()}
+            for name in written:
+                (where / name).unlink()
+            return written
+
+        expected = run()
+
+        def materialized(traj):
+            raise AssertionError("a trajectory was materialized")
+
+        monkeypatch.setattr(Trajectory, "data", property(materialized))
+        assert run() == expected
+        assert len(expected) == (3 if command == "sweep" else 1)
+
+
+# (module, name, defining module): the names bench/tracing.py patches that resolve, each the
+# function its callers look up at call time, so a wrapper installed there sees every call
+TRACE_TARGETS = [
+    ("dqdsim.cli", "run_sweep", "dqdsim.analysis"),
+    ("dqdsim.cli", "spectral_density", "dqdsim.bath"),
+    ("dqdsim.analysis", "decoherence_time_empirical", "dqdsim.analysis"),
+    ("dqdsim.analysis", "chi_rate", "dqdsim.analytic"),
+    ("dqdsim.analysis", "build_tensor", "dqdsim.redfield"),
+    ("dqdsim.analytic", "spectral_density", "dqdsim.bath"),
+    ("dqdsim.analytic", "bose_occupation", "dqdsim.bath"),
+    ("dqdsim.redfield", "spectral_density", "dqdsim.bath"),
+    ("dqdsim.redfield", "bose_occupation", "dqdsim.bath"),
+]
+
+
+@pytest.mark.parametrize(
+    "module, name, owner", TRACE_TARGETS, ids=[f"{m}.{n}" for m, n, _ in TRACE_TARGETS]
+)
+def test_trace_targets_resolve(module, name, owner):
+    function = getattr(importlib.import_module(owner), name)
+    assert callable(function)
+    assert getattr(importlib.import_module(module), name) is function
 
 
 class TestUsage:

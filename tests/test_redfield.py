@@ -29,8 +29,9 @@ from dqdsim import (
     propagate_numeric,
     time_grid,
 )
-from dqdsim.redfield import _POWER_BLOCK, SAMPLE_BLOCK, ReplayedTrajectory, _rk4_blocks
-from dqdsim.redfield import propagate_powers, replay_powers, replay_stack, stride_powers
+from dqdsim import redfield
+from dqdsim.redfield import _POWER_BLOCK, SAMPLE_BLOCK, _rk4_blocks, replay_powers, replay_stack
+from dqdsim.redfield import stride_powers
 
 INDICES = (1, 2)
 
@@ -347,14 +348,14 @@ def per_matrix_blocks(powers: np.ndarray, y: np.ndarray, n_stored: int) -> np.nd
 
 
 class TestOneProductPerBlock:
-    """propagate_powers' one matrix-vector product per block equals the per-matrix products."""
+    """replay_powers' one matrix-vector product per block equals the per-matrix products."""
 
     @pytest.mark.parametrize("n_stored", [1, 37, 64, 65, 3 * 64 + 17])
     def test_ragged_last_block(self, eig_default, n_stored):
         L = liouvillian(build_tensor(eig_default, PiezoelectricBath(), 0.030), eig_default)
         powers = stride_powers(L[None], 0.5, 3, n_stored)[0]
         times = time_grid(1.5 * n_stored, 3 * n_stored, 3)
-        got = propagate_powers(powers, initial_state(), times)
+        got = replay_powers(powers, initial_state(), times)
         expected = per_matrix_blocks(powers, initial_state().as_vector(), n_stored)
         assert got.data.tobytes() == expected.tobytes()
 
@@ -365,7 +366,7 @@ class TestOneProductPerBlock:
         shape = (min(64, n_stored), 4, 4)
         powers = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / 4.0
         rho0 = initial_state()
-        got = propagate_powers(powers, rho0, time_grid(float(n_stored), n_stored))
+        got = replay_powers(powers, rho0, time_grid(float(n_stored), n_stored))
         expected = per_matrix_blocks(powers, rho0.as_vector(), n_stored)
         assert got.data.tobytes() == expected.tobytes()
 
@@ -411,6 +412,36 @@ def replay_case(regime: str, n_samples: int = REPLAY_SAMPLES):
     return powers, times, per_matrix_blocks(powers, initial_state().as_vector(), n_stored)
 
 
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Patch module.name to record the arguments of each call from now on; the record."""
+    calls, call = [], getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return call(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def check_one_pass(traj: Trajectory, passes: list, expected: np.ndarray) -> None:
+    """A fresh replay's data, read-only, is kept: every accessor, however many calls, costs one
+    source pass (recorded in passes), and blocks() still replays the same bytes."""
+    assert passes == []
+    data = traj.data
+    assert data.tobytes() == expected.tobytes() and not data.flags.writeable
+    states = [traj.state(i) for i in range(len(traj))]
+    assert states == traj.states
+    assert np.array([state.as_vector() for state in states]).tobytes() == expected.tobytes()
+    columns = [traj.rho11, traj.rho22, traj.rho12, traj.abs_rho12]
+    reference = [expected[:, 0].real, expected[:, 3].real, expected[:, 1], np.abs(expected[:, 1])]
+    assert [c.tobytes() for c in columns] == [r.tobytes() for r in reference]
+    assert traj.data is data and len(passes) == 1
+    again = np.concatenate([block.copy() for block in traj.blocks()])
+    assert again.tobytes() == expected.tobytes() and len(passes) == 2
+    assert traj.data is data
+
+
 class TestReplayedRecurrence:
     """replay_powers' blocks are the stored samples, bit for bit, at any grid and thinning."""
 
@@ -425,14 +456,12 @@ class TestReplayedRecurrence:
         assert np.concatenate(blocks).tobytes() == expected[::every].tobytes()
 
     @pytest.mark.parametrize("regime", list(DAMPING_REGIMES))
-    def test_data_is_propagate_powers_materialized_on_each_read(self, regime):
+    def test_one_source_pass_serves_every_accessor(self, monkeypatch, regime):
         powers, times, expected = replay_case(regime)
+        passes = count_calls(monkeypatch, redfield, "_rk4_blocks")
         traj = replay_powers(powers, initial_state(), times)
-        assert isinstance(traj, ReplayedTrajectory) and len(traj) == REPLAY_SAMPLES
-        first = traj.data
-        stored = propagate_powers(powers, initial_state(), times).data
-        assert first.tobytes() == stored.tobytes() == expected.tobytes()
-        assert traj.data is not first and not first.flags.writeable
+        assert len(traj) == REPLAY_SAMPLES
+        check_one_pass(traj, passes, expected)
 
     @pytest.mark.parametrize("n_stored", [1, 63, 64, 65])
     @pytest.mark.parametrize("every", [1, 2, 64])
@@ -445,10 +474,20 @@ class TestReplayedRecurrence:
         assert block.tobytes() == expected[::every].tobytes()
 
     def test_block_arguments_are_checked(self):
-        traj = Trajectory(np.arange(3.0), np.zeros((3, 4), dtype=complex))
-        for every in (0, -1):
-            with pytest.raises(ValueError, match="every must be >= 1"):
-                traj.blocks(every)
+        powers, times, _ = replay_case("underdamped", 100)
+        stored = Trajectory(np.arange(3.0), np.arange(12.0).reshape(3, 4) + 0j)
+        rate = chi_rate(diagonalize(QubitParams(0.05)), PiezoelectricBath(), 0.030)
+        replays = (replay_powers(powers, initial_state(), times), closed_form_trajectory(rate, times))
+        for traj in (stored, *replays):
+            for every in (0, -1, np.int64(0)):
+                with pytest.raises(ValueError, match="every must be >= 1"):
+                    traj.blocks(every)
+            for every in (2.0, 1.0, True, np.float64(2.0), "2", None):
+                message = re.escape(f"every must be an integer, got {every!r}")
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    traj.blocks(every)
+            (block,) = traj.blocks(np.int64(2))  # numpy integers are counts
+            assert block.tobytes() == traj.data[::2].tobytes()
 
 
 # within one window, with a ragged last power block of 13
