@@ -4,10 +4,11 @@ A point is prepared (chi, grid, step guard), its RK4 powers built in a stack
 of points, then it is finished; evaluate_point is a stack of one.  A
 finished point holds its trajectories as replays (the closed form on the
 grid, the RK4 recurrence from its stride powers and rho(0)) that compute
-their samples when read; one pass over them, a window of SAMPLE_BLOCK
-samples at a time, decides finiteness, folds the cross-engine discrepancy
-and keeps |rho12| of the T2 source, so the grid and that |rho12| are all it
-holds that is as long as the grid.  On a grid of N <= SAMPLE_BLOCK samples
+their samples when read, on a TimeGrid that computes their times when read;
+one pass over them, a window of SAMPLE_BLOCK samples at a time, decides
+finiteness, folds the cross-engine discrepancy and gathers what T2
+extraction reads of |rho12| of the T2 source (a _DecayRecord), so a point
+holds nothing as long as its grid.  On a grid of N <= SAMPLE_BLOCK samples
 a sweep replays the numeric samples of a group of up to SAMPLE_BLOCK // N
 of its stack's points in one batched recurrence, in one window it reuses, and
 each point's pass reads its rows of that group; a longer grid's point
@@ -17,7 +18,8 @@ The decoherence time is defined as the 1/e time of the |rho12| envelope,
 T2 = 1/chi.  The empirical extractor recovers it from a sampled trajectory:
 in the underdamped regime by a log-linear fit through the samples where
 |rho12| is stationary (they sit on the e^{-chi t}/2 envelope, one per half
-period), in the overdamped regime by the first crossing below e^-1/2.
+period), in the overdamped regime by the first crossing below e^-1/2.  Both
+are found a window at a time, in the pass that reads the samples.
 |rho12| never rises here: the coherence rows of the Liouvillian give
 d|rho12|^2/dt = -4 chi (Im rho12)^2 <= 0 for every Hermitian state.
 """
@@ -25,7 +27,6 @@ d|rho12|^2/dt = -4 chi (Im rho12)^2 <= 0 for every Hermitian state.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
@@ -34,13 +35,17 @@ import numpy as np
 
 from .analytic import ChiRate, chi_rate, closed_form_replay
 from .bath import BATH_KINDS, BathModel, OhmicBath
-from .redfield import SAMPLE_BLOCK, Trajectory, build_tensor, check_step, check_time_grid
-from .redfield import liouvillian, replay_powers, replay_stack, stride_powers, time_grid
+from .redfield import SAMPLE_BLOCK, TimeGrid, Trajectory, build_tensor, check_step
+from .redfield import check_time_grid, lazy_time_grid, liouvillian, replay_powers, replay_stack
+from .redfield import stride_powers
 from .system import EigenSystem, QubitParams, diagonalize, initial_state
 
 _DECAY_THRESHOLD = 0.5 * math.exp(-1.0)
 # required drop of the stationary-sample envelope before a fit is trusted
 _MIN_DECAY_RATIO = 0.9
+# samples a window carries into the next: a sample is stationary or not by its two neighbours
+# on each side
+_CARRY = 4
 
 ENGINES = ("closed_form", "numeric", "both")
 SWEPT_PARAMETERS = ("omega_l", "eta", "temperature")
@@ -88,21 +93,72 @@ def equilibrium_populations(n_occ: float) -> tuple[float, float]:
     return p_lower, 1.0 - p_lower
 
 
-def _stationary_samples(times: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Samples where |rho12| is momentarily flat.
+class _DecayRecord:
+    """What T2 extraction reads of |rho12|, gathered from the samples a window at a time.
 
     |rho12| decays monotonically with a stationary inflection every half
     period, where Im rho12 = 0, and those flat spots sit exactly on the
     e^{-chi t}/2 envelope; they are found as strict local minima of the
-    central-difference slope magnitude.
+    central-difference slope magnitude.  Whether sample i is one depends on
+    samples i-2..i+2 only, so with the last _CARRY samples carried into the
+    next window each window decides the samples it completes, as one pass
+    over the whole array would.  Kept: the number of samples, the stationary
+    samples' indices and |rho12| (a few per period), and the first sample
+    below e^-1/2, as its index and |rho12| there and one sample before.
     """
-    if len(amps) < 7:
-        return np.empty(0), np.empty(0)
-    slope = amps[2:] - amps[:-2]  # centered at index i+1
-    np.abs(slope, out=slope)
-    interior = (slope[1:-1] < slope[:-2]) & (slope[1:-1] < slope[2:])
-    idx = np.nonzero(interior)[0] + 2
-    return times[idx], amps[idx]
+
+    def __init__(self, n_samples: int) -> None:
+        self._crossing = None  # (i, |rho12| at i - 1 or None for i = 0, |rho12| at i)
+        self._index, self._amps = [], []
+        self._seen = self._carried = 0
+        self._window = np.empty(_CARRY + min(n_samples, SAMPLE_BLOCK))
+
+    def add(self, rho12: np.ndarray) -> None:
+        """The next samples' rho12, at most SAMPLE_BLOCK of them."""
+        held = self._carried
+        window = self._window[: held + len(rho12)]
+        amps = np.abs(rho12, out=window[held:])
+        base = self._seen - held  # the index of window[0]
+        if self._crossing is None:
+            below = np.nonzero(amps < _DECAY_THRESHOLD)[0]
+            if len(below):
+                k = held + int(below[0])
+                self._crossing = (base + k, window[k - 1] if k else None, window[k])
+        slope = window[2:] - window[:-2]  # slope[j] is centred on window[j + 1]
+        np.abs(slope, out=slope)
+        index = np.nonzero((slope[1:-1] < slope[:-2]) & (slope[1:-1] < slope[2:]))[0] + 2
+        self._index.append(index + base)
+        self._amps.append(window[index])
+        self._carried = min(_CARRY, len(window))
+        self._window[: self._carried] = window[len(window) - self._carried :]
+        self._seen += len(rho12)
+
+    def t2(self, times_at: Callable[[np.ndarray], np.ndarray]) -> float:
+        """decoherence_time_empirical's T2; times_at(index) gives the samples' times."""
+        index, amps = np.empty(0, dtype=np.intp), np.empty(0)
+        if self._index:
+            index, amps = np.concatenate(self._index), np.concatenate(self._amps)
+        positive = amps > 0
+        t_s, a_s = times_at(index[positive]), amps[positive]
+        if len(a_s) >= 3 and a_s[-1] < _MIN_DECAY_RATIO * a_s[0]:
+            log_a = np.log(a_s)
+            t_c = t_s - t_s.sum() / len(t_s)
+            slope = float(np.dot(t_c, log_a - log_a.sum() / len(log_a)) / np.dot(t_c, t_c))
+            if slope < 0:
+                return -1.0 / slope
+
+        if self._crossing is not None:
+            i, before, at = self._crossing
+            if i == 0:
+                raise ValueError("trajectory starts below the e^-1/2 threshold")
+            t_before, t_at = times_at(np.array([i - 1, i]))
+            frac = (_DECAY_THRESHOLD - before) / (at - before)
+            return float(t_before + frac * (t_at - t_before))
+
+        if self._seen == 1:
+            raise TrajectoryTooShortError("trajectory too short: a single sample spans no time")
+        t_first, t_last = times_at(np.array([0, self._seen - 1]))
+        raise TrajectoryTooShortError(_too_short_message(t_last - t_first, t_s, a_s))
 
 
 def decoherence_time_empirical(traj: Trajectory) -> float:
@@ -111,36 +167,17 @@ def decoherence_time_empirical(traj: Trajectory) -> float:
     A log-linear fit through the positive stationary samples of |rho12|,
     which needs >= 3 of them whose envelope has dropped by at least 10%;
     failing that, the first crossing below e^-1/2 (overdamped); failing
-    that, TrajectoryTooShortError.
+    that, TrajectoryTooShortError.  The samples are read a window at a time
+    (a _DecayRecord), as in a point's pass.
     """
-    return _t2_from(traj.times, traj.abs_rho12)
+    decay = _DecayRecord(len(traj))
+    for block in traj.blocks():
+        decay.add(block[:, 1])
+    return decay.t2(traj.times_at)
 
 
-def _t2_from(times: np.ndarray, amps: np.ndarray) -> float:
-    """decoherence_time_empirical on |rho12| sampled at times."""
-    t_s, a_s = _stationary_samples(times, amps)
-    positive = a_s > 0
-    t_s, a_s = t_s[positive], a_s[positive]
-    if len(a_s) >= 3 and a_s[-1] < _MIN_DECAY_RATIO * a_s[0]:
-        log_a = np.log(a_s)
-        t_c = t_s - t_s.sum() / len(t_s)
-        slope = float(np.dot(t_c, log_a - log_a.sum() / len(log_a)) / np.dot(t_c, t_c))
-        if slope < 0:
-            return -1.0 / slope
-
-    below = amps < _DECAY_THRESHOLD
-    if below[0]:
-        raise ValueError("trajectory starts below the e^-1/2 threshold")
-    if np.any(below):
-        i = int(np.argmax(below))
-        frac = (_DECAY_THRESHOLD - amps[i - 1]) / (amps[i] - amps[i - 1])
-        return float(times[i - 1] + frac * (times[i] - times[i - 1]))
-
-    raise TrajectoryTooShortError(_too_short_message(times, t_s, a_s))
-
-
-def _too_short_message(times: np.ndarray, t_peak: np.ndarray, a_peak: np.ndarray) -> str:
-    span = float(times[-1] - times[0])
+def _too_short_message(span: float, t_peak: np.ndarray, a_peak: np.ndarray) -> str:
+    span = float(span)
     if len(a_peak) >= 2 and a_peak[-1] < a_peak[0]:
         rate = math.log(a_peak[0] / a_peak[-1]) / float(t_peak[-1] - t_peak[0])
         suggestion = 5.0 / rate
@@ -266,10 +303,11 @@ class PointEvaluation:
     """One parameter point before T2 extraction: eigensystem, rate, trajectories.
 
     Trajectories exist only when a time grid was given, as replays of their
-    full-resolution samples: blocks() recomputes them, data materializes
-    them once and keeps them.  abs_rho12 is |rho12| of the T2 source
-    (numeric preferred) with them.  max_abs_diff exists only with engine
-    "both".
+    full-resolution samples on a TimeGrid: blocks() and time_blocks()
+    recompute samples and times, data and times materialize them once and
+    keep them.  decay, with them, is what T2 extraction reads of the T2
+    source (numeric preferred), gathered by the pass.  max_abs_diff exists
+    only with engine "both".  Nothing held is as long as the grid.
     """
 
     eig: EigenSystem
@@ -277,7 +315,7 @@ class PointEvaluation:
     closed: Optional[Trajectory] = None
     numeric: Optional[Trajectory] = None
     max_abs_diff: Optional[float] = None
-    abs_rho12: Optional[np.ndarray] = None
+    decay: Optional[_DecayRecord] = None
 
 
 def _require_finite(**fields) -> None:
@@ -299,20 +337,21 @@ def _sample_pass(n_samples: int, closed, numeric):
 
     Returns max |closed - numeric| (None unless both are given), the name of
     the first engine, in that order, with a NaN or inf sample (None if there
-    is none), and |rho12| of the T2 source, numeric preferred.  The block
-    maxima are folded with np.maximum, which keeps a NaN from any block; a
-    finite block maximum implies both blocks are finite.  The difference is
-    written over the numeric block once its |rho12| is read, so the numeric
-    blocks must be scratch; with the closed form's block finite, the
-    difference is non-finite where the numeric samples are.
+    is none), and the _DecayRecord of the T2 source, numeric preferred: the
+    few samples T2 extraction reads, so nothing made is as long as the grid.
+    The block maxima are folded with np.maximum, which keeps a NaN from any
+    block; a finite block maximum implies both blocks are finite.  The
+    difference is written over the numeric block once its rho12 is read, so
+    the numeric blocks must be scratch; with the closed form's block finite,
+    the difference is non-finite where the numeric samples are.
     """
     named = [(name, blocks) for name, blocks in
              (("closed_form_trajectory", closed), ("numeric_trajectory", numeric))
              if blocks is not None]
-    amps = np.empty(n_samples)
+    decay = _DecayRecord(n_samples)
     max_abs_diff, non_finite = None, set()
-    for lo, blocks in zip(itertools.count(0, SAMPLE_BLOCK), zip(*(b for _, b in named))):
-        np.abs(blocks[-1][:, 1], out=amps[lo : lo + len(blocks[-1])])
+    for blocks in zip(*(b for _, b in named)):
+        decay.add(blocks[-1][:, 1])
         if len(blocks) == 2:
             block_max = np.abs(np.subtract(*blocks, out=blocks[1])).max()
             max_abs_diff = block_max if max_abs_diff is None else np.maximum(max_abs_diff, block_max)
@@ -322,18 +361,18 @@ def _sample_pass(n_samples: int, closed, numeric):
         if named[0][0] in non_finite:  # named first whatever the later blocks hold
             break
     first = next((name for name, _ in named if name in non_finite), None)
-    return None if max_abs_diff is None else float(max_abs_diff), first, amps
+    return None if max_abs_diff is None else float(max_abs_diff), first, decay
 
 
 @dataclass(frozen=True, eq=False)
 class _Prepared:
-    """A point up to its trajectories: chi checked, grid built, step guarded."""
+    """A point up to its trajectories: chi checked, grid checked, step guarded."""
 
     eig: EigenSystem
     rate: ChiRate
     temperature: float
     engine: str
-    times: Optional[np.ndarray]
+    times: Optional[TimeGrid]
     generator: Optional[np.ndarray]  # the Liouvillian, numeric engines only
 
 
@@ -344,7 +383,7 @@ def _prepare(bath, temperature, tunneling_Tc, engine, t_end, n_steps, store_ever
     _require_finite(chi=rate.chi, n_occ=rate.n_occ)
     generator = None
     if t_end is not None:
-        times = time_grid(t_end, n_steps, store_every) if times is None else times
+        times = lazy_time_grid(t_end, n_steps, store_every) if times is None else times
         if engine in ("numeric", "both"):
             tensor = build_tensor(eig, bath, temperature)
             check_step(tensor, eig, t_end, n_steps)
@@ -369,9 +408,9 @@ def _finish(
     point's rows of its group's replay_stack, when given, and replays them
     from powers otherwise; it overwrites them.  After it, NonFiniteResultError
     names the first engine with a NaN or inf sample before anything else
-    reads them; the pass leaves the cross-engine discrepancy and |rho12| of
-    the T2 source.  The trajectories themselves are not stored: beyond the
-    grid and that |rho12|, nothing held is as long as the grid.
+    reads them; the pass leaves the cross-engine discrepancy and the T2
+    record of the T2 source.  The trajectories themselves are not stored,
+    and their times are a TimeGrid: nothing held is as long as the grid.
     """
     if prep.times is None:
         return PointEvaluation(prep.eig, prep.rate)
@@ -383,11 +422,11 @@ def _finish(
     read = [None if traj is None else traj.blocks() for traj in (closed, numeric)]
     if samples is not None:
         read[1] = [samples]
-    max_abs_diff, non_finite, abs_rho12 = _sample_pass(len(prep.times), *read)
+    max_abs_diff, non_finite, decay = _sample_pass(len(prep.times), *read)
     if non_finite is not None:
         raise NonFiniteResultError(f"{non_finite} is not finite")
     _require_finite(max_abs_diff=max_abs_diff)
-    return PointEvaluation(prep.eig, prep.rate, closed, numeric, max_abs_diff, abs_rho12)
+    return PointEvaluation(prep.eig, prep.rate, closed, numeric, max_abs_diff, decay)
 
 
 def evaluate_point(
@@ -403,7 +442,7 @@ def evaluate_point(
 
     A sweep's stages for one point, after check_point, with a stack of one
     RK4 power set.  The trajectories are replays (see PointEvaluation); the
-    point holds the grid and |rho12| of the T2 source until data is read.
+    point holds nothing as long as its grid until times or data is read.
     Raises NonFiniteResultError when a result is NaN or infinite.
     """
     tunneling_Tc = check_point(bath, tunneling_Tc, engine, t_end, n_steps, store_every)
@@ -415,7 +454,7 @@ def decoherence_times(run: PointEvaluation) -> tuple[float, Optional[float]]:
     """(analytic T2, empirical T2 or None without trajectories); numeric preferred."""
     t2_analytic = decoherence_time_analytic(run.rate)
     traj = run.numeric if run.numeric is not None else run.closed
-    t2_empirical = None if traj is None else _t2_from(traj.times, run.abs_rho12)
+    t2_empirical = None if traj is None else run.decay.t2(traj.times_at)
     _require_finite(t2_analytic=t2_analytic, t2_empirical=t2_empirical)
     return t2_analytic, t2_empirical
 
@@ -451,22 +490,22 @@ def run_sweep(
 ) -> SweepResult:
     """Evaluate every swept value in order on the calling thread.
 
-    The grid is built once; points are prepared _STACK_POINTS at a time,
+    The grid is checked once; points are prepared _STACK_POINTS at a time,
     their RK4 powers stacked, then finished in order.  On a grid of at most
     SAMPLE_BLOCK samples the numeric samples of a group of a stack's points,
     as many as fit SAMPLE_BLOCK rows, are replayed together in one window
     that every group reuses, and each point's pass reads its rows.
     each(point, run) gets each finished point with its full-resolution
-    trajectories, replayed whenever they are read (a point stores only its
-    grid and |rho12|), and the point is dropped once each returns.  The
+    trajectories, replayed whenever they are read (a point stores nothing as
+    long as its grid), and the point is dropped once each returns.  The
     returned points are the whole result: the CLI's sweep summary is written
     from them.  The first failing point aborts the sweep after the points
     before it reached each; the SweepError carries its value, those points
     and, as __cause__, the point's exception.  Later points of its stack may
     be prepared, and later points of its group may have had their numeric
     samples replayed, but none of them gets a pass or reaches each.  Neither
-    an exception from each nor a MemoryError is a point failure: a grid too
-    large for memory fails every point alike, so both propagate as they are.
+    an exception from each nor a MemoryError is a point failure: running out
+    of memory would fail every point alike, so both propagate as they are.
     """
     points: list[SweepPoint] = []
     grid = (spec.t_end, spec.n_steps, spec.store_every)
@@ -501,7 +540,7 @@ def run_sweep(
                                      run.max_abs_diff))
             if each is not None:
                 each(points[-1], run)
-            del run  # so the next point is finished without this one's |rho12|
+            del run  # so the next point is finished without what each materialized
         if failure is not None:
             value, exc = spec.values[failure[0]], failure[1]
             message = f"sweep failed at {spec.swept_parameter}={value}: {exc}"

@@ -13,13 +13,15 @@ limit.  Underdamped, the exponentials are conjugates: one complex exp per
 sample.  The implied initial state is every element equal to 1/2.  On a
 time grid the closed form is a replayed trajectory: blocks() evaluates its
 samples when they are read, the kept samples of one window of SAMPLE_BLOCK
-at a time, and they are not stored unless data materializes them, once.
+at a time, and they are not stored unless data materializes them, once; on
+a TimeGrid each window's times are computed with them.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,11 +58,12 @@ def chi_rate(eig: EigenSystem, bath: BathModel, temperature: float) -> ChiRate:
     return ChiRate(chi=j * (1.0 + 2.0 * n) / 2.0, n_occ=n, omega_21=eig.omega_21)
 
 
-def closed_form_replay(rate: ChiRate, times: np.ndarray) -> Trajectory:
-    """The closed form on a time_grid, evaluated when read; the grid is not checked again.
+def closed_form_replay(rate: ChiRate, times) -> Trajectory:
+    """The closed form on a time_grid or its TimeGrid, evaluated when read; not checked again.
 
     Every expression acts sample by sample, so a block's values are
-    bit-identical to a whole-grid evaluation's, whatever the thinning.
+    bit-identical to a whole-grid evaluation's, whatever the thinning.  A
+    block's times are read from times a window at a time, as the samples.
     """
     return Trajectory.replay(times, functools.partial(_closed_form_blocks, rate, times))
 
@@ -78,9 +81,9 @@ def closed_form_trajectory(rate: ChiRate, times: np.ndarray) -> Trajectory:
     return closed_form_replay(rate, t)
 
 
-def _closed_form_blocks(rate: ChiRate, times: np.ndarray, every: int):
+def _closed_form_blocks(rate: ChiRate, times, every: int):
     """The every-th samples of each window, evaluated together into one buffer."""
-    out = np.empty((len(times[:SAMPLE_BLOCK:every]), 4), dtype=complex)
+    out = np.empty((len(range(0, min(len(times), SAMPLE_BLOCK), every)), 4), dtype=complex)
     for kept in sample_windows(len(times), every):
         t = times[kept]
         _fill_block(rate, t, out[: len(t)])
@@ -113,6 +116,10 @@ def _fill_block(rate: ChiRate, t: np.ndarray, out: np.ndarray) -> None:
         cosh_ser = 1.0 + z2 / 2.0 + z2 * z2 / 24.0
         sinhc_ser = 1.0 + z2 / 6.0 + z2 * z2 / 120.0
         rho12[small] = np.exp(-chi * ts) * (cosh_ser + (chi + 1j * w) * ts * sinhc_ser) / 2.0
+        # critically damped at t = inf, the last time if any: z2 = 0 * inf is NaN, not small,
+        # and the series would be 0 * inf too; the state is the equilibrium, with rho12 = 0
+        if s2 == 0 and len(t) and t[-1] == np.inf:
+            rho12[-1] = 0.0
 
     out[:, 0] = rho11
     out[:, 1] = rho12
@@ -141,7 +148,9 @@ def closed_form_derivative(rate: ChiRate, t: float) -> np.ndarray:
     s2 = chi * chi - w * w
     s = cmath.sqrt(complex(s2, 0.0))
     z2 = s2 * t * t
-    if abs(z2) < _SERIES_THRESHOLD**2:
+    if s2 == 0 and t == math.inf:  # critically damped at equilibrium, where z2 = 0 * inf is NaN
+        d12 = 0j
+    elif abs(z2) < _SERIES_THRESHOLD**2:
         cosh_ser = 1.0 + z2 / 2.0 + z2 * z2 / 24.0
         sinhc_ser = 1.0 + z2 / 6.0 + z2 * z2 / 120.0
         rho12 = cmath.exp(-chi * t) * (cosh_ser + (chi + 1j * w) * t * sinhc_ser) / 2.0

@@ -18,9 +18,9 @@ files are UTF-8 and a name that is not UTF-8 is written as its own bytes, CSV fl
 significant digits, a CSV cell holding a comma, a quote or a line break is
 quoted (RFC 4180), JSON floats are their shortest round-trip repr (as json
 writes them), lines end with \\n, JSON keys are sorted.  Exit codes: 0
-success, 2 usage/config error (including a file that is not UTF-8 JSON, a grid
-too large for memory, in a sweep too, and a grid or step count beyond what an
-array or a float can hold), 3 numerical guard (including a NaN or infinite result), 4 i/o
+success, 2 usage/config error (including a file that is not UTF-8 JSON, running
+out of memory, in a sweep too, and a grid or step count beyond what an array or
+a float can hold), 3 numerical guard (including a NaN or infinite result), 4 i/o
 failure.  A sweep writes each point's trajectory file as soon as the point is
 evaluated and the summary once every point has passed.
 """
@@ -264,17 +264,17 @@ def _emit_table(fmt, out, meta, columns, rows: Iterable[tuple], max_abs_diff=Non
 def _trajectory_table(closed: Optional[Trajectory], numeric: Optional[Trajectory], every=1):
     """Columns and every every-th row of a trajectory; numeric columns follow with both.
 
-    The rows are a generator that reads the engines' blocks together, a
-    window at a time, and makes them _ROWS_PER_WRITE at a time from each
-    window, so a replayed trajectory is computed as they are drawn.
+    The rows are a generator that reads the engines' blocks and their times
+    together, a window at a time, and makes them _ROWS_PER_WRITE at a time
+    from each window, so a replayed trajectory and its times are computed as
+    they are drawn.
     """
     parts = [traj for traj in (closed, numeric) if traj is not None]
     columns = _TRAJECTORY_COLUMNS + (_NUMERIC_COLUMNS if len(parts) == 2 else ())
 
     def rows():
-        kept = parts[0].times[::every]
-        for blocks in zip(*(traj.blocks(every) for traj in parts)):
-            window, kept = kept[: len(blocks[0])], kept[len(blocks[0]) :]
+        windows = parts[0].time_blocks(every)
+        for window, *blocks in zip(windows, *(traj.blocks(every) for traj in parts)):
             for lo in range(0, len(window), _ROWS_PER_WRITE):
                 values = [window[lo : lo + _ROWS_PER_WRITE]]
                 for block in blocks:

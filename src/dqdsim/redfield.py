@@ -32,7 +32,9 @@ time, and replay_stack runs it for a group of generators whose grids fit one
 window.  From one generator's powers and rho(0) the samples are a replayed
 trajectory, the recurrence's K = 1 case: blocks() runs it again each time
 they are read, a window at a time, so they are not stored unless data
-materializes them, once.
+materializes them, once.  Its times are a TimeGrid, np.arange(lo, hi) *
+stride for each window read, so the grid is not built unless times
+materializes it, once.
 """
 
 from __future__ import annotations
@@ -78,12 +80,36 @@ class RedfieldTensor:
         return abs(float(self.r[0, 1, 0, 1]))
 
 
+class TimeGrid:
+    """The times np.arange(n_samples) * stride of a time_grid, computed where they are read.
+
+    Indexed by a slice or an array of indices in range(n_samples), it gives
+    those integers times stride, the values a built grid holds bit for bit,
+    without building the grid.
+    """
+
+    __slots__ = ("n_samples", "stride")
+
+    def __init__(self, n_samples: int, stride: float) -> None:
+        self.n_samples, self.stride = n_samples, stride
+
+    def __len__(self) -> int:
+        return self.n_samples
+
+    def __getitem__(self, index) -> np.ndarray:
+        if isinstance(index, slice):
+            index = np.arange(*index.indices(self.n_samples))
+        return index * self.stride
+
+
 class Trajectory:
-    """Time grid plus density-matrix samples (vector order rho11,12,21,22), (N, 4).
+    """Sample times plus density-matrix samples (vector order rho11,12,21,22), (N, 4).
 
     blocks() walks the samples in order: it slices a stored array or reruns a
-    replay's source.  data, and every accessor built on it, reads the whole
-    array; a replay materializes it once, on first access, and keeps it read-only.
+    replay's source.  time_blocks() walks their times alike and times_at()
+    reads single times, so a replay on a TimeGrid never builds its grid.
+    times and data, and every accessor built on data, read whole arrays; a
+    replay materializes each once, on first access, and keeps it read-only.
     """
 
     def __init__(self, times: np.ndarray, data: np.ndarray) -> None:
@@ -93,19 +119,20 @@ class Trajectory:
             raise ValueError("times and data lengths differ")
         if not (times[1:] > times[:-1]).all():
             raise ValueError("times must be strictly increasing")
-        self.times = times
-        self._data = data
-        self._source = None
+        self._times, self._data, self._source = times, data, None
 
     @classmethod
-    def replay(cls, times: np.ndarray, source: Callable[[int], Iterator[np.ndarray]]) -> Trajectory:
-        """Samples that source(every) computes on each blocks(every), on times already checked."""
+    def replay(cls, times, source: Callable[[int], Iterator[np.ndarray]]) -> Trajectory:
+        """Samples that source(every) computes on each blocks(every), at times already checked.
+
+        times is an array or a TimeGrid.
+        """
         traj = cls.__new__(cls)
-        traj.times, traj._data, traj._source = times, None, source
+        traj._times, traj._data, traj._source = times, None, source
         return traj
 
     def __len__(self) -> int:
-        return len(self.times)
+        return len(self._times)
 
     def blocks(self, every: int = 1) -> Iterator[np.ndarray]:
         """The every-th samples of each window of SAMPLE_BLOCK samples, in order.
@@ -113,13 +140,27 @@ class Trajectory:
         A block is valid until the next one is drawn: a replay refills one
         window.
         """
-        if isinstance(every, bool) or not isinstance(every, numbers.Integral):
-            raise ValueError(f"every must be an integer, got {every!r}")
-        if every < 1:
-            raise ValueError(f"every must be >= 1, got {every}")
+        _check_every(every)
         if self._source is None:
             return (self._data[kept] for kept in sample_windows(len(self), every))
         return self._source(every)
+
+    def time_blocks(self, every: int = 1) -> Iterator[np.ndarray]:
+        """The times of the samples blocks(every) yields, block by block."""
+        _check_every(every)
+        return (self._times[kept] for kept in sample_windows(len(self), every))
+
+    def times_at(self, index: np.ndarray) -> np.ndarray:
+        """The times of the samples at an array of indices in range(len(self))."""
+        return self._times[index]
+
+    @property
+    def times(self) -> np.ndarray:
+        if isinstance(self._times, TimeGrid):
+            times = self._times[:]
+            times.setflags(write=False)
+            self._times = times
+        return self._times
 
     @property
     def data(self) -> np.ndarray:
@@ -153,6 +194,13 @@ class Trajectory:
     @property
     def abs_rho12(self) -> np.ndarray:
         return np.abs(self.data[:, 1])
+
+
+def _check_every(every: int) -> None:
+    if isinstance(every, bool) or not isinstance(every, numbers.Integral):
+        raise ValueError(f"every must be an integer, got {every!r}")
+    if every < 1:
+        raise ValueError(f"every must be >= 1, got {every}")
 
 
 def sample_windows(n_samples: int, every: int) -> Iterator[slice]:
@@ -253,14 +301,19 @@ def check_time_grid(t_end: float, n_steps: int, store_every: int = 1) -> tuple[i
     return n_stored, stride
 
 
-def time_grid(t_end: float, n_steps: int, store_every: int = 1) -> np.ndarray:
-    """Sample times of a trajectory: every store_every-th step plus 0.
-
-    Shared by the numerical propagator and the closed-form evaluator so that
-    cross-engine comparisons run on bit-identical grids.
-    """
+def lazy_time_grid(t_end: float, n_steps: int, store_every: int = 1) -> TimeGrid:
+    """time_grid's times, checked, as a TimeGrid: computed where they are read, never built."""
     n_stored, stride = check_time_grid(t_end, n_steps, store_every)
-    times = np.arange(n_stored + 1) * stride
+    return TimeGrid(n_stored + 1, stride)
+
+
+def time_grid(t_end: float, n_steps: int, store_every: int = 1) -> np.ndarray:
+    """Sample times of a trajectory: every store_every-th step plus 0, built and read-only.
+
+    The built form of lazy_time_grid's TimeGrid, which both engines share so
+    that cross-engine comparisons run on bit-identical grids.
+    """
+    times = lazy_time_grid(t_end, n_steps, store_every)[:]
     times.setflags(write=False)
     return times
 
@@ -304,8 +357,11 @@ def stride_powers(L: np.ndarray, h: float, store_every: int, n_stored: int) -> n
     return powers
 
 
-def replay_powers(powers: np.ndarray, rho0: DensityMatrix, times: np.ndarray) -> Trajectory:
-    """The samples on a time_grid from one generator's stride powers (B, 4, 4), replayed when read."""
+def replay_powers(powers: np.ndarray, rho0: DensityMatrix, times) -> Trajectory:
+    """The samples on a time_grid (or its TimeGrid) from one generator's stride powers (B, 4, 4).
+
+    They are replayed when read.
+    """
     stack, y0, n_stored = powers[None], rho0.as_vector(), len(times) - 1
 
     def blocks(every: int) -> Iterator[np.ndarray]:
@@ -376,7 +432,7 @@ def propagate_numeric(
     n_steps.  The step must pass check_step.  A stack of one, returned as
     replay_powers' replay: sweeps stack the stride powers of many points.
     """
-    times = time_grid(t_end, n_steps, store_every)
+    times = lazy_time_grid(t_end, n_steps, store_every)
     check_step(tensor, eig, t_end, n_steps)
     L = liouvillian(tensor, eig)[None]
     powers = stride_powers(L, t_end / n_steps, store_every, len(times) - 1)

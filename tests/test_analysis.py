@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import math
 import threading
 import weakref
@@ -9,6 +10,7 @@ import pytest
 
 import oracle
 from conftest import MiB, allocation_peak, allocations
+import dqdsim
 from dqdsim import (
     ChiRate,
     DeformationBath,
@@ -36,7 +38,7 @@ from dqdsim import (
     spectral_density,
     time_grid,
 )
-from dqdsim import analysis
+from dqdsim import analysis, cli, redfield
 from dqdsim.redfield import SAMPLE_BLOCK, StepSizeError
 
 
@@ -104,6 +106,194 @@ class TestEmpiricalT2:
         traj = closed_form_trajectory(rate, time_grid(80.0, 800))
         with pytest.raises(TrajectoryTooShortError, match="extend t_end"):
             decoherence_time_empirical(traj)
+
+
+def _stationary_samples(times: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The whole-array stationary-sample search, the streaming detector's reference."""
+    if len(amps) < 7:
+        return np.empty(0), np.empty(0)
+    slope = amps[2:] - amps[:-2]  # centered at index i+1
+    np.abs(slope, out=slope)
+    interior = (slope[1:-1] < slope[:-2]) & (slope[1:-1] < slope[2:])
+    idx = np.nonzero(interior)[0] + 2
+    return times[idx], amps[idx]
+
+
+def _t2_from(times: np.ndarray, amps: np.ndarray) -> float:
+    """The whole-array T2 extraction on |rho12| sampled at times, the streaming one's reference."""
+    t_s, a_s = _stationary_samples(times, amps)
+    positive = a_s > 0
+    t_s, a_s = t_s[positive], a_s[positive]
+    if len(a_s) >= 3 and a_s[-1] < analysis._MIN_DECAY_RATIO * a_s[0]:
+        log_a = np.log(a_s)
+        t_c = t_s - t_s.sum() / len(t_s)
+        slope = float(np.dot(t_c, log_a - log_a.sum() / len(log_a)) / np.dot(t_c, t_c))
+        if slope < 0:
+            return -1.0 / slope
+
+    below = amps < analysis._DECAY_THRESHOLD
+    if below[0]:
+        raise ValueError("trajectory starts below the e^-1/2 threshold")
+    if np.any(below):
+        i = int(np.argmax(below))
+        frac = (analysis._DECAY_THRESHOLD - amps[i - 1]) / (amps[i] - amps[i - 1])
+        return float(times[i - 1] + frac * (times[i] - times[i - 1]))
+
+    raise TrajectoryTooShortError(_too_short_message(times, t_s, a_s))
+
+
+def _too_short_message(times: np.ndarray, t_peak: np.ndarray, a_peak: np.ndarray) -> str:
+    span = float(times[-1] - times[0])
+    if len(a_peak) >= 2 and a_peak[-1] < a_peak[0]:
+        rate = math.log(a_peak[0] / a_peak[-1]) / float(t_peak[-1] - t_peak[0])
+        suggestion = 5.0 / rate
+        return (
+            f"trajectory too short: envelope dropped only {a_peak[-1] / a_peak[0]:.3g}x "
+            f"over {span:.6g} ps; extend t_end to at least {suggestion:.6g} ps"
+        )
+    return (
+        f"trajectory too short: no decaying envelope detected over {span:.6g} ps; "
+        f"extend t_end to at least {5.0 * span:.6g} ps or check that the coupling is nonzero"
+    )
+
+
+def _outcome(call):
+    """call()'s value, or the type and message of the ValueError it raises."""
+    try:
+        return call()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _reference_outcome(traj: Trajectory):
+    return _outcome(lambda: _t2_from(traj.times, traj.abs_rho12))
+
+
+# two full windows and a ragged tail
+EDGE_SAMPLES = 2 * SAMPLE_BLOCK + 77
+_STEP = 2.0**-16  # |rho12| falls by a power of two a sample, so every difference is exact
+
+
+def _dipped(dips, n: int = EDGE_SAMPLES) -> Trajectory:
+    """|rho12| from 0.5 down by _STEP a sample, by _STEP / 4 on each side of each dip.
+
+    The slope magnitude |a[i+1] - a[i-1]| is least at the dips, so they are the
+    stationary samples, and only they are.
+    """
+    step = np.full(n - 1, _STEP)
+    for k in dips:
+        step[k - 1] = step[k] = _STEP / 4
+    return _trajectory(np.concatenate(([0.5], 0.5 - np.cumsum(step))))
+
+
+def _crossing_at(k: int, n: int = EDGE_SAMPLES) -> Trajectory:
+    """|rho12| falling by _STEP a sample, first below e^-1/2 at index k, with no stationary sample."""
+    top = math.ceil(analysis._DECAY_THRESHOLD / _STEP) * _STEP  # the last sample at or above
+    return _trajectory(top + (k - 1 - np.arange(n)) * _STEP)
+
+
+# the three sweeps of the scan benchmark: their grids, fixed parameters and value ranges
+SCAN_SWEEPS = {
+    "temperature": (
+        dict(base_bath=PiezoelectricBath(), t_end=2500.0, n_steps=5000, store_every=2),
+        (0.02, 1.0),
+    ),
+    "omega_l": (
+        dict(base_bath=PiezoelectricBath(), temperature=0.1, t_end=3000.0, n_steps=12000,
+             store_every=6),
+        (0.4, 1.0),
+    ),
+    "eta": (
+        dict(base_bath=OhmicBath(eta=0.1), temperature=0.1, tunneling_Tc=0.05, t_end=7500.0,
+             n_steps=15000, store_every=5),
+        (0.1, 0.5),
+    ),
+}
+
+
+def _check_against_the_reference(point, run) -> None:
+    """A sweep's each: the point's T2 and the library's are the whole-array reference's."""
+    traj = run.numeric if run.numeric is not None else run.closed
+    expected = _t2_from(traj.times, traj.abs_rho12)
+    assert point.t2_empirical == expected
+    assert decoherence_time_empirical(traj) == expected
+
+
+class TestStreamingT2:
+    """T2 found a window at a time equals the whole-array extraction, bit for bit."""
+
+    @pytest.mark.parametrize("fig", range(1, 7))
+    def test_every_fig_point(self, monkeypatch, tmp_path, configs_dir, fig):
+        cfg = json.loads((configs_dir / f"fig{fig}.json").read_text())
+        cfg.pop("trajectories")
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        checked, run_sweep_ = [], cli.run_sweep
+
+        def checking(spec, each=None):
+            def check(point, run):
+                _check_against_the_reference(point, run)
+                checked.append(point.index)
+
+            return run_sweep_(spec, check)
+
+        monkeypatch.setattr(cli, "run_sweep", checking)
+        argv = ["sweep", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "o.csv")]
+        assert cli.main(argv) == 0
+        assert checked == list(range(len(cfg["sweep"]["values"])))
+
+    @pytest.mark.parametrize("parameter", list(SCAN_SWEEPS))
+    def test_scan_grids_and_ranges(self, parameter):
+        fixed, (lo, hi) = SCAN_SWEEPS[parameter]
+        values = lo + (np.arange(100) + 0.5) * (hi - lo) / 100  # bin centres over the range
+        spec = SweepSpec(parameter, tuple(values.tolist()), engine="both", **fixed)
+        assert len(run_sweep(spec, _check_against_the_reference).points) == 100
+
+    # a window decides the samples up to its third last, given four carried samples
+    @pytest.mark.parametrize("k", [SAMPLE_BLOCK + d for d in range(-3, 2)])
+    def test_stationary_sample_at_a_window_edge(self, k):
+        traj = _dipped([100, k, 2 * SAMPLE_BLOCK])
+        t_s, _ = _stationary_samples(traj.times, traj.abs_rho12)
+        assert t_s.tolist() == [100, k, 2 * SAMPLE_BLOCK]
+        expected = _t2_from(traj.times, traj.abs_rho12)
+        assert decoherence_time_empirical(traj) == expected
+        # without the edge sample two stationary samples are left: no fit, and no crossing
+        assert _reference_outcome(_dipped([100, 2 * SAMPLE_BLOCK]))[0] is TrajectoryTooShortError
+
+    @pytest.mark.parametrize("k", [SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1])
+    def test_first_crossing_at_a_window_edge(self, k):
+        traj = _crossing_at(k)
+        assert len(_stationary_samples(traj.times, traj.abs_rho12)[0]) == 0
+        expected = _t2_from(traj.times, traj.abs_rho12)
+        assert k - 1 < expected < k
+        assert decoherence_time_empirical(traj) == expected
+
+    @pytest.mark.parametrize(
+        "amps",
+        [
+            [0.1] * 10,  # starts below
+            [0.1],
+            [0.5] * 20,  # flat: no envelope
+            [0.5, 0.4, 0.3, 0.15, 0.1],  # too few samples for a fit: the crossing
+            [0.5, 0.4, 0.39, 0.38, 0.3, 0.2],  # one stationary sample, at index 2
+            [0.5, 0.4, 0.35, 0.3, 0.29, 0.28, 0.27, 0.26],
+        ],
+        ids=["starts-below", "one-below", "flat", "five", "six", "eight"],
+    )
+    def test_short_trajectories(self, amps):
+        traj = _trajectory(amps)
+        assert _outcome(lambda: decoherence_time_empirical(traj)) == _reference_outcome(traj)
+
+    def test_too_short_messages(self):
+        # a decaying envelope that drops too little: its message names the extension
+        traj = _dipped([100, 5000, 9000, 16000], n=SAMPLE_BLOCK * 2 + 77)
+        data = traj.data.copy()
+        data[:, 1] = 0.5 - (0.5 - data[:, 1]) / 64  # a 0.4 % drop, never below e^-1/2
+        cases = [Trajectory(traj.times, data), _dipped([]), _trajectory([0.5, 0.5])]
+        for case in cases:
+            expected = _reference_outcome(case)
+            assert expected[0] is TrajectoryTooShortError
+            assert _outcome(lambda: decoherence_time_empirical(case)) == expected
+        assert "envelope dropped only" in _reference_outcome(cases[0])[1]
 
 
 class TestEquilibriumPopulations:
@@ -335,9 +525,9 @@ class TestStackedSweep:
         result = run_sweep(spec, each)
         assert result.points == tuple(seen) and len(seen) == 40
 
-    def test_grid_built_once_and_powers_once_per_stack(self, monkeypatch):
+    def test_grid_checked_once_never_built_and_powers_once_per_stack(self, monkeypatch):
         stacks, grids = [], []
-        stride_powers, time_grid_ = analysis.stride_powers, analysis.time_grid
+        stride_powers, lazy_time_grid = analysis.stride_powers, analysis.lazy_time_grid
 
         def counting_powers(generators, *args):
             stacks.append(len(generators))
@@ -345,10 +535,11 @@ class TestStackedSweep:
 
         def counting_grid(*args):
             grids.append(args)
-            return time_grid_(*args)
+            return lazy_time_grid(*args)
 
         monkeypatch.setattr(analysis, "stride_powers", counting_powers)
-        monkeypatch.setattr(analysis, "time_grid", counting_grid)
+        monkeypatch.setattr(analysis, "lazy_time_grid", counting_grid)
+        _refuse_to_build_grids(monkeypatch)
         spec = _sweep(
             PiezoelectricBath(),
             "temperature",
@@ -558,17 +749,23 @@ class TestBlockwiseFinish:
         with pytest.raises(NonFiniteResultError, match=f"^{name} is not finite$"):
             analysis.evaluate_point(PiezoelectricBath(), 0.030, 0.05, engine, **MULTI_BLOCK_GRID)
 
-    def test_a_point_holds_its_grid_and_abs_rho12(self):
-        # case (II) of the paper on its 2e5-sample grid; the trajectories are replays
+    def test_a_point_holds_nothing_as_long_as_its_grid(self):
+        # case (II) of the paper on its 2e5-sample grid: its times or its |rho12| would each
+        # take 1.6 MB; the trajectories are replays and their times a TimeGrid
         args = (DeformationBath(), 0.030, 0.05, "both", 1.5e5, 200000)
+        grid_floats = 200001 * np.dtype(float).itemsize
         run, peak, live = allocations(lambda: analysis.evaluate_point(*args))
-        held = run.closed.times.nbytes + run.abs_rho12.nbytes
-        assert len(run.abs_rho12) == len(run.closed) == 200001
-        assert peak <= held + 6 * MiB
-        assert live <= held + MiB // 2
-        # T2 reads the stored |rho12|: one slope array as long as the grid, and masks
-        _, peak = allocation_peak(lambda: decoherence_times(run))
-        assert peak <= run.abs_rho12.nbytes + MiB
+        assert len(run.closed) == len(run.numeric) == 200001
+        assert live <= grid_floats // 4  # the stride powers and the T2 record
+        # the pass holds a window of each engine, whatever the grid's length
+        short = (*args[:4], MULTI_BLOCK_GRID["t_end"], MULTI_BLOCK_GRID["n_steps"])
+        _, window_peak = allocation_peak(lambda: analysis.evaluate_point(*short))
+        assert peak <= window_peak + MiB // 4
+        # T2 is fitted through the few stationary samples the pass kept
+        t2s, peak, live = allocations(lambda: decoherence_times(run))
+        assert t2s[1] == pytest.approx(t2s[0], rel=1e-3)
+        assert peak <= grid_floats // 4
+        assert live <= 1024
 
     def test_both_engines_hold_little_beyond_their_trajectories(self):
         # case (II) of the paper: T2 is about 59 ns, so a curve spans 2e5 samples
@@ -700,6 +897,17 @@ class TestTimeGridValidation:
         assert spec.n_steps == 10**15
 
 
+def _refuse_to_build_grids(monkeypatch) -> None:
+    """time_grid and Trajectory.times, the two ways to build a whole grid, raise from now on."""
+
+    def built(*args):
+        raise AssertionError("a whole time grid was built")
+
+    for module in (dqdsim, redfield, analysis):  # analysis imports no time_grid today
+        monkeypatch.setattr(module, "time_grid", built, raising=False)
+    monkeypatch.setattr(Trajectory, "times", property(built))
+
+
 def _trajectory(abs_rho12) -> Trajectory:
     """A trajectory on t = 0, 1, 2, ... whose real rho12 is the given sequence."""
     rho12 = np.asarray(abs_rho12, dtype=complex)
@@ -754,6 +962,10 @@ LIBRARY_INPUT_CHECKS = {
     "bath-to-dict-of-a-non-bath": (lambda: bath_to_dict("pcpb"), TypeError, "unknown bath model"),
     "empirical-t2-starting-below-the-threshold": (
         lambda: decoherence_time_empirical(_trajectory([0.1] * 10)), ValueError, "starts below"
+    ),
+    "empirical-t2-of-a-single-sample": (
+        lambda: decoherence_time_empirical(_trajectory([0.5])),
+        TrajectoryTooShortError, "^trajectory too short: a single sample spans no time$",
     ),
 }
 

@@ -316,12 +316,24 @@ def test_closed_form_holds_little_beyond_its_output():
     assert peak <= data.nbytes + 2 * MiB
 
 
-@pytest.mark.parametrize("chi", [0.01, 0.5], ids=["underdamped", "overdamped"])
+# chi = 0.1 = omega_21 is critical damping, s = 0 exactly
+INFINITE_TIME_REGIMES = pytest.mark.parametrize(
+    "chi", [0.01, 0.5, 0.1], ids=["underdamped", "overdamped", "critical"]
+)
+
+
+@INFINITE_TIME_REGIMES
 def test_infinite_time_is_the_equilibrium_state(chi):
     rate = ChiRate(chi=chi, n_occ=0.3, omega_21=0.1)
     state = closed_form_trajectory(rate, [0.0, 1.0, math.inf]).state(2)
     assert state == closed_form_rdm(rate, math.inf)
     assert (state.rho11, state.rho12, state.rho22) == (0.8125, 0.0, 0.1875)  # (1+n)/(1+2n)
+
+
+@INFINITE_TIME_REGIMES
+def test_nothing_moves_at_infinite_time(chi):
+    derivative = closed_form_derivative(ChiRate(chi=chi, n_occ=0.3, omega_21=0.1), math.inf)
+    assert derivative.tolist() == [0.0] * 4
 
 
 class TestDerivative:

@@ -15,6 +15,7 @@ import oracle
 from conftest import MiB, allocation_peak
 from dqdsim import PiezoelectricBath, SweepPoint, Trajectory, cli, evaluate_point
 from dqdsim.cli import main
+from test_analysis import _refuse_to_build_grids
 
 
 def write_config(tmp_path: Path, payload: dict, name: str = "config.json") -> str:
@@ -676,11 +677,7 @@ class TestValidationBoundary:
     @pytest.mark.parametrize(
         "command,payload,target",
         [
-            (
-                "evolve",
-                {**EVOLVE_CFG, "t_end": 1e9, "n_steps": 10**11},
-                "dqdsim.analysis.time_grid",
-            ),
+            ("evolve", EVOLVE_CFG, "dqdsim.analytic._closed_form_blocks"),
             (
                 "spectral",
                 {"bath": PCPB, "grid": {"omega_min": 0, "omega_max": 0.1, "count": 3}},
@@ -943,6 +940,48 @@ class TestTrajectoryTable:
         assert peak <= 10 * MiB
 
 
+class TestNoGridIsBuilt:
+    """No run builds a whole time grid: each window's times are computed where they are read."""
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("evolve", {**EVOLVE_CFG, "engine": "both"}),
+            ("t2", {**EVOLVE_CFG, "engine": "both"}),
+            ("sweep", "fig5.json"),
+        ],
+        ids=["evolve", "t2", "sweep-fig5"],
+    )
+    def test_outputs_are_made_without_a_grid(
+        self, tmp_path, monkeypatch, configs_dir, command, payload
+    ):
+        if isinstance(payload, str):
+            payload = json.loads((configs_dir / payload).read_text())
+        run = _rerunnable(tmp_path, command, payload)
+        expected = run()
+        _refuse_to_build_grids(monkeypatch)
+        assert run() == expected
+        assert len(expected) == (5 if command == "sweep" else 1)
+
+
+def _rerunnable(tmp_path: Path, command: str, payload: dict):
+    """A call that runs command on payload and returns the files it wrote, by name, then
+    deletes them: the same --out every time, as the meta names it."""
+    cfg = write_config(tmp_path, payload)
+    where = tmp_path / "out"
+    where.mkdir()
+
+    def run() -> dict:
+        out = where / f"out.{payload.get('format', 'csv')}"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        written = {path.name: path.read_bytes() for path in where.iterdir()}
+        for name in written:
+            (where / name).unlink()
+        return written
+
+    return run
+
+
 class TestNoReplayIsMaterialized:
     """The CLI reads every trajectory through blocks(), so no run holds a whole replay."""
 
@@ -957,19 +996,7 @@ class TestNoReplayIsMaterialized:
         ids=["evolve-csv", "evolve-json", "t2", "sweep-trajectory-files"],
     )
     def test_outputs_are_made_without_data(self, tmp_path, monkeypatch, command, payload):
-        cfg = write_config(tmp_path, payload)
-        where = tmp_path / "out"
-        where.mkdir()
-
-        def run() -> dict:
-            # the same --out both times: the meta names it
-            out = where / f"out.{payload.get('format', 'csv')}"
-            assert main([command, "--config", cfg, "--out", str(out)]) == 0
-            written = {path.name: path.read_bytes() for path in where.iterdir()}
-            for name in written:
-                (where / name).unlink()
-            return written
-
+        run = _rerunnable(tmp_path, command, payload)
         expected = run()
 
         def materialized(traj):

@@ -696,3 +696,47 @@ class TestTrajectory:
     def test_time_grid_values(self):
         times = time_grid(10.0, 10, 2)
         assert times.tolist() == [0.0, 2.0, 4.0, 6.0, 8.0, 10.0]
+
+
+# (t_end, n_steps, store_every): a stride that is not a power of two, over several windows
+LAZY_GRIDS = [(10.0, 10, 2), (2500.0, 2 * SAMPLE_BLOCK + 76, 1), (3000.0, 12000 * 6, 6)]
+
+
+class TestTimeGrid:
+    """A TimeGrid computes the times a built grid holds, bit for bit, where they are read."""
+
+    @pytest.mark.parametrize("grid", LAZY_GRIDS)
+    def test_slices_and_indices_are_the_built_grid(self, grid):
+        built, lazy = time_grid(*grid), redfield.lazy_time_grid(*grid)
+        n = len(built)
+        assert len(lazy) == n
+        for index in (slice(None), slice(3, None, 7), slice(n - 2, n + 9, 3), slice(n, None),
+                      slice(0, 1)):
+            assert lazy[index].tobytes() == built[index].tobytes()
+        for every in (1, 3, 80):
+            for kept in redfield.sample_windows(n, every):
+                assert lazy[kept].tobytes() == built[kept].tobytes()
+        index = np.array([0, 1, n // 2, n - 2, n - 1])
+        assert lazy[index].tobytes() == built[index].tobytes()
+
+    @pytest.mark.parametrize("every", [1, 3, 80])
+    def test_a_replay_reads_its_times_without_building_them(self, eig_default, every):
+        tensor = build_tensor(eig_default, PiezoelectricBath(), 0.030)
+        grid = (2500.0, 2 * SAMPLE_BLOCK + 76)
+        traj = propagate_numeric(tensor, eig_default, initial_state(), *grid)
+        built = time_grid(*grid)
+        stored = Trajectory(built, traj.data)
+        for reader in (traj, stored):
+            windows = [t.tobytes() for t in reader.time_blocks(every)]
+            assert windows == [built[kept].tobytes() for kept in
+                               redfield.sample_windows(len(built), every)]
+            assert [len(t) for t in reader.time_blocks(every)] == [
+                len(block) for block in reader.blocks(every)]
+            index = np.array([0, SAMPLE_BLOCK, len(built) - 1])
+            assert reader.times_at(index).tobytes() == built[index].tobytes()
+        assert isinstance(traj._times, redfield.TimeGrid)  # nothing above built the grid
+        times = traj.times  # built on first access, then kept read-only
+        assert times.tobytes() == built.tobytes() and not times.flags.writeable
+        assert traj.times is times
+        with pytest.raises(ValueError, match="every must be an integer"):
+            traj.time_blocks(2.0)
