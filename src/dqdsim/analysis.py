@@ -27,6 +27,7 @@ d|rho12|^2/dt = -4 chi (Im rho12)^2 <= 0 for every Hermitian state.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
@@ -339,8 +340,10 @@ def _sample_pass(n_samples: int, closed, numeric):
     the first engine, in that order, with a NaN or inf sample (None if there
     is none), and the _DecayRecord of the T2 source, numeric preferred: the
     few samples T2 extraction reads, so nothing made is as long as the grid.
-    The block maxima are folded with np.maximum, which keeps a NaN from any
-    block; a finite block maximum implies both blocks are finite.  The
+    |closed - numeric| is made a quarter of a window's rows at a time, so no
+    float array longer than SAMPLE_BLOCK is made, and the maxima of the
+    pieces and blocks are folded with np.maximum, which keeps a NaN from any
+    of them; a finite block maximum implies both blocks are finite.  The
     difference is written over the numeric block once its rho12 is read, so
     the numeric blocks must be scratch; with the closed form's block finite,
     the difference is non-finite where the numeric samples are.
@@ -353,7 +356,10 @@ def _sample_pass(n_samples: int, closed, numeric):
     for blocks in zip(*(b for _, b in named)):
         decay.add(blocks[-1][:, 1])
         if len(blocks) == 2:
-            block_max = np.abs(np.subtract(*blocks, out=blocks[1])).max()
+            diff = np.subtract(*blocks, out=blocks[1])
+            rows = SAMPLE_BLOCK // 4  # |diff| of a quarter window: SAMPLE_BLOCK floats at most
+            pieces = [np.abs(diff[lo : lo + rows]).max() for lo in range(0, len(diff), rows)]
+            block_max = functools.reduce(np.maximum, pieces)
             max_abs_diff = block_max if max_abs_diff is None else np.maximum(max_abs_diff, block_max)
             if math.isfinite(block_max):
                 continue

@@ -91,7 +91,15 @@ def _closed_form_blocks(rate: ChiRate, times, every: int):
 
 
 def _fill_block(rate: ChiRate, t: np.ndarray, out: np.ndarray) -> None:
-    """The closed form at the times t, written into out (len(t), 4)."""
+    """The closed form at the times t, written into out (len(t), 4).
+
+    Each expression runs as the same ufuncs on the same operands as the
+    plain formula, into three contiguous len(t) complex buffers that are
+    reused in place, so at most about three window-sized arrays are live
+    beside out and the values are bit for bit the plain formula's.  The
+    strided columns of out are only copied into: a ufunc writing a column
+    may take another loop and give another NaN sign.
+    """
     chi, w, n = rate.chi, rate.omega_21, rate.n_occ
     one_plus_2n = 1.0 + 2.0 * n
 
@@ -101,30 +109,63 @@ def _fill_block(rate: ChiRate, t: np.ndarray, out: np.ndarray) -> None:
     # non-finite inputs propagate as NaN/inf to the caller's finiteness guard
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # (1+n)/(1+2n) - e^{-2 chi t}/(2(1+2n)), restructured so t = 0 is exactly 1/2
-        rho11 = 0.5 - np.expm1(-2.0 * chi * t) / (2.0 * one_plus_2n)
+        rho11 = np.multiply(-2.0 * chi, t)
+        np.expm1(rho11, out=rho11)
+        np.divide(rho11, 2.0 * one_plus_2n, out=rho11)
+        np.subtract(0.5, rho11, out=rho11)
+        out[:, 0] = rho11
+        out[:, 3] = np.subtract(1.0, rho11, out=rho11)
+        del rho11
 
-        a = np.exp((-chi + s) * t)
+        a = np.multiply(-chi + s, t)
+        np.exp(a, out=a)
         # underdamped, s is purely imaginary: the second exponent is the conjugate of the first
-        b = np.conj(a) if s2 < 0 else np.exp((-chi - s) * t)
-        rho12 = (a + b) / 4.0 + (chi + 1j * w) * (a - b) / (4.0 * s)
-        del a, b
+        if s2 < 0:
+            b = np.conj(a)
+        else:
+            b = np.multiply(-chi - s, t)
+            np.exp(b, out=b)
+        # rho12 = (a + b) / 4 + (chi + i w) (a - b) / (4 s), accumulated in a
+        diff = np.subtract(a, b)
+        np.add(a, b, out=a)
+        del b
+        np.divide(a, 4.0, out=a)
+        np.multiply(chi + 1j * w, diff, out=diff)
+        np.divide(diff, 4.0 * s, out=diff)
+        rho12 = np.add(a, diff, out=a)
+        del a, diff
 
         # small |s*t|: cosh(z) and sinh(z)/z expanded, exact through z^4
-        z2 = s2 * t * t
+        z2 = np.multiply(s2, t)
+        np.multiply(z2, t, out=z2)
         small = np.abs(z2) < _SERIES_THRESHOLD**2
         ts, z2 = t[small], z2[small]
-        cosh_ser = 1.0 + z2 / 2.0 + z2 * z2 / 24.0
-        sinhc_ser = 1.0 + z2 / 6.0 + z2 * z2 / 120.0
-        rho12[small] = np.exp(-chi * ts) * (cosh_ser + (chi + 1j * w) * ts * sinhc_ser) / 2.0
+        # in place: under critical damping every sample takes the series
+        cosh_ser = np.divide(z2, 2.0)  # 1 + z2/2 + z2^2/24
+        np.add(1.0, cosh_ser, out=cosh_ser)
+        scratch = np.multiply(z2, z2)
+        np.add(cosh_ser, np.divide(scratch, 24.0, out=scratch), out=cosh_ser)
+        sinhc_ser = np.divide(z2, 6.0, out=scratch)  # 1 + z2/6 + z2^2/120
+        np.add(1.0, sinhc_ser, out=sinhc_ser)
+        np.multiply(z2, z2, out=z2)
+        np.add(sinhc_ser, np.divide(z2, 120.0, out=z2), out=sinhc_ser)
+        del z2
+        # exp(-chi ts) (cosh + (chi + i w) ts sinhc) / 2
+        series = np.multiply(chi + 1j * w, ts)
+        np.multiply(series, sinhc_ser, out=series)
+        del sinhc_ser, scratch
+        np.add(cosh_ser, series, out=series)
+        del cosh_ser
+        np.multiply(-chi, ts, out=ts)
+        np.multiply(np.exp(ts, out=ts), series, out=series)
+        rho12[small] = np.divide(series, 2.0, out=series)
         # critically damped at t = inf, the last time if any: z2 = 0 * inf is NaN, not small,
         # and the series would be 0 * inf too; the state is the equilibrium, with rho12 = 0
         if s2 == 0 and len(t) and t[-1] == np.inf:
             rho12[-1] = 0.0
 
-    out[:, 0] = rho11
     out[:, 1] = rho12
-    out[:, 2] = np.conj(rho12)
-    out[:, 3] = 1.0 - rho11
+    out[:, 2] = np.conj(rho12, out=rho12)
 
 
 def closed_form_rdm(rate: ChiRate, t: float) -> DensityMatrix:

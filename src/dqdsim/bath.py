@@ -208,7 +208,7 @@ def bath_from_dict(data: dict) -> BathModel:
     if not isinstance(data, dict):
         raise ValueError(f"bath must be an object, got {type(data).__name__}")
     kind = data.get("kind")
-    if kind not in BATH_KINDS:
+    if not isinstance(kind, str) or kind not in BATH_KINDS:  # a list or an object is unhashable
         raise ValueError(f"bath kind must be one of {sorted(BATH_KINDS)}, got {kind!r}")
     allowed = {f.name for f in dataclasses.fields(BATH_KINDS[kind])}
     unknown = set(data) - allowed - {"kind"}

@@ -88,7 +88,7 @@ _GUARD_ERRORS = (
 )
 # %r of a Python float is float.__repr__, the shortest round-trip form json writes
 _FLOAT_SPECS = {"csv": "%.17g", "json": "%r"}
-_ROWS_PER_WRITE = 1024
+_ROWS_PER_WRITE = 128
 
 
 class ConfigError(ValueError):
@@ -216,11 +216,13 @@ def _emit_table(fmt, out, meta, columns, rows: Iterable[tuple], max_abs_diff=Non
     order for JSON) and the first row's cell types, as a column holds one type
     throughout: Python floats go in through _FLOAT_SPECS (a numpy scalar would
     print as np.float64(...) under %r), other cells are rendered first.  Rows
-    are drawn from the iterator and written _ROWS_PER_WRITE at a time, so the
-    text is never held whole, and neither are the rows of a generator such as
-    _trajectory_table's, whose replayed trajectories are computed a window of
-    SAMPLE_BLOCK samples at a time as the rows are drawn.  out is opened once
-    the first row is made.
+    are drawn from the iterator a slice of _ROWS_PER_WRITE at a time, and each
+    slice is formatted, joined and written (encoded) before the next is
+    drawn, so only one slice's rows and text are live at once: never the
+    whole text, nor the rows of a generator such as _trajectory_table's,
+    whose replayed trajectories are computed a window of SAMPLE_BLOCK samples
+    at a time as the rows are drawn.  out is opened once the first row is
+    made.
     """
     rows = iter(rows)
     first = next(rows)
@@ -261,13 +263,20 @@ def _emit_table(fmt, out, meta, columns, rows: Iterable[tuple], max_abs_diff=Non
         handle.write(tail)
 
 
+def _array_rows(*columns: np.ndarray):
+    """The rows of equal-length float arrays, made a slice of _ROWS_PER_WRITE rows at a time."""
+    for lo in range(0, len(columns[0]), _ROWS_PER_WRITE):
+        yield from zip(*(column[lo : lo + _ROWS_PER_WRITE].tolist() for column in columns))
+
+
 def _trajectory_table(closed: Optional[Trajectory], numeric: Optional[Trajectory], every=1):
     """Columns and every every-th row of a trajectory; numeric columns follow with both.
 
     The rows are a generator that reads the engines' blocks and their times
-    together, a window at a time, and makes them _ROWS_PER_WRITE at a time
-    from each window, so a replayed trajectory and its times are computed as
-    they are drawn.
+    together, a window at a time, and converts each window's arrays to row
+    tuples a slice of _ROWS_PER_WRITE rows at a time, the slice _emit_table
+    writes, so a replayed trajectory and its times are computed as they are
+    drawn and few Python floats are live at once.
     """
     parts = [traj for traj in (closed, numeric) if traj is not None]
     columns = _TRAJECTORY_COLUMNS + (_NUMERIC_COLUMNS if len(parts) == 2 else ())
@@ -311,10 +320,12 @@ def cmd_spectral(cfg: dict, out: Optional[str], fmt: str) -> None:
             raise ConfigError("grid needs 0 <= omega_min < omega_max and count >= 2")
         if count > MAX_FLOATS:
             raise ConfigError(f"grid.count={count} is more floats than an array can hold")
-        omegas = np.linspace(omega_min, omega_max, count).tolist()
-    rows = [(w, spectral_density(bath, w)) for w in omegas]
+        omegas = np.linspace(omega_min, omega_max, count)
+    # every J before out is opened: one beyond the float range leaves no file
+    js = np.fromiter((spectral_density(bath, w) for w in map(float, omegas)), float, count)
     grid_meta = {"omega_min": omega_min, "omega_max": omega_max, "count": count}
-    _emit_table(fmt, out, _meta("spectral", bath, fmt, out, grid=grid_meta), ("omega", "J"), rows)
+    meta = _meta("spectral", bath, fmt, out, grid=grid_meta)
+    _emit_table(fmt, out, meta, ("omega", "J"), _array_rows(omegas, js))
 
 
 def cmd_point(command: str, cfg: dict, out: Optional[str], engine: str, fmt: str) -> None:

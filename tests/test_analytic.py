@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -217,6 +217,8 @@ class TestConjugatePairBitForBit:
         span=st.floats(1e-3, 50.0),
     )
     @settings(max_examples=300)
+    # chi = 1e300: a ufunc writing into a strided column of out gave a NaN of the other sign
+    @example(rate=(1e300, 1.0, 0.0), n_series=1, n_wide=3, span=1.0)
     def test_generated_rates_and_grids(self, rate, n_series, n_wide, span):
         chi, w, n = rate
         s2 = chi * chi - w * w
@@ -314,6 +316,23 @@ def test_closed_form_holds_little_beyond_its_output():
     traj = closed_form_trajectory(rate, times)
     data, peak = allocation_peak(lambda: traj.data)
     assert peak <= data.nbytes + 2 * MiB
+
+
+# What _fill_block may allocate beside out on one window, in window-sized complex arrays:
+# the exponential pair takes three; under critical damping every sample takes the series
+# too, whose three float arrays and one complex one meet numpy's float-to-complex cast buffer
+FILL_BLOCK_WINDOWS = {"underdamped": 3.25, "overdamped": 3.25, "critical": 4.75}
+
+
+@pytest.mark.parametrize("regime", DAMPING_REGIMES)
+def test_fill_block_allocates_a_few_windows_beside_out(regime):
+    chi, w = DAMPING_REGIMES[regime]
+    rate = ChiRate(chi=chi, n_occ=0.3, omega_21=w)
+    t = np.arange(SAMPLE_BLOCK) * (20.0 / chi / SAMPLE_BLOCK)
+    out = np.empty((SAMPLE_BLOCK, 4), dtype=complex)
+    analytic._fill_block(rate, t, out)  # anything made once per process is made here
+    _, peak = allocation_peak(lambda: analytic._fill_block(rate, t, out))
+    assert peak <= FILL_BLOCK_WINDOWS[regime] * SAMPLE_BLOCK * out.itemsize
 
 
 # chi = 0.1 = omega_21 is critical damping, s = 0 exactly

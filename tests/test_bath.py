@@ -218,6 +218,12 @@ class TestSerialization:
         with pytest.raises(ValueError):
             bath_from_dict({"kind": "lorentzian", "g": 1.0})
 
+    @pytest.mark.parametrize("kind", [["pcpb"], {"a": 1}, None, 1, True], ids=repr)
+    def test_kind_that_is_not_a_string_is_refused_by_name(self, kind):
+        # a list or an object as kind once failed the dict lookup with "unhashable type"
+        with pytest.raises(ValueError, match="bath kind must be one of"):
+            bath_from_dict({"kind": kind, "g": 0.035})
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             bath_from_dict({"kind": "pcpb", "g": 0.035, "cutoff": 1.0})

@@ -14,6 +14,7 @@ import pytest
 import oracle
 from conftest import MiB, allocation_peak
 from dqdsim import PiezoelectricBath, SweepPoint, Trajectory, cli, evaluate_point
+from dqdsim import bath_from_dict, spectral_density
 from dqdsim.cli import main
 from test_analysis import _refuse_to_build_grids
 
@@ -101,6 +102,29 @@ class TestSpectral:
     def test_invalid_grid_is_usage_error(self, tmp_path, grid):
         cfg = write_config(tmp_path, {"bath": PCPB, "grid": grid})
         assert main(["spectral", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rows_over_several_slices_match_the_whole_list_rendering(self, tmp_path, fmt):
+        # the table as it was once built: J of each float in np.linspace(...).tolist()
+        grid = {"omega_min": 0.0, "omega_max": 2.0, "count": 3 * cli._ROWS_PER_WRITE + 5}
+        cfg = write_config(tmp_path, {"bath": PCPB, "grid": grid, "format": fmt})
+        out = tmp_path / f"j.{fmt}"
+        assert main(["spectral", "--config", cfg, "--out", str(out)]) == 0
+        bath = bath_from_dict(PCPB)
+        omegas = np.linspace(0.0, 2.0, grid["count"]).tolist()
+        rows = [(w, spectral_density(bath, w)) for w in omegas]
+        meta = {"command": "spectral", "bath": PCPB, "format": fmt, "out": str(out), "grid": grid}
+        assert out.read_text() == _reference_rendering(fmt, meta, ("omega", "J"), rows, None)
+
+    def test_a_late_overflow_leaves_no_file(self, tmp_path, capsys):
+        # J = 1e308 * omega leaves the float range only in the last slices of rows
+        bath = {"kind": "ohmic", "eta": 1e308, "omega_c": 1e300, "s_exponent": 1}
+        grid = {"omega_min": 0.0, "omega_max": 2.0, "count": 8 * cli._ROWS_PER_WRITE}
+        cfg = write_config(tmp_path, {"bath": bath, "grid": grid})
+        out = tmp_path / "j.csv"
+        assert main(["spectral", "--config", cfg, "--out", str(out)]) == 3
+        assert "outside the float range" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEvolve:
@@ -598,6 +622,14 @@ CONFIG_ERROR_REASONS = {
     "n_steps-2**60-65": ("evolve", {**EVOLVE_CFG, "n_steps": 2**60 - 65}, "n_steps/store_every"),
     "n_steps-0": ("evolve", {**EVOLVE_CFG, "n_steps": 0}, "n_steps must be >= 1"),
     "bath-not-an-object": ("evolve", {**EVOLVE_CFG, "bath": 5}, "bath must be an object, got int"),
+    "t2-bath-kind-a-list": (
+        "t2", {**EVOLVE_CFG, "bath": {**PCPB, "kind": ["pcpb"]}}, "bath kind must be one of"
+    ),
+    "spectral-bath-kind-an-object": (
+        "spectral",
+        {"bath": {"kind": {"a": 1}}, "grid": {"omega_min": 0, "omega_max": 0.1, "count": 3}},
+        "bath kind must be one of",
+    ),
 }
 
 
@@ -930,6 +962,16 @@ class TestTrajectoryTable:
 
         first, peak = allocation_peak(first_row)
         assert first == _whole_table_rows(run.closed, run.numeric, 1)[0]
+        # both engines' first windows (512 KiB each) and one slice of rows
+        assert peak <= 1.25 * MiB
+
+    def test_a_whole_json_evolve_holds_little(self, tmp_path):
+        # 50 001 rows of both engines, each row a JSON object of eleven floats
+        payload = {**EVOLVE_CFG, "engine": "both", "t_end": 2500.0, "n_steps": 50000}
+        cfg = write_config(tmp_path, {**payload, "format": "json"})
+        out = tmp_path / "e.json"
+        code, peak = allocation_peak(lambda: main(["evolve", "--config", cfg, "--out", str(out)]))
+        assert code == 0 and len(json.loads(out.read_text())["rows"]) == 50001
         assert peak <= 2 * MiB
 
     def test_fig5_sweep_holds_little(self, tmp_path, configs_dir):

@@ -3,7 +3,9 @@
 Configs for all four commands are drawn with ordinary values, then up to two
 numeric fields are replaced by tiny, huge, zero, negative, NaN, infinite,
 bool or string values.  n_steps and the spectral count are capped at 10^4;
-memory-sized grids are out of scope here.
+memory-sized grids are out of scope here.  Beside them, a value of every
+JSON type is put in turn at every position of a valid tiny config of each
+command.
 """
 
 import contextlib
@@ -156,7 +158,8 @@ def _run(command: str, cfg: dict) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "config.json").write_text(json.dumps(cfg))
-        out = tmp / f"out.{cfg.get('format', 'csv')}"
+        fmt = cfg.get("format", "csv") if isinstance(cfg, dict) else "csv"
+        out = tmp / f"out.{fmt}"
         stderr = io.StringIO()
         with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(stderr):
             warnings.simplefilter("always")
@@ -259,3 +262,90 @@ def test_spectral_density_is_zero_where_the_cutoff_underflows(bath):
     grid = {"omega_min": 0.0, "omega_max": 1e300, "count": 3}
     assert _run("spectral", {"bath": bath, "grid": grid}) == 0
     assert spectral_density(bath_from_dict(bath), 1e300) == 0.0
+
+
+# A valid config of each command, small enough that a run takes milliseconds
+TINY_BATH = {"kind": "pcpb", "g": 0.035, "omega_d": 0.02, "omega_l": 0.5}
+TINY_GRID = {"t_end": 50.0, "n_steps": 20}
+TINY_CONFIGS = {
+    "spectral": {
+        "bath": TINY_BATH, "grid": {"omega_min": 0.0, "omega_max": 1.0, "count": 5},
+        "format": "csv",
+    },
+    "evolve": {
+        "bath": TINY_BATH, "qubit": {"tunneling_Tc": 0.05}, "temperature_K": 0.03,
+        "engine": "both", **TINY_GRID, "store_every": 2, "format": "csv",
+    },
+    "t2": {
+        "bath": TINY_BATH, "temperature_mK": 30, "engine": "both", **TINY_GRID, "format": "json",
+    },
+    "sweep": {
+        "bath": TINY_BATH, "temperature_K": 0.03, "engine": "both", **TINY_GRID,
+        "sweep": {"parameter": "omega_l", "values": [0.5, 0.7]},
+        "trajectories": {"write": True, "every": 2}, "format": "csv",
+    },
+}
+# null, bool, number, string, list and object; a few of them valid somewhere
+JSON_VALUES = [None, True, 0, -1, 1e300, 10**400, "", "pcpb", [0.5], {"kind": "pcpb"}]
+
+
+def _positions(node, prefix: tuple = ()) -> list:
+    """The config itself and the path to every value inside it (list items included)."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+    else:
+        items = ()
+    return [prefix] + [path for key, value in items for path in _positions(value, prefix + (key,))]
+
+
+def _substituted(cfg, path: tuple, value):
+    """A deep copy of cfg with value at path (the whole config when path is empty)."""
+    if not path:
+        return value
+    cfg = json.loads(json.dumps(cfg))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return cfg
+
+
+POSITIONS = [(command, path) for command, cfg in TINY_CONFIGS.items() for path in _positions(cfg)]
+
+
+@pytest.mark.parametrize(
+    "command, path",
+    POSITIONS,
+    ids=[".".join([command, *map(str, path)]) for command, path in POSITIONS],
+)
+def test_any_json_type_at_any_position_exits_with_a_named_code(command, path):
+    failures = []
+    for value in JSON_VALUES:
+        cfg = _substituted(TINY_CONFIGS[command], path, value)
+        try:
+            _run(command, cfg)
+        except Exception as exc:  # every value is tried, and each failure is named
+            failures.append((value, repr(exc)))
+    assert failures == []
+
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 60), st.floats(), st.text(max_size=4),
+    st.sampled_from(["pcpb", "ohmic", "csv", "json", "both", "temperature", "eta"]),
+)
+JSON_TREES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.sampled_from(["kind", "g", "count", "write", "values", "x"]), children,
+                      max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_generated_json_at_any_position_exits_with_a_named_code(data):
+    command = data.draw(st.sampled_from(sorted(TINY_CONFIGS)))
+    path = data.draw(st.sampled_from(_positions(TINY_CONFIGS[command])))
+    cfg = _substituted(TINY_CONFIGS[command], path, data.draw(JSON_TREES))
+    event(f"{command} exit {_run(command, cfg)}")
