@@ -117,29 +117,38 @@ def _fill_block(rate: ChiRate, t: np.ndarray, out: np.ndarray) -> None:
         out[:, 3] = np.subtract(1.0, rho11, out=rho11)
         del rho11
 
-        a = np.multiply(-chi + s, t)
-        np.exp(a, out=a)
-        # underdamped, s is purely imaginary: the second exponent is the conjugate of the first
-        if s2 < 0:
-            b = np.conj(a)
-        else:
-            b = np.multiply(-chi - s, t)
-            np.exp(b, out=b)
-        # rho12 = (a + b) / 4 + (chi + i w) (a - b) / (4 s), accumulated in a
-        diff = np.subtract(a, b)
-        np.add(a, b, out=a)
-        del b
-        np.divide(a, 4.0, out=a)
-        np.multiply(chi + 1j * w, diff, out=diff)
-        np.divide(diff, 4.0 * s, out=diff)
-        rho12 = np.add(a, diff, out=a)
-        del a, diff
+        # |s*t| small at every sample, as under critical damping (s = 0) at finite times:
+        # the series gives all of rho12, and the exponential pair would be overwritten.  With
+        # t >= 0 the largest |s2*t*t| is the largest t's; at t = inf it is never small
+        far = t.max() if len(t) else 0.0
+        everywhere = abs(s2 * far * far) < _SERIES_THRESHOLD**2
+        if not everywhere:
+            a = np.multiply(-chi + s, t)
+            np.exp(a, out=a)
+            # underdamped, s is purely imaginary: the second exponent is the conjugate of the first
+            if s2 < 0:
+                b = np.conj(a)
+            else:
+                b = np.multiply(-chi - s, t)
+                np.exp(b, out=b)
+            # rho12 = (a + b) / 4 + (chi + i w) (a - b) / (4 s), accumulated in a
+            diff = np.subtract(a, b)
+            np.add(a, b, out=a)
+            del b
+            np.divide(a, 4.0, out=a)
+            np.multiply(chi + 1j * w, diff, out=diff)
+            np.divide(diff, 4.0 * s, out=diff)
+            rho12 = np.add(a, diff, out=a)
+            del a, diff
 
         # small |s*t|: cosh(z) and sinh(z)/z expanded, exact through z^4
         z2 = np.multiply(s2, t)
         np.multiply(z2, t, out=z2)
-        small = np.abs(z2) < _SERIES_THRESHOLD**2
-        ts, z2 = t[small], z2[small]
+        if everywhere:
+            ts = t.copy()
+        else:
+            small = np.abs(z2) < _SERIES_THRESHOLD**2
+            ts, z2 = t[small], z2[small]
         # in place: under critical damping every sample takes the series
         cosh_ser = np.divide(z2, 2.0)  # 1 + z2/2 + z2^2/24
         np.add(1.0, cosh_ser, out=cosh_ser)
@@ -158,11 +167,14 @@ def _fill_block(rate: ChiRate, t: np.ndarray, out: np.ndarray) -> None:
         del cosh_ser
         np.multiply(-chi, ts, out=ts)
         np.multiply(np.exp(ts, out=ts), series, out=series)
-        rho12[small] = np.divide(series, 2.0, out=series)
-        # critically damped at t = inf, the last time if any: z2 = 0 * inf is NaN, not small,
-        # and the series would be 0 * inf too; the state is the equilibrium, with rho12 = 0
-        if s2 == 0 and len(t) and t[-1] == np.inf:
-            rho12[-1] = 0.0
+        if everywhere:
+            rho12 = np.divide(series, 2.0, out=series)
+        else:
+            rho12[small] = np.divide(series, 2.0, out=series)
+            # critically damped at t = inf, the last time if any: z2 = 0 * inf is NaN, not
+            # small, and the series would be 0 * inf too; the state is the equilibrium, rho12 = 0
+            if s2 == 0 and t[-1] == np.inf:
+                rho12[-1] = 0.0
 
     out[:, 1] = rho12
     out[:, 2] = np.conj(rho12, out=rho12)

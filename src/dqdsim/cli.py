@@ -17,7 +17,9 @@ one tuple of values per row) rendered by one streamed row-template writer;
 files are UTF-8 and a name that is not UTF-8 is written as its own bytes, CSV floats carry 17
 significant digits, a CSV cell holding a comma, a quote or a line break is
 quoted (RFC 4180), JSON floats are their shortest round-trip repr (as json
-writes them), lines end with \\n, JSON keys are sorted.  Exit codes: 0
+writes them), lines end with \\n, JSON keys are sorted.  A table longer than
+one sample window is formatted by two processes on Linux (see split_writer):
+the same bytes, through a temporary file never left behind.  Exit codes: 0
 success, 2 usage/config error (including a file that is not UTF-8 JSON, running
 out of memory, in a sweep too, and a grid or step count beyond what an array or
 a float can hold), 3 numerical guard (including a NaN or infinite result), 4 i/o
@@ -52,7 +54,7 @@ from .analysis import (
     run_sweep,
 )
 from .bath import BathModel, bath_from_dict, bath_to_dict, finite_number, spectral_density
-from .redfield import MAX_FLOATS, StepSizeError, Trajectory
+from .redfield import MAX_FLOATS, SAMPLE_BLOCK, StepSizeError, Trajectory
 from .units import temperature_from_millikelvin
 
 EXIT_OK = 0
@@ -208,12 +210,30 @@ def _text(fmt: str, value) -> str:
     return text
 
 
+class _Rows:
+    """An iterator of rows whose length is the number of rows it yields in all."""
+
+    def __init__(self, count: int, rows: Iterable[tuple]) -> None:
+        self._count, self._rows = count, iter(rows)
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self):
+        return self._rows  # drawn from directly, not through __next__
+
+    def __next__(self) -> tuple:
+        return next(self._rows)
+
+
 def _emit_table(fmt, out, meta, columns, rows: Iterable[tuple], max_abs_diff=None) -> None:
     """Write one table to out (stdout when None) as CSV or as JSON {meta, rows}.
 
-    CSV carries max_abs_diff as a closing comment, JSON as a key beside meta.
-    One printf template formats each row, built from the column names (in key
-    order for JSON) and the first row's cell types, as a column holds one type
+    rows is an iterable of tuples, whose length, when it has one (a list or a
+    _Rows), may split the work in two (see below).  CSV carries
+    max_abs_diff as a closing comment, JSON as a key beside meta.  One printf
+    template formats each row, built from the column names (in key order for
+    JSON) and the first row's cell types, as a column holds one type
     throughout: Python floats go in through _FLOAT_SPECS (a numpy scalar would
     print as np.float64(...) under %r), other cells are rendered first.  Rows
     are drawn from the iterator a slice of _ROWS_PER_WRITE at a time, and each
@@ -222,8 +242,11 @@ def _emit_table(fmt, out, meta, columns, rows: Iterable[tuple], max_abs_diff=Non
     whole text, nor the rows of a generator such as _trajectory_table's,
     whose replayed trajectories are computed a window of SAMPLE_BLOCK samples
     at a time as the rows are drawn.  out is opened once the first row is
-    made.
+    made.  A table known to have more rows than one window may be split in
+    two halves formatted by two processes (split_writer.write_split), byte
+    for byte as one process would write them.
     """
+    count = len(rows) if hasattr(rows, "__len__") else 0
     rows = iter(rows)
     first = next(rows)
     order = range(len(columns))
@@ -249,6 +272,12 @@ def _emit_table(fmt, out, meta, columns, rows: Iterable[tuple], max_abs_diff=Non
         def prepare(row: tuple) -> tuple:
             return tuple(c if f else _text(fmt, c) for c, f in zip(pick(row), floats))
 
+    def write_rows(write, rows: Iterable[tuple], lead: str = sep) -> None:
+        """Each slice of an iterator of rows as one write; lead opens the first, sep the others."""
+        while batch := list(itertools.islice(rows, _ROWS_PER_WRITE)):
+            write(lead + sep.join(map(template.__mod__, map(prepare, batch))))
+            lead = sep
+
     rows = itertools.chain([first], rows)
     if out is None:
         target = contextlib.nullcontext(sys.stdout)
@@ -256,27 +285,35 @@ def _emit_table(fmt, out, meta, columns, rows: Iterable[tuple], max_abs_diff=Non
         target = open(out, "w", encoding="utf-8", errors="surrogateescape", newline="")
     with target as handle:
         handle.write(head)
-        lead = "\n"
-        while batch := list(itertools.islice(rows, _ROWS_PER_WRITE)):
-            handle.write(lead + sep.join(map(template.__mod__, map(prepare, batch))))
-            lead = sep
+        if count > SAMPLE_BLOCK:  # imported only for such a table: see split_writer
+            from .split_writer import write_split
+
+            cut = count // 2 // _ROWS_PER_WRITE * _ROWS_PER_WRITE  # at or before the middle
+            write_split(handle, out, rows, cut, write_rows)
+        else:
+            write_rows(handle.write, rows, "\n")
         handle.write(tail)
 
 
-def _array_rows(*columns: np.ndarray):
+def _array_rows(*columns: np.ndarray) -> _Rows:
     """The rows of equal-length float arrays, made a slice of _ROWS_PER_WRITE rows at a time."""
-    for lo in range(0, len(columns[0]), _ROWS_PER_WRITE):
-        yield from zip(*(column[lo : lo + _ROWS_PER_WRITE].tolist() for column in columns))
+    count = len(columns[0])
+
+    def rows():
+        for lo in range(0, count, _ROWS_PER_WRITE):
+            yield from zip(*(column[lo : lo + _ROWS_PER_WRITE].tolist() for column in columns))
+
+    return _Rows(count, rows())
 
 
 def _trajectory_table(closed: Optional[Trajectory], numeric: Optional[Trajectory], every=1):
     """Columns and every every-th row of a trajectory; numeric columns follow with both.
 
-    The rows are a generator that reads the engines' blocks and their times
-    together, a window at a time, and converts each window's arrays to row
-    tuples a slice of _ROWS_PER_WRITE rows at a time, the slice _emit_table
-    writes, so a replayed trajectory and its times are computed as they are
-    drawn and few Python floats are live at once.
+    The rows are a _Rows over a generator that reads the engines' blocks and
+    their times together, a window at a time, and converts each window's
+    arrays to row tuples a slice of _ROWS_PER_WRITE rows at a time, the slice
+    _emit_table writes, so a replayed trajectory and its times are computed
+    as they are drawn and few Python floats are live at once.
     """
     parts = [traj for traj in (closed, numeric) if traj is not None]
     columns = _TRAJECTORY_COLUMNS + (_NUMERIC_COLUMNS if len(parts) == 2 else ())
@@ -293,7 +330,7 @@ def _trajectory_table(closed: Optional[Trajectory], numeric: Optional[Trajectory
                     values += [part[:, 0].real, part[:, 3].real, re, im, np.hypot(re, im)]
                 yield from zip(*(v.tolist() for v in values))
 
-    return columns, rows()
+    return columns, _Rows(len(range(0, len(parts[0]), every)), rows())
 
 
 def _meta(command: str, bath: BathModel, fmt: str, out: Optional[str], **fields) -> dict:

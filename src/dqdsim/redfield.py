@@ -334,16 +334,26 @@ def _rk4_step_matrix(L: np.ndarray, h: float) -> np.ndarray:
 
 
 def check_step(tensor: RedfieldTensor, eig: EigenSystem, t_end: float, n_steps: int) -> None:
-    """StepSizeError, naming the least n_steps, unless h*max(omega_21, 2*|R_1212|) <= 0.1."""
+    """StepSizeError unless h*max(omega_21, 2*|R_1212|) <= 0.1.
+
+    The message names the least n_steps that passes, or, when that count is
+    not finite or reaches MAX_FLOATS (more samples than a grid holds at
+    store_every = 1), says that t_end must shrink instead.
+    """
     h = t_end / n_steps
     scale = max(eig.omega_21, 2.0 * tensor.chi_effective)
     if h * scale > _MAX_STEP_PRODUCT * (1.0 + 1e-9):
         n_min = t_end * scale / _MAX_STEP_PRODUCT  # inf when beyond the float range
-        if math.isfinite(n_min):
-            n_min = math.ceil(n_min)
+        if n_min < MAX_FLOATS:
+            advice = f"increase n_steps to at least {math.ceil(n_min)}"
+        else:
+            advice = (
+                f"no admissible n_steps meets the guard (it needs at least {n_min:.6g} steps, "
+                f"and a grid holds fewer than {MAX_FLOATS}): t_end must shrink"
+            )
         raise StepSizeError(
             f"step h={h:.6g} ps gives h*max(omega_21, 2*chi)={h * scale:.6g} > "
-            f"{_MAX_STEP_PRODUCT}; increase n_steps to at least {n_min}"
+            f"{_MAX_STEP_PRODUCT}; {advice}"
         )
 
 

@@ -320,8 +320,9 @@ def test_closed_form_holds_little_beyond_its_output():
 
 # What _fill_block may allocate beside out on one window, in window-sized complex arrays:
 # the exponential pair takes three; under critical damping every sample takes the series
-# too, whose three float arrays and one complex one meet numpy's float-to-complex cast buffer
-FILL_BLOCK_WINDOWS = {"underdamped": 3.25, "overdamped": 3.25, "critical": 4.75}
+# instead, whose four float arrays and one complex one meet numpy's float-to-complex cast
+# buffer (3.5 measured)
+FILL_BLOCK_WINDOWS = {"underdamped": 3.25, "overdamped": 3.25, "critical": 3.75}
 
 
 @pytest.mark.parametrize("regime", DAMPING_REGIMES)
@@ -333,6 +334,35 @@ def test_fill_block_allocates_a_few_windows_beside_out(regime):
     analytic._fill_block(rate, t, out)  # anything made once per process is made here
     _, peak = allocation_peak(lambda: analytic._fill_block(rate, t, out))
     assert peak <= FILL_BLOCK_WINDOWS[regime] * SAMPLE_BLOCK * out.itemsize
+
+
+def _series_edge(fraction: float, n_samples: int) -> tuple[float, float, np.ndarray]:
+    """Near-critical (chi, w) and n_samples times whose largest |s2 t^2| is fraction of the
+    series threshold: below 1 every sample takes the series, above it only the last does."""
+    chi, w = 0.1, 0.1 * (1.0 - 1e-9)
+    edge = math.sqrt(1e-4**2 / abs(chi * chi - w * w))
+    times = np.append(np.linspace(0.0, 0.5 * edge, n_samples - 1), math.sqrt(fraction) * edge)
+    return chi, w, times
+
+
+@pytest.mark.parametrize(
+    "chi, w, t",
+    [
+        (*DAMPING_REGIMES["critical"], np.arange(SAMPLE_BLOCK) * (20.0 / 0.1 / SAMPLE_BLOCK)),
+        (*DAMPING_REGIMES["critical"], np.array([0.0, 1e300])),
+        _series_edge(0.999, 100),
+        _series_edge(1.001, 100),
+        _series_edge(1.001, 1),
+        (*DAMPING_REGIMES["critical"], np.array([])),
+    ],
+    ids=["critical", "critical-huge-t", "all-series", "last-leaves", "one-leaves", "empty"],
+)
+def test_fill_block_is_the_formula_with_or_without_the_pair(chi, w, t):
+    # the pair is skipped only where the series covers every sample; the bits are the same
+    rate = ChiRate(chi=chi, n_occ=0.3, omega_21=w)
+    out = np.empty((len(t), 4), dtype=complex)
+    analytic._fill_block(rate, t, out)
+    assert out.tobytes() == two_exponential_closed_form(chi, w, 0.3, t).tobytes()
 
 
 # chi = 0.1 = omega_21 is critical damping, s = 0 exactly

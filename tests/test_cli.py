@@ -194,6 +194,26 @@ class TestEvolve:
         assert main(["evolve", "--config", cfg]) == 3
         assert "n_steps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "grid, advice",
+        [
+            ({"n_steps": 100}, "increase n_steps to at least 500\n"),
+            ({"t_end": 1e308, "n_steps": 2}, "no admissible n_steps meets the guard"),
+            (
+                {"t_end": 1e308, "n_steps": 2, "qubit": {"tunneling_Tc": 1.0}},
+                "no admissible n_steps meets the guard (it needs at least inf steps",
+            ),
+        ],
+        ids=["reachable", "past-max-floats", "beyond-the-float-range"],
+    )
+    def test_step_guard_advice_can_be_followed(self, tmp_path, capsys, grid, advice):
+        # the least n_steps is named only when a grid can hold it; else t_end must shrink
+        cfg = write_config(tmp_path, {**EVOLVE_CFG, **grid, "engine": "numeric"})
+        assert main(["evolve", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical guard:") and advice in err, err
+        assert ("t_end must shrink" in err) == ("admissible" in advice)
+
     def test_unwritable_output_is_io_error(self, tmp_path):
         cfg = write_config(tmp_path, EVOLVE_CFG)
         missing = tmp_path / "no" / "such" / "dir" / "out.csv"
