@@ -19,7 +19,8 @@ significant digits, a CSV cell holding a comma, a quote or a line break is
 quoted (RFC 4180), JSON floats are their shortest round-trip repr (as json
 writes them), lines end with \\n, JSON keys are sorted.  A table longer than
 one sample window is formatted by two processes on Linux (see split_writer):
-the same bytes, through a temporary file never left behind.  Exit codes: 0
+the same bytes, through a temporary file never left behind, and a child that
+fails leaves its rows to the parent.  Exit codes: 0
 success, 2 usage/config error (including a file that is not UTF-8 JSON, running
 out of memory, in a sweep too, and a grid or step count beyond what an array or
 a float can hold), 3 numerical guard (including a NaN or infinite result), 4 i/o

@@ -2,7 +2,8 @@
 
 The tests force the two-process path whatever the machine's CPU count, by
 patching split_writer.usable_cpus, and compare every output with the one-process
-writer's.  After each, no child process is left: os.waitpid(-1, WNOHANG)
+writer's, also where the child, or the fork, fails and the parent writes the
+child's rows.  After each, no child process is left: os.waitpid(-1, WNOHANG)
 finds none.
 """
 
@@ -23,8 +24,8 @@ from dqdsim.redfield import SAMPLE_BLOCK
 from test_cli import _SRC, EVOLVE_CFG, PCPB, write_config
 
 pytestmark = pytest.mark.skipif(
-    not all(hasattr(os, name) for name in ("fork", "sched_getaffinity", "sendfile")),
-    reason="a table is split only where fork, sched_getaffinity and sendfile exist",
+    not all(hasattr(os, name) for name in ("fork", "sched_getaffinity")),
+    reason="a table is split only where fork and sched_getaffinity exist",
 )
 
 COLUMNS = ("t", "x", "name", "none", "index")
@@ -112,6 +113,11 @@ def test_stdout_is_the_one_process_writers(capfdbinary, cpus, fmt, count):
     assert_no_child_left()
 
 
+def test_usable_cpus_is_the_affinity_mask():
+    # every other test sets the count, so this is the one that sees the machine's
+    assert split_writer.usable_cpus() == len(os.sched_getaffinity(0))
+
+
 def test_the_row_count_alone_decides(tmp_path, cpus):
     # one CPU, or a table of one window, or one whose length is not known: one process
     cuts = cpus(1)
@@ -145,36 +151,69 @@ def test_evolve_of_both_engines_is_the_one_process_writers(
     assert_no_child_left()
 
 
-def _spectral_argv(tmp_path, count: int) -> list:
-    grid = {"omega_min": 0.0, "omega_max": 2.0, "count": count}
-    cfg = write_config(tmp_path, {"bath": PCPB, "grid": grid})
-    return ["spectral", "--config", cfg, "--out", str(tmp_path / "j.csv")]
+def _spectral_run(tmp_path, monkeypatch, capsys, fmt, fail) -> tuple:
+    """main's exit status, stderr and output for a spectral table of two windows.
 
-
-def test_an_oserror_in_the_child_exits_4_with_the_one_process_message(
-    tmp_path, monkeypatch, capsys, cpus
-):
+    fail(i) is called before row i is made, in whichever process makes it.
+    """
     count = 2 * SAMPLE_BLOCK
     array_rows = cli._array_rows
-    parent = os.getpid()
-    messages = []
-    for n in (1, 2):
 
-        def failing_rows(*columns, split=n == 2):
-            def fail(i):
-                # the last row: in the child's half when split, else in the only process
-                if i == count - 1 and (in_child(parent) or not split):
-                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), "scratch")
+    def failing_rows(*columns):
+        def rows():
+            for i, row in enumerate(array_rows(*columns)):
+                fail(i)
+                yield row
 
-            return cli._Rows(count, (fail(i) or row for i, row in enumerate(array_rows(*columns))))
+        return cli._Rows(count, rows())
 
-        monkeypatch.setattr(cli, "_array_rows", failing_rows)
-        cuts = cpus(n)
-        assert main(_spectral_argv(tmp_path, count)) == 4
-        messages.append(capsys.readouterr().err)
-    assert cuts == expected_cuts(count)
-    assert messages[0] == "i/o error: [Errno 28] No space left on device: 'scratch'\n"
-    assert messages[1] == messages[0]
+    grid = {"omega_min": 0.0, "omega_max": 2.0, "count": count}
+    cfg = write_config(tmp_path, {"bath": PCPB, "grid": grid})
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_array_rows", failing_rows)
+        code = main(["spectral", "--config", cfg, "--format", fmt, "--out", str(tmp_path / "j")])
+    return code, capsys.readouterr().err, (tmp_path / "j").read_bytes()
+
+
+def _no_space(i):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), "scratch")
+
+
+@FORMATS
+def test_an_oserror_past_the_cut_exits_4_as_by_one_process(
+    tmp_path, monkeypatch, capsys, cpus, fmt
+):
+    def fail(i):
+        if i == 2 * SAMPLE_BLOCK - 1:  # the last row: made by the child, then by the parent
+            _no_space(i)
+
+    cpus(1)
+    one = _spectral_run(tmp_path, monkeypatch, capsys, fmt, fail)
+    cuts = cpus(2)
+    two = _spectral_run(tmp_path, monkeypatch, capsys, fmt, fail)
+    assert cuts == expected_cuts(2 * SAMPLE_BLOCK)
+    assert one[:2] == (4, "i/o error: [Errno 28] No space left on device: 'scratch'\n")
+    assert two == one
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json", "j"]
+    assert_no_child_left()
+
+
+@FORMATS
+def test_a_fork_that_fails_leaves_every_row_to_this_process(
+    tmp_path, monkeypatch, capsys, cpus, fmt
+):
+    def no_fork():  # as under a process limit
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    cpus(1)
+    one = _spectral_run(tmp_path, monkeypatch, capsys, fmt, lambda i: None)
+    monkeypatch.setattr(os, "fork", no_fork)
+    cuts = cpus(2)
+    two = _spectral_run(tmp_path, monkeypatch, capsys, fmt, lambda i: None)
+    assert cuts == expected_cuts(2 * SAMPLE_BLOCK)
+    assert one[:2] == (0, "")
+    assert two == one
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json", "j"]
     assert_no_child_left()
 
 
@@ -199,29 +238,54 @@ def test_a_failing_parent_kills_and_reaps_a_child_that_would_run_on(tmp_path, cp
     assert [path.name for path in tmp_path.iterdir()] == ["t.csv"]
 
 
-def test_an_exception_in_the_child_is_raised_in_the_parent_as_it_was(tmp_path, cpus):
+def _divide_by_zero(i):
+    raise ZeroDivisionError(f"row {i}")
+
+
+def _killed(i):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@FORMATS
+@pytest.mark.parametrize(
+    "fault", [_divide_by_zero, _no_space, _killed], ids=["ZeroDivisionError", "OSError", "SIGKILL"]
+)
+def test_a_child_that_fails_leaves_its_rows_to_the_parent(tmp_path, cpus, fmt, fault):
+    # row 15 000 is past the cut at 9984: the child has written part of its half when it fails
     parent = os.getpid()
 
     def fail(i):
         if in_child(parent) and i == 15000:
-            raise ZeroDivisionError(f"row {i}")
+            fault(i)
 
-    cpus(2)
-    with pytest.raises(ZeroDivisionError, match="^row 15000$"):
-        cli._emit_table("json", str(tmp_path / "t.json"), {}, COLUMNS, table(20000, fail))
+    one, two = tmp_path / "one", tmp_path / "two"
+    cpus(1)
+    cli._emit_table(fmt, str(one), META, COLUMNS, table(20000), 0.25)
+    cuts = cpus(2)
+    cli._emit_table(fmt, str(two), META, COLUMNS, table(20000, fail), 0.25)
+    assert cuts == expected_cuts(20000)
+    assert two.read_bytes() == one.read_bytes()
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["one", "two"]
     assert_no_child_left()
 
 
-def test_a_child_killed_by_a_signal_is_an_io_error(tmp_path, cpus):
-    parent = os.getpid()
-
+def test_a_fault_past_the_cut_is_raised_as_by_one_process(tmp_path, cpus):
+    # a real fault raises in the child and again in the parent, which makes the same row;
+    # test_an_oserror_past_the_cut_exits_4_as_by_one_process does this for an OSError
     def fail(i):
-        if in_child(parent):
-            os.kill(os.getpid(), signal.SIGKILL)
+        if i == 15000:
+            _divide_by_zero(i)
 
-    cpus(2)
-    with pytest.raises(ChildProcessError, match="formatting rows 9984 on ended with status -9"):
-        cli._emit_table("csv", str(tmp_path / "t.csv"), None, COLUMNS, table(20000, fail))
+    outputs = []
+    for n in (1, 2):
+        cuts = cpus(n)
+        path = tmp_path / f"t{n}.json"
+        with pytest.raises(ZeroDivisionError, match="^row 15000$"):
+            cli._emit_table("json", str(path), {}, COLUMNS, table(20000, fail))
+        outputs.append(path.read_bytes())
+    assert cuts == expected_cuts(20000)
+    assert outputs[1] == outputs[0]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["t1.json", "t2.json"]
     assert_no_child_left()
 
 
@@ -247,22 +311,23 @@ def test_the_python_3_12_fork_warning_is_silenced(tmp_path, monkeypatch, cpus):
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("sendfile", ["kernel", "refused"])
-def test_append_copies_after_what_the_handle_wrote(tmp_path, monkeypatch, sendfile):
-    # a file opened for appending, as stdout under a >> redirect: sendfile refuses it (EINVAL)
+@pytest.mark.parametrize("case", ["O_APPEND", "short-writes"])
+def test_append_copies_after_what_the_handle_wrote(tmp_path, monkeypatch, case):
+    # a file opened for appending, as stdout under a >> redirect; and writes that take at most
+    # 4096 bytes a call, as a pipe or a raw unbuffered stdout may
     body = bytes(range(256)) * 5000
-    if sendfile == "refused":
-
-        def refuse(*args):
-            raise OSError(errno.EINVAL, os.strerror(errno.EINVAL))
-
-        monkeypatch.setattr(os, "sendfile", refuse)
     path = tmp_path / "log"
     path.write_bytes(b"before\n")
+    mode = "a"
+    if case == "short-writes":
+        write = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:4096]))
+        mode = "r+"
     with tempfile.TemporaryFile(dir=tmp_path) as scratch:
         scratch.write(body)
         scratch.flush()
-        with open(path, "a", encoding="utf-8") as out:
+        with open(path, mode, encoding="utf-8") as out:
+            out.seek(0, os.SEEK_END)
             out.write("head\n")
             split_writer.append(out, scratch)
             out.write("tail\n")
@@ -280,17 +345,20 @@ sys.exit(cli.main(sys.argv[1:]) or (0 if cuts else 9))
 """
 
 
-@pytest.mark.parametrize("redirect", ["pipe", "append"])
+@pytest.mark.parametrize("redirect", ["pipe", "append", "unbuffered"])
 def test_a_real_stdout_is_written_as_a_captured_one(tmp_path, capfdbinary, cpus, redirect):
-    # stdout as a pipe (sendfile into a pipe) and as a >> redirect (O_APPEND: the copy fallback)
+    # stdout as a pipe, as a >> redirect (O_APPEND), and as a pipe under python -u, where
+    # sys.stdout.buffer is a raw FileIO whose writes may be short
     cfg = write_config(tmp_path, {**EVOLVE_CFG, "n_steps": 10000, "format": "json"})
     cpus(1)
     assert main(["evolve", "--config", cfg]) == 0
     expected = capfdbinary.readouterr().out
     argv = [sys.executable, "-c", _SPLIT_MAIN, "evolve", "--config", cfg]
+    if redirect == "unbuffered":
+        argv.insert(1, "-u")
     path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    if redirect == "pipe":
+    if redirect != "append":
         run = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True)
         assert (run.returncode, run.stderr) == (0, b""), run.stderr.decode()
         assert run.stdout == expected
