@@ -12,15 +12,16 @@ config errors.  The library owns the rules on what may run
 (analysis.check_point, SweepSpec): any ValueError or ArithmeticError it
 raises while the config is read into its objects is a config error too.
 evolve and t2 evaluate one point through analysis.evaluate_point, the
-pipeline of every sweep point.  Every output is a table (column names plus
-one tuple of values per row) rendered by one streamed row-template writer;
+pipeline of every sweep point.  Every output is a table (column names, a
+row count and its rows from any start) rendered by one streamed row-template writer;
 files are UTF-8 and a name that is not UTF-8 is written as its own bytes, CSV floats carry 17
 significant digits, a CSV cell holding a comma, a quote or a line break is
 quoted (RFC 4180), JSON floats are their shortest round-trip repr (as json
 writes them), lines end with \\n, JSON keys are sorted.  A table longer than
-one sample window is formatted by two processes on Linux (see split_writer):
-the same bytes, through a temporary file never left behind, and a child that
-fails leaves its rows to the parent.  Exit codes: 0
+one sample window is formatted by two processes on Linux (see split_writer),
+a forked child making only the rows from a cut near the middle on: the same
+bytes, through a temporary file never left behind, and a child that fails
+leaves its rows to the parent.  Exit codes: 0
 success, 2 usage/config error (including a file that is not UTF-8 JSON, running
 out of memory, in a sweep too, and a grid or step count beyond what an array or
 a float can hold), 3 numerical guard (including a NaN or infinite result), 4 i/o
@@ -211,44 +212,29 @@ def _text(fmt: str, value) -> str:
     return text
 
 
-class _Rows:
-    """An iterator of rows whose length is the number of rows it yields in all."""
-
-    def __init__(self, count: int, rows: Iterable[tuple]) -> None:
-        self._count, self._rows = count, iter(rows)
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __iter__(self):
-        return self._rows  # drawn from directly, not through __next__
-
-    def __next__(self) -> tuple:
-        return next(self._rows)
-
-
-def _emit_table(fmt, out, meta, columns, rows: Iterable[tuple], max_abs_diff=None) -> None:
+def _emit_table(fmt, out, meta, columns, count: int, rows_from, max_abs_diff=None) -> None:
     """Write one table to out (stdout when None) as CSV or as JSON {meta, rows}.
 
-    rows is an iterable of tuples, whose length, when it has one (a list or a
-    _Rows), may split the work in two (see below).  CSV carries
-    max_abs_diff as a closing comment, JSON as a key beside meta.  One printf
-    template formats each row, built from the column names (in key order for
-    JSON) and the first row's cell types, as a column holds one type
-    throughout: Python floats go in through _FLOAT_SPECS (a numpy scalar would
-    print as np.float64(...) under %r), other cells are rendered first.  Rows
-    are drawn from the iterator a slice of _ROWS_PER_WRITE at a time, and each
-    slice is formatted, joined and written (encoded) before the next is
-    drawn, so only one slice's rows and text are live at once: never the
-    whole text, nor the rows of a generator such as _trajectory_table's,
-    whose replayed trajectories are computed a window of SAMPLE_BLOCK samples
-    at a time as the rows are drawn.  out is opened once the first row is
-    made.  A table known to have more rows than one window may be split in
-    two halves formatted by two processes (split_writer.write_split), byte
-    for byte as one process would write them.
+    A table is its row count and rows_from(start), its rows (tuples) from row
+    start on; count alone decides whether the work is split in two (see
+    below).  CSV carries max_abs_diff as a closing comment, JSON as a key
+    beside meta.  One printf template formats each row, built from the column
+    names (in key order for JSON) and the first row's cell types, as a column
+    holds one type throughout: Python floats go in through _FLOAT_SPECS (a
+    numpy scalar would print as np.float64(...) under %r), other cells are
+    rendered first.  Rows are drawn from rows_from(0) a slice of
+    _ROWS_PER_WRITE at a time, and each slice is formatted, joined and
+    written (encoded) before the next is drawn, so only one slice's rows and
+    text are live at once: never the whole text, nor the rows of a generator
+    such as _trajectory_table's, whose replayed trajectories are computed a
+    window of SAMPLE_BLOCK samples at a time as the rows are drawn.  out is
+    opened once the first row is made.  A table of more rows than one window
+    is cut at the slice boundary at or before its middle: the rows before the
+    cut are formatted here, and rows_from(cut) by a forked child where
+    split_writer.write_split can fork one, byte for byte as one process would
+    write them; where it cannot, every row is written here.
     """
-    count = len(rows) if hasattr(rows, "__len__") else 0
-    rows = iter(rows)
+    rows = iter(rows_from(0))
     first = next(rows)
     order = range(len(columns))
     if fmt == "json":
@@ -273,8 +259,8 @@ def _emit_table(fmt, out, meta, columns, rows: Iterable[tuple], max_abs_diff=Non
         def prepare(row: tuple) -> tuple:
             return tuple(c if f else _text(fmt, c) for c, f in zip(pick(row), floats))
 
-    def write_rows(write, rows: Iterable[tuple], lead: str = sep) -> None:
-        """Each slice of an iterator of rows as one write; lead opens the first, sep the others."""
+    def write_rows(write, rows: Iterable[tuple], lead: str = "\n") -> None:
+        """Each slice of rows as one write; lead opens the first, sep the others."""
         while batch := list(itertools.islice(rows, _ROWS_PER_WRITE)):
             write(lead + sep.join(map(template.__mod__, map(prepare, batch))))
             lead = sep
@@ -286,43 +272,50 @@ def _emit_table(fmt, out, meta, columns, rows: Iterable[tuple], max_abs_diff=Non
         target = open(out, "w", encoding="utf-8", errors="surrogateescape", newline="")
     with target as handle:
         handle.write(head)
+        split = False
         if count > SAMPLE_BLOCK:  # imported only for such a table: see split_writer
             from .split_writer import write_split
 
             cut = count // 2 // _ROWS_PER_WRITE * _ROWS_PER_WRITE  # at or before the middle
-            write_split(handle, out, rows, cut, write_rows)
-        else:
-            write_rows(handle.write, rows, "\n")
+            split = write_split(
+                handle,
+                out,
+                lambda write: write_rows(write, itertools.islice(rows, cut)),
+                lambda write: write_rows(write, rows_from(cut), sep),
+            )
+        if not split:
+            write_rows(handle.write, rows)
         handle.write(tail)
 
 
-def _array_rows(*columns: np.ndarray) -> _Rows:
-    """The rows of equal-length float arrays, made a slice of _ROWS_PER_WRITE rows at a time."""
+def _array_rows(*columns: np.ndarray) -> tuple:
+    """The row count and rows_from of equal-length float arrays, made a slice at a time."""
     count = len(columns[0])
 
-    def rows():
-        for lo in range(0, count, _ROWS_PER_WRITE):
+    def rows_from(start: int):
+        for lo in range(start, count, _ROWS_PER_WRITE):
             yield from zip(*(column[lo : lo + _ROWS_PER_WRITE].tolist() for column in columns))
 
-    return _Rows(count, rows())
+    return count, rows_from
 
 
 def _trajectory_table(closed: Optional[Trajectory], numeric: Optional[Trajectory], every=1):
-    """Columns and every every-th row of a trajectory; numeric columns follow with both.
+    """Columns, count and rows_from of every every-th row of a trajectory; numeric ones follow.
 
-    The rows are a _Rows over a generator that reads the engines' blocks and
-    their times together, a window at a time, and converts each window's
-    arrays to row tuples a slice of _ROWS_PER_WRITE rows at a time, the slice
-    _emit_table writes, so a replayed trajectory and its times are computed
-    as they are drawn and few Python floats are live at once.
+    rows_from(start) reads the engines' blocks and their times together, a
+    window at a time from the first (the RK4 replay starts there), and
+    converts each window's arrays from row start on to row tuples a slice of
+    _ROWS_PER_WRITE rows at a time, the slice _emit_table writes, so a
+    replayed trajectory and its times are computed as they are drawn and few
+    Python floats are live at once.
     """
     parts = [traj for traj in (closed, numeric) if traj is not None]
     columns = _TRAJECTORY_COLUMNS + (_NUMERIC_COLUMNS if len(parts) == 2 else ())
 
-    def rows():
+    def rows_from(start: int):
         windows = parts[0].time_blocks(every)
         for window, *blocks in zip(windows, *(traj.blocks(every) for traj in parts)):
-            for lo in range(0, len(window), _ROWS_PER_WRITE):
+            for lo in range(max(start, 0), len(window), _ROWS_PER_WRITE):
                 values = [window[lo : lo + _ROWS_PER_WRITE]]
                 for block in blocks:
                     part = block[lo : lo + _ROWS_PER_WRITE]
@@ -330,8 +323,9 @@ def _trajectory_table(closed: Optional[Trajectory], numeric: Optional[Trajectory
                     # np.hypot gives abs(complex) bit for bit; np.abs differs in the last bit
                     values += [part[:, 0].real, part[:, 3].real, re, im, np.hypot(re, im)]
                 yield from zip(*(v.tolist() for v in values))
+            start -= len(window)  # from the next window's first row
 
-    return columns, _Rows(len(range(0, len(parts[0]), every)), rows())
+    return columns, len(range(0, len(parts[0]), every)), rows_from
 
 
 def _meta(command: str, bath: BathModel, fmt: str, out: Optional[str], **fields) -> dict:
@@ -363,7 +357,7 @@ def cmd_spectral(cfg: dict, out: Optional[str], fmt: str) -> None:
     js = np.fromiter((spectral_density(bath, w) for w in map(float, omegas)), float, count)
     grid_meta = {"omega_min": omega_min, "omega_max": omega_max, "count": count}
     meta = _meta("spectral", bath, fmt, out, grid=grid_meta)
-    _emit_table(fmt, out, meta, ("omega", "J"), _array_rows(omegas, js))
+    _emit_table(fmt, out, meta, ("omega", "J"), *_array_rows(omegas, js))
 
 
 def cmd_point(command: str, cfg: dict, out: Optional[str], engine: str, fmt: str) -> None:
@@ -376,11 +370,10 @@ def cmd_point(command: str, cfg: dict, out: Optional[str], engine: str, fmt: str
     run = evaluate_point(bath, temperature, tc, engine, *grid)
     meta = _meta(command, bath, fmt, out, **_point_fields(tc, temperature, grid, engine))
     if command == "evolve":
-        columns, rows = _trajectory_table(run.closed, run.numeric)
-        _emit_table(fmt, out, meta, columns, rows, run.max_abs_diff)
+        _emit_table(fmt, out, meta, *_trajectory_table(run.closed, run.numeric), run.max_abs_diff)
     else:
-        row = (run.eig.omega_21, temperature, run.rate.chi, run.rate.n_occ)
-        _emit_table(fmt, out, meta, _T2_COLUMNS, [row + decoherence_times(run)])
+        row = (run.eig.omega_21, temperature, run.rate.chi, run.rate.n_occ) + decoherence_times(run)
+        _emit_table(fmt, out, meta, _T2_COLUMNS, 1, lambda start: [row][start:])
 
 
 def _parse_sweep_block(cfg: dict) -> tuple[str, tuple[float, ...]]:
@@ -424,15 +417,16 @@ def cmd_sweep(cfg: dict, out: Optional[str], engine: str, fmt: str) -> None:
         return f"{Path(out).stem}_point{index}.csv" if write_traj else None
 
     def write_trajectory(p, run) -> None:
-        columns, rows = _trajectory_table(run.closed, run.numeric, every)
+        table = _trajectory_table(run.closed, run.numeric, every)
         path = str(Path(out).with_name(sidecar(p.index)))
-        _emit_table("csv", path, None, columns, rows, p.max_abs_diff)
+        _emit_table("csv", path, None, *table, p.max_abs_diff)
 
     points = run_sweep(spec, write_trajectory if write_traj else None).points
     meta = _meta("sweep", bath, fmt, out, **_point_fields(tc, temperature, grid, engine))
     meta["sweep"] = {"parameter": parameter, "values": list(values)}
     meta["trajectories"] = {"write": write_traj, "every": every}
-    _emit_table(fmt, out, meta, _SUMMARY_COLUMNS, ((*p, sidecar(p.index)) for p in points))
+    summary_from = lambda start: ((*p, sidecar(p.index)) for p in points[start:])
+    _emit_table(fmt, out, meta, _SUMMARY_COLUMNS, len(points), summary_from)
 
 
 def _build_parser() -> argparse.ArgumentParser:

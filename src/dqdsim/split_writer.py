@@ -1,11 +1,11 @@
-"""The second process of a long table: rows from a cut on, formatted by a forked child.
+"""The second process of a long table: one part of its text, written by a forked child.
 
-cli._emit_table hands the rows of a table longer than one sample window to
-write_split.  Where more than one CPU is usable, write_halves formats the
-rows before the cut into the output here while a forked child formats the
-rest into an unlinked temporary file beside it, and then appends the
-child's bytes, so the output is byte for byte what one process writes.  A
-child or a fork that fails costs only time: this process writes the rest.
+cli._emit_table splits a table longer than one sample window in two parts
+and hands write_split the writing of each.  Where more than one CPU is usable,
+this process writes the first part into the output while a forked child
+writes the second into an unlinked temporary file beside it, and then
+appends the child's bytes, so the output is byte for byte what one process
+writes.  A child that fails costs only time: this process writes its part.
 
 cli imports this module only for such a table: without a bytecode cache
 (PYTHONDONTWRITEBYTECODE) every run compiles what it imports, and compiling
@@ -16,11 +16,9 @@ about 0.4 MB.
 from __future__ import annotations
 
 import io
-import itertools
 import os
 import tempfile
 import warnings
-from typing import Iterator, Optional
 
 
 def usable_cpus() -> int:
@@ -30,45 +28,24 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def write_split(handle, out: Optional[str], rows: Iterator[tuple], cut: int, write_rows) -> None:
-    """Every row to handle, those from cut on formatted by a forked child where that can help.
+def write_split(handle, out: str | None, here, there) -> bool:
+    """Text of here(write) to handle from this process, then of there(write) from a forked child.
 
-    One process writes them all on one usable CPU, where the platform lacks
-    fork or sched_getaffinity, and where no temporary file can be made or
-    handle has no file descriptor to append it to (a stand-in for stdout).
-    out is handle's path, None for stdout, whose temporary file goes to the
-    temporary directory.
-    """
-    scratch = None
-    if usable_cpus() > 1:
-        try:
-            handle.fileno()
-            directory = None if out is None else os.path.dirname(out) or "."
-            scratch = tempfile.TemporaryFile(dir=directory)
-        except (AttributeError, OSError):  # io.UnsupportedOperation is an OSError
-            pass
-    if scratch is None:
-        write_rows(handle.write, rows, "\n")
-        return
-    with scratch:
-        write_halves(handle, scratch, rows, cut, write_rows)
+    Returns False, having written nothing, where no child can be forked: on
+    one usable CPU, without fork or sched_getaffinity, where handle has no
+    file descriptor to append to (a stand-in for stdout), where no temporary
+    file can be made, and where os.fork fails.  out is handle's path, None
+    for stdout, whose temporary file goes to the temporary directory.
 
-
-def write_halves(handle, scratch, rows: Iterator[tuple], cut: int, write_rows) -> None:
-    """Rows [0, cut) formatted into handle here, the rest by a forked child into scratch.
-
-    write_rows(write, rows, lead) formats and writes an iterator of rows,
-    each slice opened by lead, the first one's by the table's separator when
-    lead is not given.  The child skips the first cut rows (made, not
-    formatted), formats the others into scratch with handle's encoding and
-    error handler, and reports only by its exit status: 0 once its text is
-    flushed, 1 on any exception.  It leaves by os._exit, running no finally
-    block, atexit hook or buffer flush of the parent's, so the text it
-    inherits unflushed in handle is written once, by the parent.  The parent
-    reaps the child, killing it first when its own half fails or is
-    interrupted.  On status 0 it appends the child's bytes; otherwise its
-    own iterator stands at the cut and it formats the rest itself, so every
-    error is raised, and every byte written, as by one process.
+    The child writes there's text into the temporary file with handle's
+    encoding and error handler, and reports only by its exit status: 0 once
+    its text is flushed, 1 on any exception.  It leaves by os._exit, running
+    no finally block, atexit hook or buffer flush of the parent's, so the
+    text it inherits unflushed in handle is written once, by the parent.
+    The parent reaps the child, killing it first when here fails or is
+    interrupted.  On status 0 it appends the child's bytes; otherwise it
+    calls there itself, so every error is raised, and every byte written,
+    as by one process.
 
     Forking is safe here although numpy's OpenBLAS keeps a worker thread:
     the CLI starts no thread of its own; OpenBLAS quiesces its pool in a
@@ -78,37 +55,46 @@ def write_halves(handle, scratch, rows: Iterator[tuple], cut: int, write_rows) -
     3.12 warns on fork() in any process with more than one thread, so that
     warning, and only that one, is silenced around this fork.
     """
+    if usable_cpus() < 2:
+        return False
     try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", ".*multi-threaded.*fork", DeprecationWarning)
-            pid = os.fork()
-    except OSError:  # EAGAIN under a process limit, or ENOMEM: one process can write it all
-        write_rows(handle.write, rows, "\n")
-        return
-    if pid == 0:
-        status = 1
+        handle.fileno()
+        directory = None if out is None else os.path.dirname(out) or "."
+        scratch = tempfile.TemporaryFile(dir=directory)
+    except (AttributeError, OSError):  # io.UnsupportedOperation is an OSError
+        return False
+    with scratch:
         try:
-            text = io.TextIOWrapper(
-                scratch, encoding=handle.encoding, errors=handle.errors, newline=""
-            )
-            write_rows(text.write, itertools.islice(rows, cut, None))
-            text.flush()
-            status = 0
-        finally:
-            os._exit(status)
-    try:
-        write_rows(handle.write, itertools.islice(rows, cut), "\n")
-        _, status = os.waitpid(pid, 0)
-    except BaseException:
-        import signal  # only here: importing it costs about a millisecond
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", ".*multi-threaded.*fork", DeprecationWarning)
+                pid = os.fork()
+        except OSError:  # EAGAIN under a process limit, or ENOMEM: one process can write it all
+            return False
+        if pid == 0:
+            status = 1
+            try:
+                text = io.TextIOWrapper(
+                    scratch, encoding=handle.encoding, errors=handle.errors, newline=""
+                )
+                there(text.write)
+                text.flush()
+                status = 0
+            finally:
+                os._exit(status)
+        try:
+            here(handle.write)
+            _, status = os.waitpid(pid, 0)
+        except BaseException:
+            import signal  # only here: importing it costs about a millisecond
 
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-        raise
-    if status == 0:
-        append(handle, scratch)
-    else:
-        write_rows(handle.write, rows)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            raise
+        if status == 0:
+            append(handle, scratch)
+        else:
+            there(handle.write)
+    return True
 
 
 def append(handle, scratch) -> None:

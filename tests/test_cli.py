@@ -896,10 +896,11 @@ class TestTableWriter:
         tables = []
         render = cli._emit_table
 
-        def record(fmt, out, meta, columns, rows, max_abs_diff=None):
-            rows = list(rows)
+        def record(fmt, out, meta, columns, count, rows_from, max_abs_diff=None):
+            rows = list(rows_from(0))
+            assert len(rows) == count
             tables.append((fmt, out, meta, columns, rows, max_abs_diff))
-            render(fmt, out, meta, columns, rows, max_abs_diff)
+            render(fmt, out, meta, columns, count, rows_from, max_abs_diff)
 
         monkeypatch.setattr(cli, "_emit_table", record)
         payload = {k: v for k, v in payload.items() if v is not None}
@@ -925,9 +926,9 @@ class TestTableWriter:
         total = 3 * cli._ROWS_PER_WRITE + 5
         made = 0
 
-        def rows():
+        def rows_from(start: int):
             nonlocal made
-            for i in range(total):
+            for i in range(start, total):
                 made += 1
                 yield (float(i), 0.125)
 
@@ -938,7 +939,7 @@ class TestTableWriter:
                 writes.append((made, text.count("0.125")))
 
         monkeypatch.setattr(sys, "stdout", Handle())
-        cli._emit_table(fmt, None, {}, ("t", "x"), rows())
+        cli._emit_table(fmt, None, {}, ("t", "x"), total, rows_from)
         body = [(made_then, n) for made_then, n in writes if n]
         assert sum(n for _, n in body) == total
         assert body[0][0] < total  # the first rows are out before the last one is made
@@ -971,14 +972,25 @@ class TestTrajectoryTable:
         numeric = run.numeric if engines != "closed" else None
         expected = _whole_table_rows(closed, numeric, every)
         assert len(expected) > 3 * cli._ROWS_PER_WRITE
-        _, rows = cli._trajectory_table(closed, numeric, every)
-        assert repr(list(rows)) == repr(expected)  # repr tells -0.0 from 0.0
+        _, count, rows_from = cli._trajectory_table(closed, numeric, every)
+        assert count == len(expected)
+        assert repr(list(rows_from(0))) == repr(expected)  # repr tells -0.0 from 0.0
+
+    @pytest.mark.parametrize("every", [1, 3, 80])
+    def test_rows_from_any_start_are_the_whole_tables_from_there(self, every):
+        # 50 001 samples: row 20 000 is in the third window at every = 1
+        run = evaluate_point(PiezoelectricBath(), 0.030, 0.05, "both", 2500.0, 50000)
+        columns, count, rows_from = cli._trajectory_table(run.closed, run.numeric, every)
+        expected = np.array(_whole_table_rows(run.closed, run.numeric, every))
+        for start in (0, 1, 8191, 8192, 20000, count - 1):
+            rows = np.array(list(rows_from(start))).reshape(-1, len(columns))
+            assert rows.tobytes() == expected[start:].tobytes(), start  # bits: -0.0 is not 0.0
 
     def test_first_row_of_a_long_table_is_cheap(self):
         run = evaluate_point(PiezoelectricBath(), 0.030, 0.05, "both", 2500.0, 50000)
 
         def first_row():
-            return next(cli._trajectory_table(run.closed, run.numeric)[1])
+            return next(cli._trajectory_table(run.closed, run.numeric)[2](0))
 
         first, peak = allocation_peak(first_row)
         assert first == _whole_table_rows(run.closed, run.numeric, 1)[0]

@@ -91,10 +91,11 @@ def test_every_output_reads_back(case, stem):
     tables = []
     render = cli._emit_table
 
-    def record(fmt, out, meta, columns, rows, max_abs_diff=None):
-        rows = list(rows)
+    def record(fmt, out, meta, columns, count, rows_from, max_abs_diff=None):
+        rows = list(rows_from(0))
+        assert len(rows) == count
         tables.append((fmt, Path(out), columns, rows, max_abs_diff))
-        render(fmt, out, meta, columns, rows, max_abs_diff)
+        render(fmt, out, meta, columns, count, rows_from, max_abs_diff)
 
     cli._emit_table = record
     try:
