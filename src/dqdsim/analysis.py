@@ -5,7 +5,7 @@ of points, then it is finished; evaluate_point is a stack of one.  A
 finished point holds its trajectories as replays (the closed form on the
 grid, the RK4 recurrence from its stride powers and rho(0)) that compute
 their samples when read, on a TimeGrid that computes their times when read;
-one pass over them, a window of SAMPLE_BLOCK samples at a time, decides
+one pass over them, a window (read_window) at a time, decides
 finiteness, folds the cross-engine discrepancy and gathers what T2
 extraction reads of |rho12| of the T2 source (a _DecayRecord), so a point
 holds nothing as long as its grid.  On a grid of N <= SAMPLE_BLOCK samples
@@ -37,8 +37,8 @@ import numpy as np
 from .analytic import ChiRate, chi_rate, closed_form_replay
 from .bath import BATH_KINDS, BathModel, OhmicBath
 from .redfield import SAMPLE_BLOCK, TimeGrid, Trajectory, build_tensor, check_step
-from .redfield import check_time_grid, lazy_time_grid, liouvillian, replay_powers, replay_stack
-from .redfield import stride_powers
+from .redfield import check_time_grid, lazy_time_grid, liouvillian, read_window, replay_powers
+from .redfield import replay_stack, stride_powers
 from .system import EigenSystem, QubitParams, diagonalize, initial_state
 
 _DECAY_THRESHOLD = 0.5 * math.exp(-1.0)
@@ -112,10 +112,10 @@ class _DecayRecord:
         self._crossing = None  # (i, |rho12| at i - 1 or None for i = 0, |rho12| at i)
         self._index, self._amps = [], []
         self._seen = self._carried = 0
-        self._window = np.empty(_CARRY + min(n_samples, SAMPLE_BLOCK))
+        self._window = np.empty(_CARRY + min(n_samples, read_window(n_samples)))
 
     def add(self, rho12: np.ndarray) -> None:
-        """The next samples' rho12, at most SAMPLE_BLOCK of them."""
+        """The next samples' rho12, at most read_window(n_samples) of them: one window."""
         held = self._carried
         window = self._window[: held + len(rho12)]
         amps = np.abs(rho12, out=window[held:])
@@ -340,24 +340,25 @@ def _sample_pass(n_samples: int, closed, numeric):
     the first engine, in that order, with a NaN or inf sample (None if there
     is none), and the _DecayRecord of the T2 source, numeric preferred: the
     few samples T2 extraction reads, so nothing made is as long as the grid.
+    The blocks are windows of read_window(n_samples) samples, and
     |closed - numeric| is made a quarter of a window's rows at a time, so no
-    float array longer than SAMPLE_BLOCK is made, and the maxima of the
-    pieces and blocks are folded with np.maximum, which keeps a NaN from any
-    of them; a finite block maximum implies both blocks are finite.  The
-    difference is written over the numeric block once its rho12 is read, so
-    the numeric blocks must be scratch; with the closed form's block finite,
-    the difference is non-finite where the numeric samples are.
+    float array longer than a window is made; the maxima of the pieces and
+    blocks are folded with np.maximum, which keeps a NaN from any of them; a
+    finite block maximum implies both blocks are finite.  The difference is
+    written over the numeric block once its rho12 is read, so the numeric
+    blocks must be scratch; with the closed form's block finite, the
+    difference is non-finite where the numeric samples are.
     """
     named = [(name, blocks) for name, blocks in
              (("closed_form_trajectory", closed), ("numeric_trajectory", numeric))
              if blocks is not None]
     decay = _DecayRecord(n_samples)
+    rows = read_window(n_samples) // 4  # |diff| of a quarter window: a window of floats at most
     max_abs_diff, non_finite = None, set()
     for blocks in zip(*(b for _, b in named)):
         decay.add(blocks[-1][:, 1])
         if len(blocks) == 2:
             diff = np.subtract(*blocks, out=blocks[1])
-            rows = SAMPLE_BLOCK // 4  # |diff| of a quarter window: SAMPLE_BLOCK floats at most
             pieces = [np.abs(diff[lo : lo + rows]).max() for lo in range(0, len(diff), rows)]
             block_max = functools.reduce(np.maximum, pieces)
             max_abs_diff = block_max if max_abs_diff is None else np.maximum(max_abs_diff, block_max)

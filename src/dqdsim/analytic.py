@@ -12,9 +12,9 @@ and critically damped (s -> 0) regimes; a series branch protects the s -> 0
 limit.  Underdamped, the exponentials are conjugates: one complex exp per
 sample.  The implied initial state is every element equal to 1/2.  On a
 time grid the closed form is a replayed trajectory: blocks() evaluates its
-samples when they are read, the kept samples of one window of SAMPLE_BLOCK
-at a time, and they are not stored unless data materializes them, once; on
-a TimeGrid each window's times are computed with them.
+samples when they are read, the kept samples of one window (redfield's
+read_window) at a time, and they are not stored unless data materializes
+them, once; on a TimeGrid each window's times are computed with them.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import BathModel, bose_occupation, spectral_density
-from .redfield import SAMPLE_BLOCK, Trajectory, sample_windows
+from .redfield import Trajectory, read_window, sample_windows
 from .system import DensityMatrix, EigenSystem
 
 # |s*t| below which the sinh/cosh series replaces the exponential pair.
@@ -83,7 +83,8 @@ def closed_form_trajectory(rate: ChiRate, times: np.ndarray) -> Trajectory:
 
 def _closed_form_blocks(rate: ChiRate, times, every: int):
     """The every-th samples of each window, evaluated together into one buffer."""
-    out = np.empty((len(range(0, min(len(times), SAMPLE_BLOCK), every)), 4), dtype=complex)
+    size = min(len(times), read_window(len(times)))  # the first window keeps the most
+    out = np.empty((len(range(0, size, every)), 4), dtype=complex)
     for kept in sample_windows(len(times), every):
         t = times[kept]
         _fill_block(rate, t, out[: len(t)])
@@ -144,37 +145,36 @@ def _fill_block(rate: ChiRate, t: np.ndarray, out: np.ndarray) -> None:
         # small |s*t|: cosh(z) and sinh(z)/z expanded, exact through z^4
         z2 = np.multiply(s2, t)
         np.multiply(z2, t, out=z2)
-        if everywhere:
-            ts = t.copy()
-        else:
-            small = np.abs(z2) < _SERIES_THRESHOLD**2
-            ts, z2 = t[small], z2[small]
-        # in place: under critical damping every sample takes the series
-        cosh_ser = np.divide(z2, 2.0)  # 1 + z2/2 + z2^2/24
-        np.add(1.0, cosh_ser, out=cosh_ser)
-        scratch = np.multiply(z2, z2)
-        np.add(cosh_ser, np.divide(scratch, 24.0, out=scratch), out=cosh_ser)
-        sinhc_ser = np.divide(z2, 6.0, out=scratch)  # 1 + z2/6 + z2^2/120
-        np.add(1.0, sinhc_ser, out=sinhc_ser)
-        np.multiply(z2, z2, out=z2)
-        np.add(sinhc_ser, np.divide(z2, 120.0, out=z2), out=sinhc_ser)
-        del z2
-        # exp(-chi ts) (cosh + (chi + i w) ts sinhc) / 2
-        series = np.multiply(chi + 1j * w, ts)
-        np.multiply(series, sinhc_ser, out=series)
-        del sinhc_ser, scratch
-        np.add(cosh_ser, series, out=series)
-        del cosh_ser
-        np.multiply(-chi, ts, out=ts)
-        np.multiply(np.exp(ts, out=ts), series, out=series)
-        if everywhere:
-            rho12 = np.divide(series, 2.0, out=series)
-        else:
-            rho12[small] = np.divide(series, 2.0, out=series)
-            # critically damped at t = inf, the last time if any: z2 = 0 * inf is NaN, not
-            # small, and the series would be 0 * inf too; the state is the equilibrium, rho12 = 0
-            if s2 == 0 and t[-1] == np.inf:
-                rho12[-1] = 0.0
+        small = None if everywhere else np.abs(z2) < _SERIES_THRESHOLD**2
+        # only samples near t = 0 are small: a long grid's later windows skip the series
+        if everywhere or small.any():
+            ts, z2 = (t.copy(), z2) if everywhere else (t[small], z2[small])
+            # in place: under critical damping every sample takes the series
+            cosh_ser = np.divide(z2, 2.0)  # 1 + z2/2 + z2^2/24
+            np.add(1.0, cosh_ser, out=cosh_ser)
+            scratch = np.multiply(z2, z2)
+            np.add(cosh_ser, np.divide(scratch, 24.0, out=scratch), out=cosh_ser)
+            sinhc_ser = np.divide(z2, 6.0, out=scratch)  # 1 + z2/6 + z2^2/120
+            np.add(1.0, sinhc_ser, out=sinhc_ser)
+            np.multiply(z2, z2, out=z2)
+            np.add(sinhc_ser, np.divide(z2, 120.0, out=z2), out=sinhc_ser)
+            del z2
+            # exp(-chi ts) (cosh + (chi + i w) ts sinhc) / 2
+            series = np.multiply(chi + 1j * w, ts)
+            np.multiply(series, sinhc_ser, out=series)
+            del sinhc_ser, scratch
+            np.add(cosh_ser, series, out=series)
+            del cosh_ser
+            np.multiply(-chi, ts, out=ts)
+            np.multiply(np.exp(ts, out=ts), series, out=series)
+            if everywhere:
+                rho12 = np.divide(series, 2.0, out=series)
+            else:
+                rho12[small] = np.divide(series, 2.0, out=series)
+        # critically damped at t = inf, the last time if any: z2 = 0 * inf is NaN, not small,
+        # and the series would be 0 * inf too; the state is the equilibrium, rho12 = 0
+        if not everywhere and s2 == 0 and t[-1] == np.inf:
+            rho12[-1] = 0.0
 
     out[:, 1] = rho12
     out[:, 2] = np.conj(rho12, out=rho12)

@@ -17,8 +17,8 @@ row count and its rows from any start) rendered by one streamed row-template wri
 files are UTF-8 and a name that is not UTF-8 is written as its own bytes, CSV floats carry 17
 significant digits, a CSV cell holding a comma, a quote or a line break is
 quoted (RFC 4180), JSON floats are their shortest round-trip repr (as json
-writes them), lines end with \\n, JSON keys are sorted.  A table longer than
-one sample window is formatted by two processes on Linux (see split_writer),
+writes them), lines end with \\n, JSON keys are sorted.  A table of more than
+SAMPLE_BLOCK rows is formatted by two processes on Linux (see split_writer),
 a forked child making only the rows from a cut near the middle on: the same
 bytes, through a temporary file never left behind, and a child that fails
 leaves its rows to the parent.  Exit codes: 0
@@ -227,8 +227,8 @@ def _emit_table(fmt, out, meta, columns, count: int, rows_from, max_abs_diff=Non
     written (encoded) before the next is drawn, so only one slice's rows and
     text are live at once: never the whole text, nor the rows of a generator
     such as _trajectory_table's, whose replayed trajectories are computed a
-    window of SAMPLE_BLOCK samples at a time as the rows are drawn.  out is
-    opened once the first row is made.  A table of more rows than one window
+    window (redfield.read_window) at a time as the rows are drawn.  out is
+    opened once the first row is made.  A table of more than SAMPLE_BLOCK rows
     is cut at the slice boundary at or before its middle: the rows before the
     cut are formatted here, and rows_from(cut) by a forked child where
     split_writer.write_split can fork one, byte for byte as one process would

@@ -26,10 +26,12 @@ Propagation is fixed-step RK4 on d y/dt = L y: the B stacked powers of the RK4
 stride map, one (4B, 4) matrix, advance a block of B samples per matrix-vector
 product.  They are built for K generators at once, one set-up per sweep stack,
 and one block recurrence advances any such stack: a (K, 4B, 4) x (K, 4, 1)
-product per block of B.  Every read of a trajectory walks the same windows of
-SAMPLE_BLOCK samples; the recurrence fills one window of K generators at a
-time, and replay_stack runs it for a group of generators whose grids fit one
-window.  From one generator's powers and rho(0) the samples are a replayed
+product per block of B.  Every read of a trajectory walks the same windows,
+their length decided by read_window alone: a grid of at most SAMPLE_BLOCK
+samples is one window, a longer one is read SAMPLE_BLOCK // 4 samples at a
+time.  The recurrence fills one window of K generators at a time, and
+replay_stack runs it for a group of generators whose grids fit one window.
+From one generator's powers and rho(0) the samples are a replayed
 trajectory, the recurrence's K = 1 case: blocks() runs it again each time
 they are read, a window at a time, so they are not stored unless data
 materializes them, once.  Its times are a TimeGrid, np.arange(lo, hi) *
@@ -53,8 +55,10 @@ from .system import DensityMatrix, EigenSystem
 _MAX_STEP_PRODUCT = 0.1
 _POWER_BLOCK = 64
 # samples in a window, a multiple of _POWER_BLOCK: every read of a trajectory walks one
-# window at a time, and a window holds one point of a long grid or a group of short ones
+# window at a time, and a window holds one point of a short grid or a group of them
 SAMPLE_BLOCK = 1 << 13
+# samples in each window of a grid longer than SAMPLE_BLOCK, also a multiple of _POWER_BLOCK
+_LONG_WINDOW = SAMPLE_BLOCK // 4
 # the longest float64 array np.arange and np.linspace accept: probed near 2**60 with
 # numpy 2.4.6, both refuse 2**60 - 64 on with an unnamed "array is too big"
 MAX_FLOATS = np.iinfo(np.intp).max // np.dtype(float).itemsize - 64
@@ -135,7 +139,7 @@ class Trajectory:
         return len(self._times)
 
     def blocks(self, every: int = 1) -> Iterator[np.ndarray]:
-        """The every-th samples of each window of SAMPLE_BLOCK samples, in order.
+        """The every-th samples of each window (read_window), in order.
 
         A block is valid until the next one is drawn: a replay refills one
         window.
@@ -203,10 +207,21 @@ def _check_every(every: int) -> None:
         raise ValueError(f"every must be >= 1, got {every}")
 
 
+def read_window(n_samples: int) -> int:
+    """The samples in each window a read of an n_samples grid walks, the first at sample 0.
+
+    A grid of at most SAMPLE_BLOCK samples is one window; a longer one is
+    read _LONG_WINDOW samples at a time, so what a read holds stays small
+    however long the grid.  Every buffer a read fills is sized from this.
+    """
+    return SAMPLE_BLOCK if n_samples <= SAMPLE_BLOCK else _LONG_WINDOW
+
+
 def sample_windows(n_samples: int, every: int) -> Iterator[slice]:
-    """The every-th samples of each window of SAMPLE_BLOCK, as slices of the whole grid."""
-    for lo in range(0, n_samples, SAMPLE_BLOCK):
-        yield slice(lo + (-lo) % every, lo + SAMPLE_BLOCK, every)
+    """The every-th samples of each window of read_window, as slices of the whole grid."""
+    size = read_window(n_samples)
+    for lo in range(0, n_samples, size):
+        yield slice(lo + (-lo) % every, lo + size, every)
 
 
 def _rate(eig: EigenSystem, bath: BathModel, temperature: float, a: int, b: int) -> float:
@@ -399,33 +414,35 @@ def _rk4_blocks(
     every: int,
     window: np.ndarray | None = None,
 ) -> Iterator[np.ndarray]:
-    """The every-th samples of K RK4 block recurrences, (K, kept, 4) per window of SAMPLE_BLOCK.
+    """The every-th samples of K RK4 block recurrences, (K, kept, 4) per window of read_window.
 
     Sample Bj + i (i = 1..B) of generator k is its stride power i applied to
     its sample Bj: one (K, 4B, 4) x (K, 4, 1) product per block of B advances
-    all K generators.  Row r of the window, (K, min(SAMPLE_BLOCK, n_stored)
-    + 1, 4) unless given, is sample base + r; its last row, the first sample
-    of the next window, is never yielded and is carried into row 0, so a
-    reader may overwrite the blocks it is given.
+    all K generators, and as every window starts a block the blocks chain
+    across windows.  Row r of the window buffer, (K, min(size, n_stored) + 1,
+    4) for a window of size samples unless given, is sample base + r; its
+    last row, the first sample of the next window, is never yielded and is
+    carried into row 0, so a reader may overwrite the blocks it is given.
     """
     stack, block = powers.shape[:2]
     # a view for C-contiguous powers: row 4j+r of rows[k] is row r of power j of generator k
     rows = powers.reshape(stack, -1, 4)
+    size = read_window(n_stored + 1)
     if window is None:
-        window = np.empty((stack, min(SAMPLE_BLOCK, n_stored) + 1, 4), dtype=complex)
+        window = np.empty((stack, min(size, n_stored) + 1, 4), dtype=complex)
     # columns[:, r] is sample base + r as a (4, 1) column, a product's operand; rows
     # 4r..4r+3 of products are the same sample, a product's output
     columns, products = window.reshape(stack, -1, 4, 1), window.reshape(stack, -1, 1)
     window[:, 0] = rho0
-    for base in range(0, n_stored + 1, SAMPLE_BLOCK):
+    for base in range(0, n_stored + 1, size):
         if base:
-            window[:, 0] = window[:, SAMPLE_BLOCK]
-        filled = min(SAMPLE_BLOCK, n_stored - base)
+            window[:, 0] = window[:, size]
+        filled = min(size, n_stored - base)
         for r in range(0, filled, block):
             take = min(block, filled - r)
             np.matmul(rows if take == block else rows[:, : 4 * take], columns[:, r],
                       out=products[:, 4 * r + 4 : 4 * (r + take) + 4])
-        yield window[:, (-base) % every : min(filled + 1, SAMPLE_BLOCK) : every]
+        yield window[:, (-base) % every : min(filled + 1, size) : every]
 
 
 def propagate_numeric(

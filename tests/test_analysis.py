@@ -757,8 +757,9 @@ class TestBlockwiseFinish:
         run, peak, live = allocations(lambda: analysis.evaluate_point(*args))
         assert len(run.closed) == len(run.numeric) == 200001
         assert live <= grid_floats // 4  # the stride powers and the T2 record
-        # the pass holds a window of each engine, whatever the grid's length
-        short = (*args[:4], MULTI_BLOCK_GRID["t_end"], MULTI_BLOCK_GRID["n_steps"])
+        # the pass holds a window of each engine, whatever the grid's length: as much as a
+        # grid of one window of 2048 samples, the length of a long grid's windows
+        short = (*args[:4], 2000.0, 2047)
         _, window_peak = allocation_peak(lambda: analysis.evaluate_point(*short))
         assert peak <= window_peak + MiB // 4
         # T2 is fitted through the few stationary samples the pass kept

@@ -978,11 +978,12 @@ class TestTrajectoryTable:
 
     @pytest.mark.parametrize("every", [1, 3, 80])
     def test_rows_from_any_start_are_the_whole_tables_from_there(self, every):
-        # 50 001 samples: row 20 000 is in the third window at every = 1
+        # 50 001 samples, read in windows of 2048: at every = 1 rows 2047 and 2048 end the
+        # first window and start the second, and row 20 000 is in the tenth
         run = evaluate_point(PiezoelectricBath(), 0.030, 0.05, "both", 2500.0, 50000)
         columns, count, rows_from = cli._trajectory_table(run.closed, run.numeric, every)
         expected = np.array(_whole_table_rows(run.closed, run.numeric, every))
-        for start in (0, 1, 8191, 8192, 20000, count - 1):
+        for start in (0, 1, 2047, 2048, 8191, 8192, 20000, count - 1):
             rows = np.array(list(rows_from(start))).reshape(-1, len(columns))
             assert rows.tobytes() == expected[start:].tobytes(), start  # bits: -0.0 is not 0.0
 
@@ -994,8 +995,8 @@ class TestTrajectoryTable:
 
         first, peak = allocation_peak(first_row)
         assert first == _whole_table_rows(run.closed, run.numeric, 1)[0]
-        # both engines' first windows (512 KiB each) and one slice of rows
-        assert peak <= 1.25 * MiB
+        # both engines' first windows (2048 samples, 128 KiB each) and one slice of rows
+        assert peak <= MiB // 2
 
     def test_a_whole_json_evolve_holds_little(self, tmp_path):
         # 50 001 rows of both engines, each row a JSON object of eleven floats
@@ -1004,14 +1005,15 @@ class TestTrajectoryTable:
         out = tmp_path / "e.json"
         code, peak = allocation_peak(lambda: main(["evolve", "--config", cfg, "--out", str(out)]))
         assert code == 0 and len(json.loads(out.read_text())["rows"]) == 50001
-        assert peak <= 2 * MiB
+        # a window of each engine, as for the first row, and the writer's slices
+        assert peak <= MiB
 
     def test_fig5_sweep_holds_little(self, tmp_path, configs_dir):
         # four 2e5-sample points with both engines, trajectory files thinned 80-fold
         argv = ["sweep", "--config", str(configs_dir / "fig5.json"), "--out", str(tmp_path / "f.csv")]
         code, peak = allocation_peak(lambda: main(argv))
         assert code == 0 and len(list(tmp_path.glob("f_point*.csv"))) == 4
-        assert peak <= 10 * MiB
+        assert peak <= 1.25 * MiB
 
 
 class TestNoGridIsBuilt:

@@ -378,14 +378,20 @@ REPLAY_SAMPLES = 2 * SAMPLE_BLOCK + 77
 # grid lengths: one that is not a multiple of the 64 power blocks, one that is, both within
 # a window, and one past two windows with a ragged tail
 REPLAY_LENGTHS = [100, 1024, 2 * SAMPLE_BLOCK + 37]
-# grid lengths around the window boundaries
-WINDOW_EDGES = [SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1, 2 * SAMPLE_BLOCK + 1]
+# the samples in each window of a grid longer than SAMPLE_BLOCK
+LONG_WINDOW = SAMPLE_BLOCK // 4
+# grid lengths around the window boundaries: where the rule switches from one window to long
+# windows, and a long grid ending on a long window's edge and one sample past it
+WINDOW_EDGES = [SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1,
+                5 * LONG_WINDOW, 5 * LONG_WINDOW + 1, 2 * SAMPLE_BLOCK + 1]
 
 
 def window_lengths(n_samples: int, every: int) -> list[int]:
-    """The number of every-th samples in each window of SAMPLE_BLOCK of an n_samples grid."""
-    return [len(range(lo + (-lo) % every, min(lo + SAMPLE_BLOCK, n_samples), every))
-            for lo in range(0, n_samples, SAMPLE_BLOCK)]
+    """The number of every-th samples in each window of an n_samples grid: a grid of at most
+    SAMPLE_BLOCK samples is one window, a longer one is read LONG_WINDOW samples at a time."""
+    size = n_samples if n_samples <= SAMPLE_BLOCK else LONG_WINDOW
+    return [len(range(lo + (-lo) % every, min(lo + size, n_samples), every))
+            for lo in range(0, n_samples, size)]
 
 
 def decay_generator(chi: float, w: float, n: float) -> np.ndarray:
@@ -534,11 +540,12 @@ class TestStackedRecurrence:
 
 
 class TestWindowBoundaries:
-    """Every read walks windows of SAMPLE_BLOCK samples; their edges change no bit."""
+    """Every read walks the same windows, one up to SAMPLE_BLOCK samples and LONG_WINDOW
+    samples each beyond; their edges change no bit."""
 
     def test_windows_start_on_power_blocks(self):
         # the replay matches the stored recurrence only if each window starts a power block
-        assert SAMPLE_BLOCK % _POWER_BLOCK == 0
+        assert SAMPLE_BLOCK % _POWER_BLOCK == 0 and LONG_WINDOW % _POWER_BLOCK == 0
 
     @pytest.mark.parametrize("n_samples", WINDOW_EDGES)
     @pytest.mark.parametrize("every", [1, 3, 80])
@@ -558,13 +565,22 @@ class TestWindowBoundaries:
         for samples, reference in zip(np.concatenate(blocks, axis=1), expected, strict=True):
             assert samples.tobytes() == reference[::every].tobytes()
 
+    def test_the_rule_in_numbers(self):
+        cases = [(8192, 1, [8192]), (8192, 80, [103]), (8193, 1, [2048] * 4 + [1]),
+                 (8193, 80, [26, 26, 25, 26, 0]), (5 * 2048, 3, [683, 683, 682, 683, 683])]
+        for n_samples, every, lengths in cases:
+            assert window_lengths(n_samples, every) == lengths
+            windows = redfield.sample_windows(n_samples, every)
+            assert [len(range(*kept.indices(n_samples))) for kept in windows] == lengths
+
     def test_windows_of_a_stored_trajectory(self):
-        data = np.arange(4 * (2 * SAMPLE_BLOCK + 1), dtype=complex).reshape(-1, 4)
-        traj = Trajectory(np.arange(len(data), dtype=float), data)
-        for every in (1, 3, 80):
-            blocks = list(traj.blocks(every))
-            assert [len(block) for block in blocks] == window_lengths(len(data), every)
-            assert np.concatenate(blocks).tobytes() == data[::every].tobytes()
+        for n_samples in WINDOW_EDGES:
+            data = np.arange(4 * n_samples, dtype=complex).reshape(-1, 4)
+            traj = Trajectory(np.arange(n_samples, dtype=float), data)
+            for every in (1, 3, 80):
+                blocks = list(traj.blocks(every))
+                assert [len(block) for block in blocks] == window_lengths(n_samples, every)
+                assert np.concatenate(blocks).tobytes() == data[::every].tobytes()
 
 
 class TestPropagation:
