@@ -1,7 +1,8 @@
 """The per-point pipeline, decoherence-time extraction and parameter sweeps.
 
-A point is prepared (chi, grid, step guard), its RK4 powers built in a stack
-of points, then it is finished; evaluate_point is a stack of one.  A
+A run builds its TimeGrid once, and every stage takes it whole: a point is
+prepared on it (chi, step guard), its RK4 powers built in a stack of points
+with the grid's h, then it is finished; evaluate_point is a stack of one.  A
 finished point holds its trajectories as replays (the closed form on the
 grid, the RK4 recurrence from its stride powers and rho(0)) that compute
 their samples when read, on a TimeGrid that computes their times when read;
@@ -27,7 +28,6 @@ d|rho12|^2/dt = -4 chi (Im rho12)^2 <= 0 for every Hermitian state.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
@@ -36,9 +36,8 @@ import numpy as np
 
 from .analytic import ChiRate, chi_rate, closed_form_replay
 from .bath import BATH_KINDS, BathModel, OhmicBath
-from .redfield import SAMPLE_BLOCK, TimeGrid, Trajectory, build_tensor, check_step
-from .redfield import check_time_grid, lazy_time_grid, liouvillian, read_window, replay_powers
-from .redfield import replay_stack, stride_powers
+from .redfield import SAMPLE_BLOCK, TimeGrid, Trajectory, build_tensor, check_step, liouvillian
+from .redfield import read_window, replay_powers, replay_stack, stride_powers
 from .system import EigenSystem, QubitParams, diagonalize, initial_state
 
 _DECAY_THRESHOLD = 0.5 * math.exp(-1.0)
@@ -267,13 +266,13 @@ def check_point(bath, tunneling_Tc, engine, t_end=None, n_steps=None, store_ever
 
 
 def _check_run(engine: str, t_end: Optional[float], n_steps: Optional[int], store_every) -> None:
-    """check_point's rules but T_c's: a known engine, and an optional grid time_grid accepts."""
+    """check_point's rules but T_c's: a known engine, and an optional grid TimeGrid accepts."""
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
     if (t_end is None) != (n_steps is None):
         raise ValueError("t_end and n_steps must be given together")
     if t_end is not None:
-        check_time_grid(t_end, n_steps, store_every)
+        TimeGrid(t_end, n_steps, store_every)
     elif isinstance(store_every, (bool, float)) or store_every != 1:
         raise ValueError(f"store_every needs a time grid (t_end, n_steps), got {store_every!r}")
 
@@ -340,27 +339,24 @@ def _sample_pass(n_samples: int, closed, numeric):
     the first engine, in that order, with a NaN or inf sample (None if there
     is none), and the _DecayRecord of the T2 source, numeric preferred: the
     few samples T2 extraction reads, so nothing made is as long as the grid.
-    The blocks are windows of read_window(n_samples) samples, and
-    |closed - numeric| is made a quarter of a window's rows at a time, so no
-    float array longer than a window is made; the maxima of the pieces and
-    blocks are folded with np.maximum, which keeps a NaN from any of them; a
-    finite block maximum implies both blocks are finite.  The difference is
-    written over the numeric block once its rho12 is read, so the numeric
-    blocks must be scratch; with the closed form's block finite, the
-    difference is non-finite where the numeric samples are.
+    The blocks are windows of read_window(n_samples) samples, so
+    |closed - numeric| is one window of floats; the block maxima are folded
+    with np.maximum, which keeps a NaN from any of them, as max() does within
+    a block; a finite block maximum implies both blocks are finite.  The
+    difference is written over the numeric block once its rho12 is read, so
+    the numeric blocks must be scratch; with the closed form's block finite,
+    the difference is non-finite where the numeric samples are.
     """
     named = [(name, blocks) for name, blocks in
              (("closed_form_trajectory", closed), ("numeric_trajectory", numeric))
              if blocks is not None]
     decay = _DecayRecord(n_samples)
-    rows = read_window(n_samples) // 4  # |diff| of a quarter window: a window of floats at most
     max_abs_diff, non_finite = None, set()
     for blocks in zip(*(b for _, b in named)):
         decay.add(blocks[-1][:, 1])
         if len(blocks) == 2:
             diff = np.subtract(*blocks, out=blocks[1])
-            pieces = [np.abs(diff[lo : lo + rows]).max() for lo in range(0, len(diff), rows)]
-            block_max = functools.reduce(np.maximum, pieces)
+            block_max = np.abs(diff).max()
             max_abs_diff = block_max if max_abs_diff is None else np.maximum(max_abs_diff, block_max)
             if math.isfinite(block_max):
                 continue
@@ -379,31 +375,30 @@ class _Prepared:
     rate: ChiRate
     temperature: float
     engine: str
-    times: Optional[TimeGrid]
+    grid: Optional[TimeGrid]
     generator: Optional[np.ndarray]  # the Liouvillian, numeric engines only
 
 
-def _prepare(bath, temperature, tunneling_Tc, engine, t_end, n_steps, store_every, times=None):
-    """First stage, on evaluate_point's arguments: all before the trajectories; reuses times."""
+def _prepare(bath, temperature, tunneling_Tc, engine, grid: Optional[TimeGrid]) -> _Prepared:
+    """First stage, on a checked point and its run's grid: all before the trajectories."""
     eig = diagonalize(QubitParams(tunneling_Tc=tunneling_Tc))
     rate = chi_rate(eig, bath, temperature)
     _require_finite(chi=rate.chi, n_occ=rate.n_occ)
     generator = None
-    if t_end is not None:
-        times = lazy_time_grid(t_end, n_steps, store_every) if times is None else times
-        if engine in ("numeric", "both"):
-            tensor = build_tensor(eig, bath, temperature)
-            check_step(tensor, eig, t_end, n_steps)
-            generator = liouvillian(tensor, eig)
-    return _Prepared(eig, rate, temperature, engine, times, generator)
+    if grid is not None and engine in ("numeric", "both"):
+        tensor = build_tensor(eig, bath, temperature)
+        check_step(tensor, eig, grid)
+        generator = liouvillian(tensor, eig)
+    return _Prepared(eig, rate, temperature, engine, grid, generator)
 
 
-def _stacked_powers(stack: list[_Prepared], t_end: float, n_steps: int, store_every: int):
-    """The RK4 stride powers of the prepared points, built in one pass (None without L)."""
+def _stacked_powers(stack: list[_Prepared]):
+    """The RK4 stride powers of prepared points on their one grid, in one pass (None without L)."""
     if not stack or stack[0].generator is None:
         return [None] * len(stack)
+    grid = stack[0].grid
     generators = np.stack([prep.generator for prep in stack])
-    return stride_powers(generators, t_end / n_steps, store_every, len(stack[0].times) - 1)
+    return stride_powers(generators, grid.h, grid.store_every, len(grid) - 1)
 
 
 def _finish(
@@ -419,17 +414,17 @@ def _finish(
     record of the T2 source.  The trajectories themselves are not stored,
     and their times are a TimeGrid: nothing held is as long as the grid.
     """
-    if prep.times is None:
+    if prep.grid is None:
         return PointEvaluation(prep.eig, prep.rate)
     closed = numeric = None
     if prep.engine in ("closed_form", "both"):
-        closed = closed_form_replay(prep.rate, prep.times)
+        closed = closed_form_replay(prep.rate, prep.grid)
     if powers is not None:
-        numeric = replay_powers(powers, initial_state(), prep.times)
+        numeric = replay_powers(powers, initial_state(), prep.grid)
     read = [None if traj is None else traj.blocks() for traj in (closed, numeric)]
     if samples is not None:
         read[1] = [samples]
-    max_abs_diff, non_finite, decay = _sample_pass(len(prep.times), *read)
+    max_abs_diff, non_finite, decay = _sample_pass(len(prep.grid), *read)
     if non_finite is not None:
         raise NonFiniteResultError(f"{non_finite} is not finite")
     _require_finite(max_abs_diff=max_abs_diff)
@@ -447,14 +442,16 @@ def evaluate_point(
 ) -> PointEvaluation:
     """The per-point pipeline: chi, then the engines' trajectories on the grid.
 
-    A sweep's stages for one point, after check_point, with a stack of one
-    RK4 power set.  The trajectories are replays (see PointEvaluation); the
-    point holds nothing as long as its grid until times or data is read.
+    A sweep's stages for one point, after check_point, on one TimeGrid and
+    with a stack of one RK4 power set.  The trajectories are replays (see
+    PointEvaluation); the point holds nothing as long as its grid until times
+    or data is read.
     Raises NonFiniteResultError when a result is NaN or infinite.
     """
     tunneling_Tc = check_point(bath, tunneling_Tc, engine, t_end, n_steps, store_every)
-    prep = _prepare(bath, temperature, tunneling_Tc, engine, t_end, n_steps, store_every)
-    return _finish(prep, *_stacked_powers([prep], t_end, n_steps, store_every))
+    grid = None if t_end is None else TimeGrid(t_end, n_steps, store_every)
+    prep = _prepare(bath, temperature, tunneling_Tc, engine, grid)
+    return _finish(prep, *_stacked_powers([prep]))
 
 
 def decoherence_times(run: PointEvaluation) -> tuple[float, Optional[float]]:
@@ -479,17 +476,16 @@ def _resolve_point(spec: SweepSpec, value: float) -> tuple[BathModel, float, flo
     return bath, float(temperature), tc
 
 
-def _group_window(spec: SweepSpec) -> Optional[np.ndarray]:
+def _group_window(spec: SweepSpec, grid: Optional[TimeGrid]) -> Optional[np.ndarray]:
     """The window a group of points replays its numeric samples in: (K, N, 4), K*N <= SAMPLE_BLOCK.
 
     None without the numeric engine, or on a grid longer than SAMPLE_BLOCK,
     where each point replays its own samples a window at a time.
     """
-    if spec.t_end is None or spec.engine == "closed_form":
+    if grid is None or spec.engine == "closed_form":
         return None
-    n_samples = check_time_grid(spec.t_end, spec.n_steps, spec.store_every)[0] + 1
-    group = min(SAMPLE_BLOCK // n_samples, _STACK_POINTS, len(spec.values))
-    return np.empty((group, n_samples, 4), dtype=complex) if group else None
+    group = min(SAMPLE_BLOCK // len(grid), _STACK_POINTS, len(spec.values))
+    return np.empty((group, len(grid), 4), dtype=complex) if group else None
 
 
 def run_sweep(
@@ -497,11 +493,12 @@ def run_sweep(
 ) -> SweepResult:
     """Evaluate every swept value in order on the calling thread.
 
-    The grid is checked once; points are prepared _STACK_POINTS at a time,
-    their RK4 powers stacked, then finished in order.  On a grid of at most
-    SAMPLE_BLOCK samples the numeric samples of a group of a stack's points,
-    as many as fit SAMPLE_BLOCK rows, are replayed together in one window
-    that every group reuses, and each point's pass reads its rows.
+    The grid is built once, a TimeGrid every stage takes whole; points are
+    prepared _STACK_POINTS at a time, their RK4 powers stacked, then finished
+    in order.  On a grid of at most SAMPLE_BLOCK samples the numeric samples
+    of a group of a stack's points, as many as fit SAMPLE_BLOCK rows, are
+    replayed together in one window that every group reuses, and each point's
+    pass reads its rows.
     each(point, run) gets each finished point with its full-resolution
     trajectories, replayed whenever they are read (a point stores nothing as
     long as its grid), and the point is dropped once each returns.  The
@@ -515,21 +512,20 @@ def run_sweep(
     of memory would fail every point alike, so both propagate as they are.
     """
     points: list[SweepPoint] = []
-    grid = (spec.t_end, spec.n_steps, spec.store_every)
-    times, window = None, _group_window(spec)
+    grid = None if spec.t_end is None else TimeGrid(spec.t_end, spec.n_steps, spec.store_every)
+    window = _group_window(spec, grid)
     for start in range(0, len(spec.values), _STACK_POINTS):
         stack, failure = [], None
         for i in range(start, min(start + _STACK_POINTS, len(spec.values))):
             try:
                 bath, temperature, tc = _resolve_point(spec, spec.values[i])
-                stack.append(_prepare(bath, temperature, tc, spec.engine, *grid, times))
+                stack.append(_prepare(bath, temperature, tc, spec.engine, grid))
             except MemoryError:
                 raise
             except Exception as exc:
                 failure = (i, exc)
                 break
-            times = stack[-1].times
-        stack_powers = _stacked_powers(stack, *grid)
+        stack_powers = _stacked_powers(stack)
         for i, (prep, powers) in enumerate(zip(stack, stack_powers), start):
             try:
                 if window is not None and (i - start) % len(window) == 0:

@@ -36,6 +36,7 @@ import contextlib
 import itertools
 import json
 import operator
+import os
 import sys
 from pathlib import Path
 from typing import Iterable, Optional
@@ -406,8 +407,9 @@ def cmd_sweep(cfg: dict, out: Optional[str], engine: str, fmt: str) -> None:
         tc = _parse_qubit(cfg)
         grid = _parse_time_grid(cfg, required=False)
         write_traj, every = _parse_trajectories_block(cfg)
-        if write_traj and out is None:
-            raise ConfigError("writing sweep trajectories requires --out (files go next to it)")
+        if write_traj and (out is None or os.path.basename(out) in ("", ".", "..")):
+            raise ConfigError(f"writing sweep trajectories requires an --out that names a file "
+                              f"(files go next to it), got {out!r}")
         if write_traj and grid[0] is None:
             raise ConfigError("writing sweep trajectories requires a time grid (t_end, n_steps)")
         spec = SweepSpec(parameter, values, bath, temperature, tc, *grid, engine)  # fields in order

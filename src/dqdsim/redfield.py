@@ -36,7 +36,9 @@ trajectory, the recurrence's K = 1 case: blocks() runs it again each time
 they are read, a window at a time, so they are not stored unless data
 materializes them, once.  Its times are a TimeGrid, np.arange(lo, hi) *
 stride for each window read, so the grid is not built unless times
-materializes it, once.
+materializes it, once.  A TimeGrid is also the checked grid, the one owner of
+its rules and of its step h: propagate_numeric builds one, and check_step
+and the stride powers read h from it.
 """
 
 from __future__ import annotations
@@ -85,17 +87,45 @@ class RedfieldTensor:
 
 
 class TimeGrid:
-    """The times np.arange(n_samples) * stride of a time_grid, computed where they are read.
+    """A checked time grid: t = 0 and every store_every-th of n_steps steps of h = t_end/n_steps.
 
-    Indexed by a slice or an array of indices in range(n_samples), it gives
-    those integers times stride, the values a built grid holds bit for bit,
-    without building the grid.
+    The one owner of a grid's rules and of its step h: the constructor
+    refuses a grid no array or float can hold, by name.  Its n_samples times
+    np.arange(n_samples) * stride are computed where they are read: indexed
+    by a slice or an array of indices in range(n_samples), it gives those
+    integers times stride, the values time_grid builds bit for bit, without
+    building the grid.
     """
 
-    __slots__ = ("n_samples", "stride")
+    __slots__ = ("t_end", "n_steps", "store_every", "h", "n_samples", "stride")
 
-    def __init__(self, n_samples: int, stride: float) -> None:
-        self.n_samples, self.stride = n_samples, stride
+    def __init__(self, t_end: float, n_steps: int, store_every: int = 1) -> None:
+        for name, count in (("n_steps", n_steps), ("store_every", store_every)):
+            if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {count!r}")
+        if n_steps < 1:
+            raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+        if not t_end > 0:
+            raise ValueError(f"t_end must be positive, got {t_end}")
+        if store_every < 1 or n_steps % store_every != 0:
+            raise ValueError(
+                f"store_every must be >= 1 and divide n_steps, got {store_every} for {n_steps}"
+            )
+        try:
+            h = t_end / n_steps
+        except OverflowError:  # an integer beyond the float range
+            raise ValueError("n_steps is beyond the float range") from None
+        if not h > 0:
+            raise ValueError(f"the step t_end/n_steps underflows to 0 for t_end={t_end!r}")
+        n_stored, stride = n_steps // store_every, store_every * h
+        if not math.isfinite(n_stored * stride):
+            raise ValueError(f"the last sample time overflows to inf for t_end={t_end!r}")
+        if n_stored >= MAX_FLOATS:  # np.arange(2**63) would be silently empty
+            raise ValueError(
+                f"n_steps/store_every={n_stored} is more samples than an array can hold"
+            )
+        self.t_end, self.n_steps, self.store_every = t_end, n_steps, store_every
+        self.h, self.n_samples, self.stride = h, n_stored + 1, stride
 
     def __len__(self) -> int:
         return self.n_samples
@@ -117,10 +147,13 @@ class Trajectory:
     """
 
     def __init__(self, times: np.ndarray, data: np.ndarray) -> None:
+        times, data = np.asarray(times, dtype=float), np.asarray(data)
+        if times.ndim != 1:
+            raise ValueError(f"times must be a 1-d array, got {times.ndim} dimensions")
         if len(times) == 0:
             raise ValueError("trajectory must be non-empty")
-        if len(times) != len(data):
-            raise ValueError("times and data lengths differ")
+        if data.shape != (len(times), 4):
+            raise ValueError(f"data must have shape (len(times), 4), got {data.shape}")
         if not (times[1:] > times[:-1]).all():
             raise ValueError("times must be strictly increasing")
         self._times, self._data, self._source = times, data, None
@@ -289,46 +322,13 @@ def liouvillian(tensor: RedfieldTensor, eig: EigenSystem) -> np.ndarray:
     return tensor.r.reshape(4, 4) + np.diag([0.0, 1j * w, -1j * w, 0.0])
 
 
-def check_time_grid(t_end: float, n_steps: int, store_every: int = 1) -> tuple[int, float]:
-    """time_grid's checks without the grid: the samples after t = 0 and their spacing."""
-    for name, count in (("n_steps", n_steps), ("store_every", store_every)):
-        if isinstance(count, bool) or not isinstance(count, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {count!r}")
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    if not t_end > 0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
-    if store_every < 1 or n_steps % store_every != 0:
-        raise ValueError(
-            f"store_every must be >= 1 and divide n_steps, got {store_every} for {n_steps}"
-        )
-    try:
-        h = t_end / n_steps
-    except OverflowError:  # an integer beyond the float range
-        raise ValueError("n_steps is beyond the float range") from None
-    if not h > 0:
-        raise ValueError(f"the step t_end/n_steps underflows to 0 for t_end={t_end!r}")
-    n_stored, stride = n_steps // store_every, store_every * h
-    if not math.isfinite(n_stored * stride):
-        raise ValueError(f"the last sample time overflows to inf for t_end={t_end!r}")
-    if n_stored >= MAX_FLOATS:  # np.arange(2**63) would be silently empty
-        raise ValueError(f"n_steps/store_every={n_stored} is more samples than an array can hold")
-    return n_stored, stride
-
-
-def lazy_time_grid(t_end: float, n_steps: int, store_every: int = 1) -> TimeGrid:
-    """time_grid's times, checked, as a TimeGrid: computed where they are read, never built."""
-    n_stored, stride = check_time_grid(t_end, n_steps, store_every)
-    return TimeGrid(n_stored + 1, stride)
-
-
 def time_grid(t_end: float, n_steps: int, store_every: int = 1) -> np.ndarray:
     """Sample times of a trajectory: every store_every-th step plus 0, built and read-only.
 
-    The built form of lazy_time_grid's TimeGrid, which both engines share so
-    that cross-engine comparisons run on bit-identical grids.
+    The built form of TimeGrid(t_end, n_steps, store_every), which both
+    engines share so that cross-engine comparisons run on bit-identical grids.
     """
-    times = lazy_time_grid(t_end, n_steps, store_every)[:]
+    times = TimeGrid(t_end, n_steps, store_every)[:]
     times.setflags(write=False)
     return times
 
@@ -348,17 +348,17 @@ def _rk4_step_matrix(L: np.ndarray, h: float) -> np.ndarray:
     return eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def check_step(tensor: RedfieldTensor, eig: EigenSystem, t_end: float, n_steps: int) -> None:
-    """StepSizeError unless h*max(omega_21, 2*|R_1212|) <= 0.1.
+def check_step(tensor: RedfieldTensor, eig: EigenSystem, grid: TimeGrid) -> None:
+    """StepSizeError unless the grid's step h gives h*max(omega_21, 2*|R_1212|) <= 0.1.
 
     The message names the least n_steps that passes, or, when that count is
     not finite or reaches MAX_FLOATS (more samples than a grid holds at
     store_every = 1), says that t_end must shrink instead.
     """
-    h = t_end / n_steps
+    h = grid.h
     scale = max(eig.omega_21, 2.0 * tensor.chi_effective)
     if h * scale > _MAX_STEP_PRODUCT * (1.0 + 1e-9):
-        n_min = t_end * scale / _MAX_STEP_PRODUCT  # inf when beyond the float range
+        n_min = grid.t_end * scale / _MAX_STEP_PRODUCT  # inf when beyond the float range
         if n_min < MAX_FLOATS:
             advice = f"increase n_steps to at least {math.ceil(n_min)}"
         else:
@@ -383,7 +383,7 @@ def stride_powers(L: np.ndarray, h: float, store_every: int, n_stored: int) -> n
 
 
 def replay_powers(powers: np.ndarray, rho0: DensityMatrix, times) -> Trajectory:
-    """The samples on a time_grid (or its TimeGrid) from one generator's stride powers (B, 4, 4).
+    """The samples on a time_grid (or a TimeGrid) from one generator's stride powers (B, 4, 4).
 
     They are replayed when read.
     """
@@ -459,8 +459,8 @@ def propagate_numeric(
     n_steps.  The step must pass check_step.  A stack of one, returned as
     replay_powers' replay: sweeps stack the stride powers of many points.
     """
-    times = lazy_time_grid(t_end, n_steps, store_every)
-    check_step(tensor, eig, t_end, n_steps)
+    grid = TimeGrid(t_end, n_steps, store_every)
+    check_step(tensor, eig, grid)
     L = liouvillian(tensor, eig)[None]
-    powers = stride_powers(L, t_end / n_steps, store_every, len(times) - 1)
-    return replay_powers(powers[0], rho0, times)
+    powers = stride_powers(L, grid.h, store_every, len(grid) - 1)
+    return replay_powers(powers[0], rho0, grid)

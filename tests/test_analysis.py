@@ -526,21 +526,7 @@ class TestStackedSweep:
         assert result.points == tuple(seen) and len(seen) == 40
 
     def test_grid_checked_once_never_built_and_powers_once_per_stack(self, monkeypatch):
-        stacks, grids = [], []
-        stride_powers, lazy_time_grid = analysis.stride_powers, analysis.lazy_time_grid
-
-        def counting_powers(generators, *args):
-            stacks.append(len(generators))
-            return stride_powers(generators, *args)
-
-        def counting_grid(*args):
-            grids.append(args)
-            return lazy_time_grid(*args)
-
-        monkeypatch.setattr(analysis, "stride_powers", counting_powers)
-        monkeypatch.setattr(analysis, "lazy_time_grid", counting_grid)
-        _refuse_to_build_grids(monkeypatch)
-        spec = _sweep(
+        spec = _sweep(  # built first: a SweepSpec checks its own grid, before any run
             PiezoelectricBath(),
             "temperature",
             np.geomspace(0.02, 1.0, 40).tolist(),
@@ -548,6 +534,21 @@ class TestStackedSweep:
             n_steps=1000,
             engine="numeric",
         )
+        stacks, grids = [], []
+        stride_powers = analysis.stride_powers
+
+        def counting_powers(generators, *args):
+            stacks.append(len(generators))
+            return stride_powers(generators, *args)
+
+        class CountingGrid(analysis.TimeGrid):
+            def __init__(self, *args):
+                grids.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(analysis, "stride_powers", counting_powers)
+        monkeypatch.setattr(analysis, "TimeGrid", CountingGrid)
+        _refuse_to_build_grids(monkeypatch)
         assert len(run_sweep(spec).points) == 40
         assert stacks == [16, 16, 8]
         assert grids == [(500.0, 1000, 1)]

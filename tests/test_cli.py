@@ -396,6 +396,18 @@ class TestSweepCommand:
         )
         assert main(["sweep", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("out", ["", ".", "/", "..", "sub/"])
+    def test_trajectories_require_an_out_that_names_a_file(self, tmp_path, monkeypatch, capsys,
+                                                           out):
+        """Refused before any point runs: no file is written, here or next to the directory."""
+        cfg = write_config(tmp_path, self.PASSING)
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["sweep", "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "--out" in err and "Traceback" not in err
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_temperature_key_conflicts_with_temperature_sweep(self, tmp_path):
         cfg = write_config(
             tmp_path,

@@ -700,6 +700,21 @@ class TestTrajectory:
             Trajectory(times=np.array([0.0, 1.0]), data=np.zeros((3, 4), dtype=complex))
         with pytest.raises(ValueError):
             Trajectory(times=np.array([0.0, 0.0]), data=np.zeros((2, 4), dtype=complex))
+        with pytest.raises(ValueError, match="times must be a 1-d array"):
+            Trajectory(times=np.zeros((2, 2)), data=np.zeros((2, 4), dtype=complex))
+        with pytest.raises(ValueError, match="times must be a 1-d array"):
+            Trajectory(times=np.float64(0.0), data=np.zeros((1, 4), dtype=complex))
+        for shape in [(3, 3), (3, 4, 1), (3,)]:
+            with pytest.raises(ValueError, match=r"data must have shape \(len\(times\), 4\)"):
+                Trajectory(times=np.arange(3.0), data=np.zeros(shape, dtype=complex))
+        with pytest.raises(ValueError, match="times must be strictly increasing"):
+            Trajectory(times=[0.0, 2.0, 1.0], data=np.zeros((3, 4), dtype=complex))
+
+    def test_times_may_be_a_list_and_data_keeps_its_dtype(self):
+        data = np.zeros((3, 4), dtype=np.complex64)
+        traj = Trajectory([0.0, 1.0, 2.0], data)
+        assert traj.times.dtype == float and traj.times.tolist() == [0.0, 1.0, 2.0]
+        assert traj.data is data
 
     def test_only_the_time_grid_itself_skips_the_order_check(self):
         times = time_grid(10.0, 10)
@@ -723,7 +738,7 @@ class TestTimeGrid:
 
     @pytest.mark.parametrize("grid", LAZY_GRIDS)
     def test_slices_and_indices_are_the_built_grid(self, grid):
-        built, lazy = time_grid(*grid), redfield.lazy_time_grid(*grid)
+        built, lazy = time_grid(*grid), redfield.TimeGrid(*grid)
         n = len(built)
         assert len(lazy) == n
         for index in (slice(None), slice(3, None, 7), slice(n - 2, n + 9, 3), slice(n, None),
