@@ -40,6 +40,7 @@ from .bath import (
 from .redfield import (
     RedfieldTensor,
     StepSizeError,
+    TimeGrid,
     Trajectory,
     build_tensor,
     gamma_minus,
@@ -73,6 +74,7 @@ __all__ = [
     "SweepPoint",
     "SweepResult",
     "SweepSpec",
+    "TimeGrid",
     "Trajectory",
     "TrajectoryTooShortError",
     "bath_from_dict",

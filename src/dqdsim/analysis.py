@@ -1,19 +1,19 @@
 """The per-point pipeline, decoherence-time extraction and parameter sweeps.
 
-A run builds its TimeGrid once, and every stage takes it whole: a point is
-prepared on it (chi, step guard), its RK4 powers built in a stack of points
-with the grid's h, then it is finished; evaluate_point is a stack of one.  A
-finished point holds its trajectories as replays (the closed form on the
-grid, the RK4 recurrence from its stride powers and rho(0)) that compute
+A time grid enters only as a checked TimeGrid, the grid of evaluate_point or
+of a SweepSpec, built once by the caller, and every stage takes it whole: a
+point is prepared on it (chi, step guard), its RK4 powers built in a stack of
+points with the grid's h, then it is finished; evaluate_point is a stack of
+one.  A finished point holds its trajectories as replays (the closed form on
+the grid, the RK4 recurrence from its stride powers and rho(0)) that compute
 their samples when read, on a TimeGrid that computes their times when read;
-one pass over them, a window (read_window) at a time, decides
-finiteness, folds the cross-engine discrepancy and gathers what T2
-extraction reads of |rho12| of the T2 source (a _DecayRecord), so a point
-holds nothing as long as its grid.  On a grid of N <= SAMPLE_BLOCK samples
-a sweep replays the numeric samples of a group of up to SAMPLE_BLOCK // N
-of its stack's points in one batched recurrence, in one window it reuses, and
-each point's pass reads its rows of that group; a longer grid's point
-replays its own.
+one pass over them, a window (read_window) at a time, decides finiteness,
+folds the cross-engine discrepancy and gathers what T2 extraction reads of
+|rho12| of the T2 source (a _DecayRecord), so a point holds nothing as long
+as its grid.  On a grid of N <= SAMPLE_BLOCK samples a sweep replays the
+numeric samples of a group of up to SAMPLE_BLOCK // N of its stack's points
+in one batched recurrence, in one window it reuses, and each point's pass
+reads its rows of that group; a longer grid's point replays its own.
 
 The decoherence time is defined as the 1/e time of the |rho12| envelope,
 T2 = 1/chi.  The empirical extractor recovers it from a sampled trajectory:
@@ -198,7 +198,7 @@ class SweepSpec:
     When sweeping omega_l the tunneling binding T_c = 0.1*omega_l is
     re-applied at every point; otherwise T_c comes from tunneling_Tc or, for
     the phonon baths, from the binding applied to the bath's omega_l.
-    Trajectories are produced only when a time grid (t_end, n_steps) is set.
+    Trajectories are produced only when a time grid (a TimeGrid) is set.
     """
 
     swept_parameter: str
@@ -206,15 +206,15 @@ class SweepSpec:
     base_bath: BathModel
     temperature: Optional[float] = None  # K; None only when sweeping temperature
     tunneling_Tc: Optional[float] = None
-    t_end: Optional[float] = None
-    n_steps: Optional[int] = None
-    store_every: int = 1
+    grid: Optional[TimeGrid] = None
     engine: str = "closed_form"
 
     def __post_init__(self) -> None:
         if not isinstance(self.base_bath, tuple(BATH_KINDS.values())):
             kind = type(self.base_bath).__name__
             raise ValueError(f"base_bath must be a bath model, got {kind}")
+        if self.grid is not None and not isinstance(self.grid, TimeGrid):
+            raise ValueError(f"grid must be a TimeGrid or None, got {type(self.grid).__name__}")
         ohmic = isinstance(self.base_bath, OhmicBath)
         if self.swept_parameter not in SWEPT_PARAMETERS:
             raise ValueError(
@@ -239,11 +239,10 @@ class SweepSpec:
                 raise ValueError("fixed temperature conflicts with a temperature sweep")
         elif self.temperature is None or not self.temperature > 0:
             raise ValueError("a positive fixed temperature is required")
-        run = (self.engine, self.t_end, self.n_steps, self.store_every)
         if self.swept_parameter == "omega_l":  # T_c is bound to each point's omega_l
-            _check_run(*run)
+            _check_engine(self.engine)
         else:
-            check_point(self.base_bath, self.tunneling_Tc, *run)
+            check_point(self.base_bath, self.tunneling_Tc, self.engine)
 
 
 def bound_tunneling(omega_l: float) -> float:
@@ -251,13 +250,13 @@ def bound_tunneling(omega_l: float) -> float:
     return TC_BINDING * omega_l
 
 
-def check_point(bath, tunneling_Tc, engine, t_end=None, n_steps=None, store_every=1) -> float:
-    """The one owner of the rules on a point's inputs; returns its T_c.
+def check_point(bath, tunneling_Tc, engine) -> float:
+    """The one owner of the rules on a point's inputs but its grid (a TimeGrid); returns its T_c.
 
-    The engine and the grid as _check_run checks them; without tunneling_Tc,
-    T_c is bound to the bath's omega_l, which the Ohmic bath does not have.
+    A known engine; without tunneling_Tc, T_c is bound to the bath's
+    omega_l, which the Ohmic bath does not have.
     """
-    _check_run(engine, t_end, n_steps, store_every)
+    _check_engine(engine)
     if tunneling_Tc is None:
         if isinstance(bath, OhmicBath):
             raise ValueError("the Ohmic bath has no omega_l to bind T_c to; give tunneling_Tc")
@@ -265,16 +264,9 @@ def check_point(bath, tunneling_Tc, engine, t_end=None, n_steps=None, store_ever
     return QubitParams(tunneling_Tc).tunneling_Tc
 
 
-def _check_run(engine: str, t_end: Optional[float], n_steps: Optional[int], store_every) -> None:
-    """check_point's rules but T_c's: a known engine, and an optional grid TimeGrid accepts."""
+def _check_engine(engine: str) -> None:
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-    if (t_end is None) != (n_steps is None):
-        raise ValueError("t_end and n_steps must be given together")
-    if t_end is not None:
-        TimeGrid(t_end, n_steps, store_every)
-    elif isinstance(store_every, (bool, float)) or store_every != 1:
-        raise ValueError(f"store_every needs a time grid (t_end, n_steps), got {store_every!r}")
 
 
 class SweepPoint(NamedTuple):
@@ -436,21 +428,17 @@ def evaluate_point(
     temperature: float,
     tunneling_Tc: Optional[float],
     engine: str,
-    t_end: Optional[float] = None,
-    n_steps: Optional[int] = None,
-    store_every: int = 1,
+    grid: Optional[TimeGrid] = None,
 ) -> PointEvaluation:
     """The per-point pipeline: chi, then the engines' trajectories on the grid.
 
-    A sweep's stages for one point, after check_point, on one TimeGrid and
-    with a stack of one RK4 power set.  The trajectories are replays (see
+    A sweep's stages for one point, after check_point, on the run's TimeGrid
+    and with a stack of one RK4 power set.  The trajectories are replays (see
     PointEvaluation); the point holds nothing as long as its grid until times
     or data is read.
     Raises NonFiniteResultError when a result is NaN or infinite.
     """
-    tunneling_Tc = check_point(bath, tunneling_Tc, engine, t_end, n_steps, store_every)
-    grid = None if t_end is None else TimeGrid(t_end, n_steps, store_every)
-    prep = _prepare(bath, temperature, tunneling_Tc, engine, grid)
+    prep = _prepare(bath, temperature, check_point(bath, tunneling_Tc, engine), engine, grid)
     return _finish(prep, *_stacked_powers([prep]))
 
 
@@ -476,16 +464,16 @@ def _resolve_point(spec: SweepSpec, value: float) -> tuple[BathModel, float, flo
     return bath, float(temperature), tc
 
 
-def _group_window(spec: SweepSpec, grid: Optional[TimeGrid]) -> Optional[np.ndarray]:
+def _group_window(spec: SweepSpec) -> Optional[np.ndarray]:
     """The window a group of points replays its numeric samples in: (K, N, 4), K*N <= SAMPLE_BLOCK.
 
     None without the numeric engine, or on a grid longer than SAMPLE_BLOCK,
     where each point replays its own samples a window at a time.
     """
-    if grid is None or spec.engine == "closed_form":
+    if spec.grid is None or spec.engine == "closed_form":
         return None
-    group = min(SAMPLE_BLOCK // len(grid), _STACK_POINTS, len(spec.values))
-    return np.empty((group, len(grid), 4), dtype=complex) if group else None
+    group = min(SAMPLE_BLOCK // len(spec.grid), _STACK_POINTS, len(spec.values))
+    return np.empty((group, len(spec.grid), 4), dtype=complex) if group else None
 
 
 def run_sweep(
@@ -493,7 +481,7 @@ def run_sweep(
 ) -> SweepResult:
     """Evaluate every swept value in order on the calling thread.
 
-    The grid is built once, a TimeGrid every stage takes whole; points are
+    Every stage takes the spec's grid, a TimeGrid, whole; points are
     prepared _STACK_POINTS at a time, their RK4 powers stacked, then finished
     in order.  On a grid of at most SAMPLE_BLOCK samples the numeric samples
     of a group of a stack's points, as many as fit SAMPLE_BLOCK rows, are
@@ -512,14 +500,13 @@ def run_sweep(
     of memory would fail every point alike, so both propagate as they are.
     """
     points: list[SweepPoint] = []
-    grid = None if spec.t_end is None else TimeGrid(spec.t_end, spec.n_steps, spec.store_every)
-    window = _group_window(spec, grid)
+    window = _group_window(spec)
     for start in range(0, len(spec.values), _STACK_POINTS):
         stack, failure = [], None
         for i in range(start, min(start + _STACK_POINTS, len(spec.values))):
             try:
                 bath, temperature, tc = _resolve_point(spec, spec.values[i])
-                stack.append(_prepare(bath, temperature, tc, spec.engine, grid))
+                stack.append(_prepare(bath, temperature, tc, spec.engine, spec.grid))
             except MemoryError:
                 raise
             except Exception as exc:

@@ -7,18 +7,20 @@
 
 A run is described by a single UTF-8 JSON config; CLI flags override config
 fields.  The CLI only reads JSON: unknown keys, wrong JSON types, booleans
-or non-finite values where numbers belong, and temperatures <= 0 are its
-config errors.  The library owns the rules on what may run
-(analysis.check_point, SweepSpec): any ValueError or ArithmeticError it
-raises while the config is read into its objects is a config error too.
-evolve and t2 evaluate one point through analysis.evaluate_point, the
-pipeline of every sweep point.  Every output is a table (column names, a
-row count and its rows from any start) rendered by one streamed row-template writer;
-files are UTF-8 and a name that is not UTF-8 is written as its own bytes, CSV floats carry 17
+or non-finite values where numbers belong, temperatures <= 0, t_end and
+n_steps not given together, and a store_every other than 1 without them are
+its config errors.  The library owns the rules on what may run
+(redfield.TimeGrid, analysis.check_point, SweepSpec): any ValueError or
+ArithmeticError it raises while the config is read into its objects, the
+run's one TimeGrid among them, is a config error too.  evolve and t2 evaluate
+one point through analysis.evaluate_point, the pipeline of every sweep point.
+Every output is a table (column names, a row count and its rows from any
+start) rendered by one streamed row-template writer; files are UTF-8 and a
+name that is not UTF-8 is written as its own bytes, CSV floats carry 17
 significant digits, a CSV cell holding a comma, a quote or a line break is
 quoted (RFC 4180), JSON floats are their shortest round-trip repr (as json
 writes them), lines end with \\n, JSON keys are sorted.  A table of more than
-SAMPLE_BLOCK rows is formatted by two processes on Linux (see split_writer),
+_SPLIT_ROWS rows is formatted by two processes on Linux (see split_writer),
 a forked child making only the rows from a cut near the middle on: the same
 bytes, through a temporary file never left behind, and a child that fails
 leaves its rows to the parent.  Exit codes: 0
@@ -57,7 +59,7 @@ from .analysis import (
     run_sweep,
 )
 from .bath import BathModel, bath_from_dict, bath_to_dict, finite_number, spectral_density
-from .redfield import MAX_FLOATS, SAMPLE_BLOCK, StepSizeError, Trajectory
+from .redfield import MAX_FLOATS, StepSizeError, TimeGrid, Trajectory
 from .units import temperature_from_millikelvin
 
 EXIT_OK = 0
@@ -94,6 +96,8 @@ _GUARD_ERRORS = (
 # %r of a Python float is float.__repr__, the shortest round-trip form json writes
 _FLOAT_SPECS = {"csv": "%.17g", "json": "%r"}
 _ROWS_PER_WRITE = 128
+# a table of more rows than this is formatted by two processes (see split_writer)
+_SPLIT_ROWS = 1 << 13
 
 
 class ConfigError(ValueError):
@@ -188,12 +192,19 @@ def _parse_qubit(cfg: dict) -> Optional[float]:
     return bound_tunneling(finite_number(qubit["omega_l"], "qubit.omega_l"))
 
 
-def _parse_time_grid(cfg: dict, required: bool) -> tuple:
-    """t_end, n_steps and store_every (1 when absent) as given; the library checks the grid."""
+def _parse_time_grid(cfg: dict, required: bool) -> Optional[TimeGrid]:
+    """The run's one TimeGrid, None without one; here only the rules loose numbers can break."""
     if required and "t_end" not in cfg:
         raise ConfigError("config needs t_end and n_steps")
     t_end = finite_number(cfg["t_end"], "config.t_end") if "t_end" in cfg else None
-    return t_end, cfg.get("n_steps"), cfg.get("store_every", 1)
+    n_steps, store_every = cfg.get("n_steps"), cfg.get("store_every", 1)
+    if (t_end is None) != (n_steps is None):
+        raise ConfigError("t_end and n_steps must be given together")
+    if t_end is not None:
+        return TimeGrid(t_end, n_steps, store_every)
+    if isinstance(store_every, (bool, float)) or store_every != 1:
+        raise ConfigError(f"store_every needs a time grid (t_end, n_steps), got {store_every!r}")
+    return None
 
 
 def _parse_out(cfg: dict, override: Optional[str]) -> Optional[str]:
@@ -229,7 +240,7 @@ def _emit_table(fmt, out, meta, columns, count: int, rows_from, max_abs_diff=Non
     text are live at once: never the whole text, nor the rows of a generator
     such as _trajectory_table's, whose replayed trajectories are computed a
     window (redfield.read_window) at a time as the rows are drawn.  out is
-    opened once the first row is made.  A table of more than SAMPLE_BLOCK rows
+    opened once the first row is made.  A table of more than _SPLIT_ROWS rows
     is cut at the slice boundary at or before its middle: the rows before the
     cut are formatted here, and rows_from(cut) by a forked child where
     split_writer.write_split can fork one, byte for byte as one process would
@@ -274,7 +285,7 @@ def _emit_table(fmt, out, meta, columns, count: int, rows_from, max_abs_diff=Non
     with target as handle:
         handle.write(head)
         split = False
-        if count > SAMPLE_BLOCK:  # imported only for such a table: see split_writer
+        if count > _SPLIT_ROWS:  # imported only for such a table: see split_writer
             from .split_writer import write_split
 
             cut = count // 2 // _ROWS_PER_WRITE * _ROWS_PER_WRITE  # at or before the middle
@@ -334,11 +345,12 @@ def _meta(command: str, bath: BathModel, fmt: str, out: Optional[str], **fields)
     return {"command": command, "bath": bath_to_dict(bath), "format": fmt, "out": out, **fields}
 
 
-def _point_fields(tc: Optional[float], temperature, grid: tuple, engine: str) -> dict:
-    """Meta fields shared by evolve, t2 and sweep."""
+def _point_fields(tc: Optional[float], temperature, grid: Optional[TimeGrid], engine: str) -> dict:
+    """Meta fields shared by evolve, t2 and sweep; the grid's as given, (None, None, 1) without."""
     qubit = None if tc is None else {"tunneling_Tc": tc}
     fields = {"qubit": qubit, "temperature_K": temperature, "engine": engine}
-    return {**fields, **dict(zip(_TIMEGRID_KEYS, grid))}
+    values = (None, None, 1) if grid is None else (getattr(grid, k) for k in _TIMEGRID_KEYS)
+    return {**fields, **dict(zip(_TIMEGRID_KEYS, values))}
 
 
 def cmd_spectral(cfg: dict, out: Optional[str], fmt: str) -> None:
@@ -367,8 +379,8 @@ def cmd_point(command: str, cfg: dict, out: Optional[str], engine: str, fmt: str
         bath = _parse_bath(cfg)
         temperature = _parse_temperature(cfg)
         grid = _parse_time_grid(cfg, required=command == "evolve")
-        tc = check_point(bath, _parse_qubit(cfg), engine, *grid)
-    run = evaluate_point(bath, temperature, tc, engine, *grid)
+        tc = check_point(bath, _parse_qubit(cfg), engine)
+    run = evaluate_point(bath, temperature, tc, engine, grid)
     meta = _meta(command, bath, fmt, out, **_point_fields(tc, temperature, grid, engine))
     if command == "evolve":
         _emit_table(fmt, out, meta, *_trajectory_table(run.closed, run.numeric), run.max_abs_diff)
@@ -410,9 +422,9 @@ def cmd_sweep(cfg: dict, out: Optional[str], engine: str, fmt: str) -> None:
         if write_traj and (out is None or os.path.basename(out) in ("", ".", "..")):
             raise ConfigError(f"writing sweep trajectories requires an --out that names a file "
                               f"(files go next to it), got {out!r}")
-        if write_traj and grid[0] is None:
+        if write_traj and grid is None:
             raise ConfigError("writing sweep trajectories requires a time grid (t_end, n_steps)")
-        spec = SweepSpec(parameter, values, bath, temperature, tc, *grid, engine)  # fields in order
+        spec = SweepSpec(parameter, values, bath, temperature, tc, grid, engine)  # fields in order
 
     def sidecar(index: int) -> Optional[str]:
         """The name of a point's trajectory file, next to out; None when none is written."""

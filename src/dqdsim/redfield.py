@@ -92,9 +92,10 @@ class TimeGrid:
     The one owner of a grid's rules and of its step h: the constructor
     refuses a grid no array or float can hold, by name.  Its n_samples times
     np.arange(n_samples) * stride are computed where they are read: indexed
-    by a slice or an array of indices in range(n_samples), it gives those
-    integers times stride, the values time_grid builds bit for bit, without
-    building the grid.
+    by a slice or an array of indices, it gives those integers times stride,
+    the values time_grid builds bit for bit, without building the grid.  An
+    index array is read as the built array reads it: a negative index counts
+    from the end, and one outside [-n_samples, n_samples) is an IndexError.
     """
 
     __slots__ = ("t_end", "n_steps", "store_every", "h", "n_samples", "stride")
@@ -133,6 +134,10 @@ class TimeGrid:
     def __getitem__(self, index) -> np.ndarray:
         if isinstance(index, slice):
             index = np.arange(*index.indices(self.n_samples))
+        elif np.size(index):  # in range, wrapped as a built array wraps it
+            if not -self.n_samples <= np.min(index) <= np.max(index) < self.n_samples:
+                raise IndexError(f"an index is out of range for a grid of {self.n_samples}")
+            index = np.mod(index, self.n_samples)
         return index * self.stride
 
 

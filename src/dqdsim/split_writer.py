@@ -1,6 +1,6 @@
 """The second process of a long table: one part of its text, written by a forked child.
 
-cli._emit_table splits a table of more than SAMPLE_BLOCK rows in two parts
+cli._emit_table splits a table of more than cli._SPLIT_ROWS rows in two parts
 and hands write_split the writing of each.  Where more than one CPU is usable,
 this process writes the first part into the output while a forked child
 writes the second into an unlinked temporary file beside it, and then

@@ -1,4 +1,3 @@
-import functools
 import itertools
 import json
 import math
@@ -21,6 +20,7 @@ from dqdsim import (
     SweepError,
     SweepPoint,
     SweepSpec,
+    TimeGrid,
     Trajectory,
     TrajectoryTooShortError,
     bath_from_dict,
@@ -195,17 +195,16 @@ def _crossing_at(k: int, n: int = EDGE_SAMPLES) -> Trajectory:
 # the three sweeps of the scan benchmark: their grids, fixed parameters and value ranges
 SCAN_SWEEPS = {
     "temperature": (
-        dict(base_bath=PiezoelectricBath(), t_end=2500.0, n_steps=5000, store_every=2),
+        dict(base_bath=PiezoelectricBath(), grid=TimeGrid(2500.0, 5000, 2)),
         (0.02, 1.0),
     ),
     "omega_l": (
-        dict(base_bath=PiezoelectricBath(), temperature=0.1, t_end=3000.0, n_steps=12000,
-             store_every=6),
+        dict(base_bath=PiezoelectricBath(), temperature=0.1, grid=TimeGrid(3000.0, 12000, 6)),
         (0.4, 1.0),
     ),
     "eta": (
-        dict(base_bath=OhmicBath(eta=0.1), temperature=0.1, tunneling_Tc=0.05, t_end=7500.0,
-             n_steps=15000, store_every=5),
+        dict(base_bath=OhmicBath(eta=0.1), temperature=0.1, tunneling_Tc=0.05,
+             grid=TimeGrid(7500.0, 15000, 5)),
         (0.1, 0.5),
     ),
 }
@@ -366,8 +365,7 @@ class TestRunSweep:
             PiezoelectricBath(),
             "temperature",
             [0.03, 1.0],
-            t_end=1000.0,
-            n_steps=20000,
+            grid=TimeGrid(1000.0, 20000),
             engine="both",
         )
         runs = []
@@ -386,8 +384,7 @@ class TestRunSweep:
             [0.12],
             temperature=0.030,
             tunneling_Tc=0.05,
-            t_end=6500.0,
-            n_steps=13000,
+            grid=TimeGrid(6500.0, 13000),
         )
         runs = []
         result = run_sweep(spec, lambda point, run: runs.append(run))
@@ -404,8 +401,7 @@ class TestRunSweep:
             "omega_l",
             [0.5, 0.7],
             temperature=0.030,
-            t_end=150.0,
-            n_steps=200,
+            grid=TimeGrid(150.0, 200),
             engine="numeric",
         )
         with pytest.raises(SweepError) as err:
@@ -437,8 +433,7 @@ class TestRunSweep:
             "temperature",
             [0.02, 0.03, 0.04, 0.05],
             tunneling_Tc=0.05,
-            t_end=100.0,
-            n_steps=200,
+            grid=TimeGrid(100.0, 200),
         )
         with pytest.raises(SweepError) as err:
             run_sweep(spec)
@@ -468,9 +463,7 @@ class TestRunSweep:
             PiezoelectricBath(),
             "temperature",
             [0.03, 0.2, 1.0],
-            t_end=1000.0,
-            n_steps=4000,
-            store_every=2,
+            grid=TimeGrid(1000.0, 4000, 2),
             engine="both",
         )
         result = run_sweep(spec, each)
@@ -503,8 +496,8 @@ class TestStackedSweep:
 
     @pytest.mark.parametrize("parameter,fixed,values", STACKED_SWEEPS, ids=["temperature", "eta"])
     def test_every_point_equals_a_one_point_evaluation(self, parameter, fixed, values):
-        grid = dict(t_end=1000.0, n_steps=4000, store_every=4)
-        spec = SweepSpec(parameter, tuple(values.tolist()), engine="both", **fixed, **grid)
+        grid = TimeGrid(1000.0, 4000, 4)
+        spec = SweepSpec(parameter, tuple(values.tolist()), engine="both", **fixed, grid=grid)
         seen = []
 
         def each(point, run):
@@ -512,7 +505,7 @@ class TestStackedSweep:
             bath = fixed["base_bath"]
             if parameter == "eta":
                 bath = OhmicBath(eta=point.value)
-            alone = analysis.evaluate_point(bath, temperature, 0.05, "both", **grid)
+            alone = analysis.evaluate_point(bath, temperature, 0.05, "both", grid)
             assert run.numeric.data.tobytes() == alone.numeric.data.tobytes()
             assert run.closed.data.tobytes() == alone.closed.data.tobytes()
             expected = SweepPoint(
@@ -526,12 +519,11 @@ class TestStackedSweep:
         assert result.points == tuple(seen) and len(seen) == 40
 
     def test_grid_checked_once_never_built_and_powers_once_per_stack(self, monkeypatch):
-        spec = _sweep(  # built first: a SweepSpec checks its own grid, before any run
+        spec = _sweep(  # built first: the spec's TimeGrid checks itself, before any run
             PiezoelectricBath(),
             "temperature",
             np.geomspace(0.02, 1.0, 40).tolist(),
-            t_end=500.0,
-            n_steps=1000,
+            grid=TimeGrid(500.0, 1000),
             engine="numeric",
         )
         stacks, grids = [], []
@@ -541,17 +533,17 @@ class TestStackedSweep:
             stacks.append(len(generators))
             return stride_powers(generators, *args)
 
-        class CountingGrid(analysis.TimeGrid):
-            def __init__(self, *args):
-                grids.append(args)
-                super().__init__(*args)
+        def counting_grid(grid, *args):
+            grids.append(args)
+            init(grid, *args)
 
+        init = TimeGrid.__init__
         monkeypatch.setattr(analysis, "stride_powers", counting_powers)
-        monkeypatch.setattr(analysis, "TimeGrid", CountingGrid)
+        monkeypatch.setattr(TimeGrid, "__init__", counting_grid)
         _refuse_to_build_grids(monkeypatch)
         assert len(run_sweep(spec).points) == 40
         assert stacks == [16, 16, 8]
-        assert grids == [(500.0, 1000, 1)]
+        assert grids == []  # the run's one grid is the spec's
 
     @pytest.mark.parametrize("stage", ["prepare", "finish"])
     def test_failure_after_a_full_stack(self, monkeypatch, stage):
@@ -561,7 +553,7 @@ class TestStackedSweep:
             values = np.linspace(0.45, 0.66, 17).tolist() + [0.7, 0.72, 0.75]
             spec = _sweep(
                 PiezoelectricBath(), "omega_l", values, temperature=0.030,
-                t_end=150.0, n_steps=200, engine="numeric",
+                grid=TimeGrid(150.0, 200), engine="numeric",
             )
             value, cause, trajectories = 0.7, StepSizeError, 17
         else:
@@ -569,7 +561,7 @@ class TestStackedSweep:
             values = np.geomspace(1.0, 180.0, 17).tolist() + [260.0, 360.0, 500.0]
             spec = _sweep(
                 OhmicBath(eta=1.0), "eta", values, temperature=0.030, tunneling_Tc=0.05,
-                t_end=300.0, n_steps=12000, store_every=20, engine="both",
+                grid=TimeGrid(300.0, 12000, 20), engine="both",
             )
             value, cause, trajectories = 260.0, TrajectoryTooShortError, 18
         propagated = []
@@ -596,8 +588,7 @@ def _one_point_rows(spec: SweepSpec, count: int) -> list:
     rows = []
     for i, value in enumerate(spec.values[:count]):
         bath, temperature, tc = analysis._resolve_point(spec, value)
-        grid = (spec.t_end, spec.n_steps, spec.store_every)
-        alone = analysis.evaluate_point(bath, temperature, tc, spec.engine, *grid)
+        alone = analysis.evaluate_point(bath, temperature, tc, spec.engine, spec.grid)
         point = SweepPoint(
             i, spec.swept_parameter, value, alone.eig.omega_21, temperature, alone.rate.chi,
             alone.rate.n_occ, *decoherence_times(alone), alone.max_abs_diff,
@@ -646,7 +637,7 @@ def _run_recording(spec: SweepSpec):
 
 
 # 2001 samples: groups of 4 points, 8192 // 2001
-GROUP_GRID = dict(t_end=1000.0, n_steps=4000, store_every=2, engine="both")
+GROUP_GRID = dict(grid=TimeGrid(1000.0, 4000, 2), engine="both")
 
 
 class TestGroupedFinish:
@@ -673,8 +664,8 @@ class TestGroupedFinish:
     def test_too_short_point_of_a_group(self):
         # strongly overdamped from eta ~ 260 on: |rho12| barely decays in 300 ps; 601 samples
         values = np.geomspace(1.0, 180.0, 3).tolist() + [260.0, 360.0, 500.0]
-        fixed = dict(temperature=0.030, tunneling_Tc=0.05, t_end=300.0, n_steps=12000,
-                     store_every=20, engine="both")
+        fixed = dict(temperature=0.030, tunneling_Tc=0.05, grid=TimeGrid(300.0, 12000, 20),
+                     engine="both")
         spec = _sweep(OhmicBath(eta=1.0), "eta", values, **fixed)
         err, seen = _run_recording(spec)
         alone, _ = _run_recording(_sweep(OhmicBath(eta=1.0), "eta", [260.0], **fixed))
@@ -686,11 +677,11 @@ class TestGroupedFinish:
 
     def test_a_group_holds_its_samples_not_the_stack(self):
         # 16 points on a 2501-sample grid: groups of 3, 8192 // 2501
-        grid = dict(t_end=2500.0, n_steps=5000, store_every=2)
+        grid = TimeGrid(2500.0, 5000, 2)
         values = np.geomspace(0.02, 1.0, 16).tolist()
         args = (PiezoelectricBath(), values[0], 0.05, "both")
-        _, one_point = allocation_peak(lambda: analysis.evaluate_point(*args, **grid))
-        spec = _sweep(PiezoelectricBath(), "temperature", values, engine="both", **grid)
+        _, one_point = allocation_peak(lambda: analysis.evaluate_point(*args, grid))
+        spec = _sweep(PiezoelectricBath(), "temperature", values, engine="both", grid=grid)
         result, peak = allocation_peak(lambda: run_sweep(spec))
         assert len(result.points) == 16
         # the stride powers of all 16 points, built together before the first group
@@ -700,7 +691,7 @@ class TestGroupedFinish:
 
 
 # two full sample blocks and a ragged tail
-MULTI_BLOCK_GRID = dict(t_end=5000.0, n_steps=2 * SAMPLE_BLOCK + 77)
+MULTI_BLOCK_GRID = TimeGrid(5000.0, 2 * SAMPLE_BLOCK + 77)
 # the public entry point of each engine and the replay analysis builds a point's engine from
 REPLAY_OF = {"closed_form_trajectory": "closed_form_replay", "propagate_numeric": "replay_powers"}
 
@@ -709,7 +700,7 @@ class TestBlockwiseFinish:
     """The cross-engine diff and the finiteness checks, a sample block at a time."""
 
     def test_max_abs_diff_equals_the_one_shot_maximum(self):
-        run = analysis.evaluate_point(PiezoelectricBath(), 0.030, 0.05, "both", **MULTI_BLOCK_GRID)
+        run = analysis.evaluate_point(PiezoelectricBath(), 0.030, 0.05, "both", MULTI_BLOCK_GRID)
         one_shot = float(np.max(np.abs(run.closed.data - run.numeric.data)))
         assert len(run.closed) > 2 * SAMPLE_BLOCK
         assert np.float64(run.max_abs_diff).tobytes() == np.float64(one_shot).tobytes()
@@ -748,19 +739,19 @@ class TestBlockwiseFinish:
 
         monkeypatch.setattr(analysis, source, poisoned)
         with pytest.raises(NonFiniteResultError, match=f"^{name} is not finite$"):
-            analysis.evaluate_point(PiezoelectricBath(), 0.030, 0.05, engine, **MULTI_BLOCK_GRID)
+            analysis.evaluate_point(PiezoelectricBath(), 0.030, 0.05, engine, MULTI_BLOCK_GRID)
 
     def test_a_point_holds_nothing_as_long_as_its_grid(self):
         # case (II) of the paper on its 2e5-sample grid: its times or its |rho12| would each
         # take 1.6 MB; the trajectories are replays and their times a TimeGrid
-        args = (DeformationBath(), 0.030, 0.05, "both", 1.5e5, 200000)
+        args = (DeformationBath(), 0.030, 0.05, "both", TimeGrid(1.5e5, 200000))
         grid_floats = 200001 * np.dtype(float).itemsize
         run, peak, live = allocations(lambda: analysis.evaluate_point(*args))
         assert len(run.closed) == len(run.numeric) == 200001
         assert live <= grid_floats // 4  # the stride powers and the T2 record
         # the pass holds a window of each engine, whatever the grid's length: as much as a
         # grid of one window of 2048 samples, the length of a long grid's windows
-        short = (*args[:4], 2000.0, 2047)
+        short = (*args[:4], TimeGrid(2000.0, 2047))
         _, window_peak = allocation_peak(lambda: analysis.evaluate_point(*short))
         assert peak <= window_peak + MiB // 4
         # T2 is fitted through the few stationary samples the pass kept
@@ -771,7 +762,7 @@ class TestBlockwiseFinish:
 
     def test_both_engines_hold_little_beyond_their_trajectories(self):
         # case (II) of the paper: T2 is about 59 ns, so a curve spans 2e5 samples
-        args = (DeformationBath(), 0.030, 0.05, "both", 1.5e5, 200000)
+        args = (DeformationBath(), 0.030, 0.05, "both", TimeGrid(1.5e5, 200000))
         run, peak = allocation_peak(lambda: analysis.evaluate_point(*args))
         held = run.closed.data.nbytes + run.numeric.data.nbytes + run.closed.times.nbytes
         assert peak <= held + 2 * MiB
@@ -795,10 +786,6 @@ class TestSweepSpecValidation:
             _sweep(PiezoelectricBath(), "temperature", [0.03, 0.2], temperature=0.03)
         with pytest.raises(ValueError, match="tunneling_Tc"):
             _sweep(OhmicBath(), "temperature", [0.03, 0.2])
-        with pytest.raises(ValueError, match="together"):
-            _sweep(
-                PiezoelectricBath(), "temperature", [0.03, 0.2], t_end=100.0
-            )
         with pytest.raises(ValueError, match="bath model"):
             _sweep(object(), "temperature", [0.03], tunneling_Tc=0.05)
         with pytest.raises(ValueError, match="non-empty"):
@@ -833,10 +820,6 @@ GRID_ERRORS = {
     "no-steps": (dict(t_end=100.0, n_steps=0), "n_steps must be >= 1"),
     "negative-t_end": (dict(t_end=-1.0, n_steps=1000), "t_end must be positive"),
     "underflowing-step": (dict(t_end=5e-324, n_steps=10), "underflows to 0"),
-    "no-grid-store_every-zero": (dict(store_every=0), "needs a time grid"),
-    "no-grid-store_every-7": (dict(store_every=7), "needs a time grid"),
-    "no-grid-store_every-bool": (dict(store_every=True), "needs a time grid"),
-    "no-grid-store_every-negative": (dict(store_every=-2), "needs a time grid"),
 }
 
 
@@ -849,35 +832,23 @@ COUNT_ERRORS = {
     "store_every-bool": (dict(store_every=True), "store_every must be an integer, got True"),
     "n_steps-beyond-float-range": (dict(n_steps=10**400), "n_steps is beyond the float range"),
 }
-# the three ways into a time grid; the numeric engine reaches the RK4 stride power
-GRID_CALLS = {
-    "time_grid": time_grid,
-    "SweepSpec": functools.partial(
-        _sweep, PiezoelectricBath(), "temperature", [0.03], tunneling_Tc=0.05, engine="both"
-    ),
-    "evaluate_point": functools.partial(
-        analysis.evaluate_point, PiezoelectricBath(), 0.030, 0.05, "both"
-    ),
-}
+# the one way into a time grid, and time_grid, which builds one through it
+GRID_CALLS = {"time_grid": time_grid, "TimeGrid": TimeGrid}
 
 
 class TestTimeGridValidation:
-    """A SweepSpec and evaluate_point check their time grid up front, as time_grid does."""
+    """A TimeGrid checks itself up front: SweepSpec and evaluate_point take it checked."""
 
+    @pytest.mark.parametrize("call", list(GRID_CALLS.values()), ids=list(GRID_CALLS))
     @pytest.mark.parametrize("grid,message", list(GRID_ERRORS.values()), ids=list(GRID_ERRORS))
-    def test_sweep_spec_refuses_a_bad_grid(self, grid, message):
+    def test_a_bad_grid_is_refused(self, grid, message, call):
         with pytest.raises(ValueError, match=message):
-            _sweep(PiezoelectricBath(), "temperature", [0.03], tunneling_Tc=0.05, **grid)
-
-    @pytest.mark.parametrize("grid,message", list(GRID_ERRORS.values()), ids=list(GRID_ERRORS))
-    def test_evaluate_point_refuses_a_bad_grid(self, grid, message):
-        with pytest.raises(ValueError, match=message):
-            analysis.evaluate_point(PiezoelectricBath(), 0.030, 0.05, "closed_form", **grid)
+            call(**grid)
 
     def test_the_spec_error_is_not_a_point_failure(self):
-        grid = dict(t_end=100.0, n_steps=1000, store_every=3)
         with pytest.raises(ValueError, match="divide n_steps") as err:
-            _sweep(PiezoelectricBath(), "temperature", [0.03], tunneling_Tc=0.05, **grid)
+            _sweep(PiezoelectricBath(), "temperature", [0.03], tunneling_Tc=0.05,
+                   grid=TimeGrid(100.0, 1000, 3))
         assert not isinstance(err.value, SweepError)
 
     @pytest.mark.parametrize("call", list(GRID_CALLS.values()), ids=list(GRID_CALLS))
@@ -890,13 +861,18 @@ class TestTimeGridValidation:
     def test_numpy_integers_are_step_counts(self, call):
         call(t_end=COUNTED_GRID["t_end"], n_steps=np.int64(4000), store_every=np.int32(2))
 
+    def test_numpy_integers_reach_the_rk4_stride_power(self):
+        grid = TimeGrid(COUNTED_GRID["t_end"], np.int64(4000), np.int32(2))
+        run = analysis.evaluate_point(PiezoelectricBath(), 0.030, 0.05, "both", grid)
+        assert len(run.numeric) == 2001
+
     def test_the_grid_is_checked_without_being_built(self):
         # 1e15 samples would need 8 PB: only the checks run
         spec = _sweep(
             PiezoelectricBath(), "temperature", [0.03], tunneling_Tc=0.05,
-            t_end=1.0, n_steps=10**15,
+            grid=TimeGrid(1.0, 10**15),
         )
-        assert spec.n_steps == 10**15
+        assert spec.grid.n_steps == 10**15
 
 
 def _refuse_to_build_grids(monkeypatch) -> None:
@@ -928,8 +904,14 @@ LIBRARY_INPUT_CHECKS = {
         lambda: _sweep(PiezoelectricBath(), "omega_l", [0.5], temperature=0.03, engine="rk45"),
         ValueError, "engine must be one of",
     ),
+    "sweep-grid-not-a-time-grid": (
+        lambda: _sweep(PiezoelectricBath(), "temperature", [0.03], grid=(100.0, 1000)),
+        ValueError, "grid must be a TimeGrid or None, got tuple",
+    ),
     "evaluate-point-engine": (
-        lambda: analysis.evaluate_point(PiezoelectricBath(), 0.03, 0.05, "bogus", 500.0, 5000),
+        lambda: analysis.evaluate_point(
+            PiezoelectricBath(), 0.03, 0.05, "bogus", TimeGrid(500.0, 5000)
+        ),
         ValueError, "engine must be one of .*, got 'bogus'",
     ),
     "ohmic-point-without-a-qubit": (

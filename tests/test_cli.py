@@ -13,7 +13,7 @@ import pytest
 
 import oracle
 from conftest import MiB, allocation_peak
-from dqdsim import PiezoelectricBath, SweepPoint, Trajectory, cli, evaluate_point
+from dqdsim import PiezoelectricBath, SweepPoint, TimeGrid, Trajectory, cli, evaluate_point
 from dqdsim import bath_from_dict, spectral_density
 from dqdsim.cli import main
 from test_analysis import _refuse_to_build_grids
@@ -550,6 +550,7 @@ NAN = float("nan")
 _NO_GRID = {k: v for k, v in EVOLVE_CFG.items() if k not in ("t_end", "n_steps")}
 _SWEEP = {"bath": PCPB, "temperature_mK": 30, "sweep": {"parameter": "omega_l", "values": [0.5]}}
 _OHMIC_NEEDS_QUBIT = "the Ohmic bath has no omega_l to bind T_c to"
+_NEEDS_GRID = "store_every needs a time grid (t_end, n_steps)"
 # (command, config, reason): the config is a dict written as JSON, or the file's bytes
 CONFIG_ERROR_REASONS = {
     "not-an-object": ("evolve", b"[1, 2]", "config must be a JSON object"),
@@ -572,6 +573,11 @@ CONFIG_ERROR_REASONS = {
         "t2", {**EVOLVE_CFG, "qubit": {}}, "qubit needs exactly one of tunneling_Tc and omega_l"
     ),
     "t_end-alone": ("t2", {**_NO_GRID, "t_end": 10.0}, "t_end and n_steps must be given together"),
+    "n_steps-alone": ("t2", {**_NO_GRID, "n_steps": 10}, "t_end and n_steps must be given together"),
+    "no-grid-store_every-zero": ("t2", {**_NO_GRID, "store_every": 0}, f"{_NEEDS_GRID}, got 0"),
+    "no-grid-store_every-7": ("t2", {**_NO_GRID, "store_every": 7}, f"{_NEEDS_GRID}, got 7"),
+    "no-grid-store_every-bool": ("t2", {**_NO_GRID, "store_every": True}, f"{_NEEDS_GRID}, got True"),
+    "no-grid-store_every-negative": ("t2", {**_NO_GRID, "store_every": -2}, f"{_NEEDS_GRID}, got -2"),
     "evolve-without-grid": ("evolve", _NO_GRID, "config needs t_end and n_steps"),
     "store_every-without-grid": (
         "t2", {**_NO_GRID, "store_every": 2}, "store_every needs a time grid (t_end, n_steps)"
@@ -975,7 +981,7 @@ class TestTrajectoryTable:
     @pytest.fixture(scope="class")
     def run(self):
         # 10 001 samples: ten row blocks at every = 1, four at every = 3
-        return evaluate_point(PiezoelectricBath(), 0.030, 0.05, "both", 2500.0, 10000)
+        return evaluate_point(PiezoelectricBath(), 0.030, 0.05, "both", TimeGrid(2500.0, 10000))
 
     @pytest.mark.parametrize("every", [1, 3])
     @pytest.mark.parametrize("engines", ["closed", "numeric", "both"])
@@ -992,7 +998,7 @@ class TestTrajectoryTable:
     def test_rows_from_any_start_are_the_whole_tables_from_there(self, every):
         # 50 001 samples, read in windows of 2048: at every = 1 rows 2047 and 2048 end the
         # first window and start the second, and row 20 000 is in the tenth
-        run = evaluate_point(PiezoelectricBath(), 0.030, 0.05, "both", 2500.0, 50000)
+        run = evaluate_point(PiezoelectricBath(), 0.030, 0.05, "both", TimeGrid(2500.0, 50000))
         columns, count, rows_from = cli._trajectory_table(run.closed, run.numeric, every)
         expected = np.array(_whole_table_rows(run.closed, run.numeric, every))
         for start in (0, 1, 2047, 2048, 8191, 8192, 20000, count - 1):
@@ -1000,7 +1006,7 @@ class TestTrajectoryTable:
             assert rows.tobytes() == expected[start:].tobytes(), start  # bits: -0.0 is not 0.0
 
     def test_first_row_of_a_long_table_is_cheap(self):
-        run = evaluate_point(PiezoelectricBath(), 0.030, 0.05, "both", 2500.0, 50000)
+        run = evaluate_point(PiezoelectricBath(), 0.030, 0.05, "both", TimeGrid(2500.0, 50000))
 
         def first_row():
             return next(cli._trajectory_table(run.closed, run.numeric)[2](0))
@@ -1050,6 +1056,29 @@ class TestNoGridIsBuilt:
         _refuse_to_build_grids(monkeypatch)
         assert run() == expected
         assert len(expected) == (5 if command == "sweep" else 1)
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("evolve", {**EVOLVE_CFG, "engine": "both"}),
+            ("t2", {**EVOLVE_CFG, "engine": "both"}),
+            ("sweep", {"bath": PCPB, **GRID, "sweep": {"parameter": "temperature",
+                                                       "values": [0.03, 0.2]}}),
+            ("sweep", {**SWEEP_CFG, **GRID}),
+        ],
+        ids=["evolve", "t2", "sweep-temperature", "sweep-omega_l"],
+    )
+    def test_a_run_checks_one_grid(self, tmp_path, monkeypatch, command, payload):
+        built, init = [], TimeGrid.__init__
+
+        def counting(grid, *args):
+            built.append(args)
+            init(grid, *args)
+
+        monkeypatch.setattr(TimeGrid, "__init__", counting)
+        cfg = write_config(tmp_path, payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 0
+        assert len(built) == 1, built
 
 
 def _rerunnable(tmp_path: Path, command: str, payload: dict):

@@ -733,6 +733,12 @@ class TestTrajectory:
 LAZY_GRIDS = [(10.0, 10, 2), (2500.0, 2 * SAMPLE_BLOCK + 76, 1), (3000.0, 12000 * 6, 6)]
 
 
+# indices of a grid of n samples: in range from either end, just beyond each end, and none
+# (T2 extraction reads the times of no sample when it finds no stationary one)
+INDEX_AT = {"-1": lambda n: [-1], "0": lambda n: [0], "n-1": lambda n: [n - 1],
+            "n": lambda n: [n], "-n-1": lambda n: [-n - 1], "none": lambda n: []}
+
+
 class TestTimeGrid:
     """A TimeGrid computes the times a built grid holds, bit for bit, where they are read."""
 
@@ -749,6 +755,25 @@ class TestTimeGrid:
                 assert lazy[kept].tobytes() == built[kept].tobytes()
         index = np.array([0, 1, n // 2, n - 2, n - 1])
         assert lazy[index].tobytes() == built[index].tobytes()
+
+    @pytest.mark.parametrize("grid", [(100.0, 1000, 1), (3000.0, 12000 * 6, 6)])
+    @pytest.mark.parametrize("at", list(INDEX_AT.values()), ids=list(INDEX_AT))
+    def test_a_replay_reads_an_index_as_a_stored_trajectory_does(self, eig_default, grid, at):
+        tensor = build_tensor(eig_default, PiezoelectricBath(), 0.030)
+        replay = propagate_numeric(tensor, eig_default, initial_state(), *grid)
+        stored = Trajectory(time_grid(*grid), replay.data)
+        n = len(stored)
+        index = np.array(at(n), dtype=np.intp)
+        try:
+            expected = stored.times_at(index)
+        except IndexError:
+            with pytest.raises(IndexError):
+                replay.times_at(index)
+            with pytest.raises(IndexError):  # among in-range indices too
+                replay.times_at(np.array([0, index[0], n - 1]))
+        else:
+            assert replay.times_at(index).tobytes() == expected.tobytes()
+        assert isinstance(replay._times, redfield.TimeGrid)  # nothing above built the grid
 
     @pytest.mark.parametrize("every", [1, 3, 80])
     def test_a_replay_reads_its_times_without_building_them(self, eig_default, every):

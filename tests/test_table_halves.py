@@ -1,4 +1,4 @@
-"""A table longer than one sample window is formatted by two processes, byte for byte as by one.
+"""A table of more than cli._SPLIT_ROWS rows is formatted by two processes, byte for byte as by one.
 
 The tests force the two-process path whatever the machine's CPU count, by
 patching split_writer.usable_cpus, and compare every output with the one-process
@@ -21,8 +21,7 @@ import warnings
 import pytest
 
 from dqdsim import cli, split_writer
-from dqdsim.cli import main
-from dqdsim.redfield import SAMPLE_BLOCK
+from dqdsim.cli import _SPLIT_ROWS, main
 from test_cli import _RUN_ALL, _SRC, EVOLVE_CFG, GRID, PCPB, SWEEP_CFG, _python, write_config
 
 pytestmark = pytest.mark.skipif(
@@ -35,7 +34,7 @@ META = {"command": "test", "note": "ü"}
 # one window; one more row; past three windows, with a last slice of 77 rows in each half
 COUNTS = pytest.mark.parametrize(
     "count",
-    [SAMPLE_BLOCK, SAMPLE_BLOCK + 1, 3 * SAMPLE_BLOCK + 77],
+    [_SPLIT_ROWS, _SPLIT_ROWS + 1, 3 * _SPLIT_ROWS + 77],
     ids=["one-window", "one-window-and-a-row", "ragged-last-slice"],
 )
 FORMATS = pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -104,7 +103,7 @@ def split_starts(count: int, child_failed: bool = False) -> list:
     The parent draws its rows from 0, the child from its cut, the 128-row slice boundary
     at or before the middle, and the parent from the cut again only after a failed child.
     """
-    if count <= SAMPLE_BLOCK:
+    if count <= _SPLIT_ROWS:
         return [("parent", 0)]
     cut = count // 2 // 128 * 128
     return [("parent", 0), ("child", cut)] + [("parent", cut)] * child_failed
@@ -145,13 +144,13 @@ def test_usable_cpus_is_the_affinity_mask():
 def test_the_row_count_alone_decides(tmp_path, cpus):
     # one CPU, or a table of one window: one process
     starts = cpus(1)
-    cli._emit_table("csv", str(tmp_path / "a"), None, COLUMNS, *table(2 * SAMPLE_BLOCK))
+    cli._emit_table("csv", str(tmp_path / "a"), None, COLUMNS, *table(2 * _SPLIT_ROWS))
     assert starts() == [("parent", 0)]
     starts = cpus(2)
-    cli._emit_table("csv", str(tmp_path / "b"), None, COLUMNS, *table(SAMPLE_BLOCK))
+    cli._emit_table("csv", str(tmp_path / "b"), None, COLUMNS, *table(_SPLIT_ROWS))
     assert starts() == [("parent", 0)]
-    cli._emit_table("csv", str(tmp_path / "c"), None, COLUMNS, *table(SAMPLE_BLOCK + 1))
-    assert starts() == [("parent", 0)] + split_starts(SAMPLE_BLOCK + 1)
+    cli._emit_table("csv", str(tmp_path / "c"), None, COLUMNS, *table(_SPLIT_ROWS + 1))
+    assert starts() == [("parent", 0)] + split_starts(_SPLIT_ROWS + 1)
 
 
 def test_the_child_makes_only_the_rows_from_its_cut(tmp_path, cpus):
@@ -196,7 +195,7 @@ def _spectral_run(tmp_path, monkeypatch, capsys, fmt, fail) -> tuple:
 
     fail(i) is called before row i is made, in whichever process makes it.
     """
-    count = 2 * SAMPLE_BLOCK
+    count = 2 * _SPLIT_ROWS
     array_rows = cli._array_rows
 
     def failing_rows(*columns):
@@ -226,14 +225,14 @@ def test_an_oserror_past_the_cut_exits_4_as_by_one_process(
     tmp_path, monkeypatch, capsys, cpus, fmt
 ):
     def fail(i):
-        if i == 2 * SAMPLE_BLOCK - 1:  # the last row: made by the child, then by the parent
+        if i == 2 * _SPLIT_ROWS - 1:  # the last row: made by the child, then by the parent
             _no_space(i)
 
     cpus(1)
     one = _spectral_run(tmp_path, monkeypatch, capsys, fmt, fail)
     starts = cpus(2)
     two = _spectral_run(tmp_path, monkeypatch, capsys, fmt, fail)
-    assert starts() == split_starts(2 * SAMPLE_BLOCK, child_failed=True)
+    assert starts() == split_starts(2 * _SPLIT_ROWS, child_failed=True)
     assert one[:2] == (4, "i/o error: [Errno 28] No space left on device: 'scratch'\n")
     assert two == one
     assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json", "j"]
@@ -348,8 +347,8 @@ def test_the_python_3_12_fork_warning_is_silenced(tmp_path, monkeypatch, cpus):
     starts = cpus(2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        cli._emit_table("csv", str(tmp_path / "t.csv"), None, COLUMNS, *table(SAMPLE_BLOCK + 1))
-    assert starts() == split_starts(SAMPLE_BLOCK + 1)
+        cli._emit_table("csv", str(tmp_path / "t.csv"), None, COLUMNS, *table(_SPLIT_ROWS + 1))
+    assert starts() == split_starts(_SPLIT_ROWS + 1)
     assert_no_child_left()
 
 
@@ -423,7 +422,7 @@ def test_a_real_stdout_is_written_as_a_captured_one(tmp_path, capfdbinary, cpus,
 @FORMATS
 def test_a_long_sweep_summary_is_the_one_process_writers(tmp_path, cpus, fmt):
     # 8193 points without a time grid: a summary one row longer than a window, cut at 4096
-    values = [0.3 + i * 1e-5 for i in range(SAMPLE_BLOCK + 1)]
+    values = [0.3 + i * 1e-5 for i in range(_SPLIT_ROWS + 1)]
     payload = {**SWEEP_CFG, "sweep": {"parameter": "omega_l", "values": values}, "format": fmt}
     cfg = write_config(tmp_path, payload)
     out = tmp_path / f"s.{fmt}"
@@ -432,7 +431,7 @@ def test_a_long_sweep_summary_is_the_one_process_writers(tmp_path, cpus, fmt):
         starts = cpus(n)
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
         outputs.append(out.read_bytes())
-    assert starts() == split_starts(SAMPLE_BLOCK + 1)
+    assert starts() == split_starts(_SPLIT_ROWS + 1)
     assert outputs[1] == outputs[0]
     assert_no_child_left()
 
