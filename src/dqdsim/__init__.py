@@ -47,7 +47,6 @@ from .redfield import (
     gamma_plus,
     liouvillian,
     propagate_numeric,
-    time_grid,
 )
 from .system import DensityMatrix, EigenSystem, QubitParams, diagonalize, initial_state
 from .units import HBAR_OVER_KB, temperature_from_millikelvin, thermal_ratio
@@ -102,5 +101,4 @@ __all__ = [
     "spectral_density",
     "temperature_from_millikelvin",
     "thermal_ratio",
-    "time_grid",
 ]

@@ -34,10 +34,10 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .analytic import ChiRate, chi_rate, closed_form_replay
+from .analytic import ChiRate, chi_rate, closed_form_trajectory
 from .bath import BATH_KINDS, BathModel, OhmicBath
-from .redfield import SAMPLE_BLOCK, TimeGrid, Trajectory, build_tensor, check_step, liouvillian
-from .redfield import read_window, replay_powers, replay_stack, stride_powers
+from .redfield import SAMPLE_BLOCK, TimeGrid, Trajectory, build_tensor, check_grid, check_step
+from .redfield import liouvillian, read_window, replay_powers, replay_stack, stride_powers
 from .system import EigenSystem, QubitParams, diagonalize, initial_state
 
 _DECAY_THRESHOLD = 0.5 * math.exp(-1.0)
@@ -86,9 +86,11 @@ def decoherence_time_analytic(rate: ChiRate) -> float:
 
 
 def equilibrium_populations(n_occ: float) -> tuple[float, float]:
-    """Long-time populations ((1+n)/(1+2n), n/(1+2n)); sums to 1 exactly."""
+    """Long-time populations ((1+n)/(1+2n), n/(1+2n)), (1/2, 1/2) where 2n overflows; sum 1."""
     if not n_occ >= 0:
         raise ValueError(f"n_occ must be >= 0, got {n_occ}")
+    if n_occ > np.finfo(float).max / 2.0:  # T -> inf, n up to inf
+        return 0.5, 0.5
     p_lower = (1.0 + n_occ) / (1.0 + 2.0 * n_occ)
     return p_lower, 1.0 - p_lower
 
@@ -213,8 +215,7 @@ class SweepSpec:
         if not isinstance(self.base_bath, tuple(BATH_KINDS.values())):
             kind = type(self.base_bath).__name__
             raise ValueError(f"base_bath must be a bath model, got {kind}")
-        if self.grid is not None and not isinstance(self.grid, TimeGrid):
-            raise ValueError(f"grid must be a TimeGrid or None, got {type(self.grid).__name__}")
+        check_grid(self.grid)
         ohmic = isinstance(self.base_bath, OhmicBath)
         if self.swept_parameter not in SWEPT_PARAMETERS:
             raise ValueError(
@@ -388,9 +389,7 @@ def _stacked_powers(stack: list[_Prepared]):
     """The RK4 stride powers of prepared points on their one grid, in one pass (None without L)."""
     if not stack or stack[0].generator is None:
         return [None] * len(stack)
-    grid = stack[0].grid
-    generators = np.stack([prep.generator for prep in stack])
-    return stride_powers(generators, grid.h, grid.store_every, len(grid) - 1)
+    return stride_powers(np.stack([prep.generator for prep in stack]), stack[0].grid)
 
 
 def _finish(
@@ -410,7 +409,7 @@ def _finish(
         return PointEvaluation(prep.eig, prep.rate)
     closed = numeric = None
     if prep.engine in ("closed_form", "both"):
-        closed = closed_form_replay(prep.rate, prep.grid)
+        closed = closed_form_trajectory(prep.rate, prep.grid)
     if powers is not None:
         numeric = replay_powers(powers, initial_state(), prep.grid)
     read = [None if traj is None else traj.blocks() for traj in (closed, numeric)]
@@ -438,6 +437,7 @@ def evaluate_point(
     or data is read.
     Raises NonFiniteResultError when a result is NaN or infinite.
     """
+    check_grid(grid)
     prep = _prepare(bath, temperature, check_point(bath, tunneling_Tc, engine), engine, grid)
     return _finish(prep, *_stacked_powers([prep]))
 

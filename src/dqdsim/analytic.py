@@ -10,11 +10,12 @@ toward (1+n)/(1+2n), n/(1+2n), and the coherences obey the coupled pair
 valid in one formula for the underdamped (s imaginary), overdamped (s real)
 and critically damped (s -> 0) regimes; a series branch protects the s -> 0
 limit.  Underdamped, the exponentials are conjugates: one complex exp per
-sample.  The implied initial state is every element equal to 1/2.  On a
-time grid the closed form is a replayed trajectory: blocks() evaluates its
+sample.  The implied initial state is every element equal to 1/2.  On its
+times the closed form is a replayed trajectory: blocks() evaluates its
 samples when they are read, the kept samples of one window (redfield's
 read_window) at a time, and they are not stored unless data materializes
-them, once; on a TimeGrid each window's times are computed with them.
+them, once.  On a TimeGrid, taken as it is, each window's times are computed
+with them, so the grid is not built.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import BathModel, bose_occupation, spectral_density
-from .redfield import Trajectory, read_window, sample_windows
+from .redfield import TimeGrid, Trajectory, read_window, sample_windows
 from .system import DensityMatrix, EigenSystem
 
 # |s*t| below which the sinh/cosh series replaces the exponential pair.
@@ -58,27 +59,25 @@ def chi_rate(eig: EigenSystem, bath: BathModel, temperature: float) -> ChiRate:
     return ChiRate(chi=j * (1.0 + 2.0 * n) / 2.0, n_occ=n, omega_21=eig.omega_21)
 
 
-def closed_form_replay(rate: ChiRate, times) -> Trajectory:
-    """The closed form on a time_grid or its TimeGrid, evaluated when read; not checked again.
+def closed_form_trajectory(rate: ChiRate, times) -> Trajectory:
+    """The closed form at times, evaluated when read.
 
-    Every expression acts sample by sample, so a block's values are
-    bit-identical to a whole-grid evaluation's, whatever the thinning.  A
-    block's times are read from times a window at a time, as the samples.
+    times is a TimeGrid, taken as it is: checked already, and not built.
+    Any other times must be strictly increasing and >= 0; they are copied
+    and frozen.  Every expression acts sample by sample, so a block's values
+    are bit-identical to a whole-grid evaluation's, whatever the thinning.
+    A block's times are read from times a window at a time, as the samples.
     """
+    if not isinstance(times, TimeGrid):
+        times = np.array(times, dtype=float)
+        times.setflags(write=False)
+        if times.ndim != 1 or len(times) == 0:
+            raise ValueError("times must be a non-empty 1-d array")
+        if not np.all(times >= 0):
+            raise ValueError("times must be >= 0")
+        if not (times[1:] > times[:-1]).all():
+            raise ValueError("times must be strictly increasing")
     return Trajectory.replay(times, functools.partial(_closed_form_blocks, rate, times))
-
-
-def closed_form_trajectory(rate: ChiRate, times: np.ndarray) -> Trajectory:
-    """The closed form at strictly increasing times >= 0, copied and frozen; replayed when read."""
-    t = np.array(times, dtype=float)
-    t.setflags(write=False)
-    if t.ndim != 1 or len(t) == 0:
-        raise ValueError("times must be a non-empty 1-d array")
-    if not np.all(t >= 0):
-        raise ValueError("times must be >= 0")
-    if not (t[1:] > t[:-1]).all():
-        raise ValueError("times must be strictly increasing")
-    return closed_form_replay(rate, t)
 
 
 def _closed_form_blocks(rate: ChiRate, times, every: int):

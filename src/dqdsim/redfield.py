@@ -37,8 +37,8 @@ they are read, a window at a time, so they are not stored unless data
 materializes them, once.  Its times are a TimeGrid, np.arange(lo, hi) *
 stride for each window read, so the grid is not built unless times
 materializes it, once.  A TimeGrid is also the checked grid, the one owner of
-its rules and of its step h: propagate_numeric builds one, and check_step
-and the stride powers read h from it.
+its rules and of its step h: propagate_numeric takes one, built by its
+caller, and check_step and the stride powers read the grid's h from it.
 """
 
 from __future__ import annotations
@@ -92,10 +92,11 @@ class TimeGrid:
     The one owner of a grid's rules and of its step h: the constructor
     refuses a grid no array or float can hold, by name.  Its n_samples times
     np.arange(n_samples) * stride are computed where they are read: indexed
-    by a slice or an array of indices, it gives those integers times stride,
-    the values time_grid builds bit for bit, without building the grid.  An
-    index array is read as the built array reads it: a negative index counts
-    from the end, and one outside [-n_samples, n_samples) is an IndexError.
+    by a slice, an integer or an integer array, it gives those integers times
+    stride, the values grid[:] builds bit for bit, without building the grid.
+    An index is read as the built array reads it: a negative one counts from
+    the end, one outside [-n_samples, n_samples) is an IndexError, a boolean
+    mask of n_samples selects, and any other index is an IndexError.
     """
 
     __slots__ = ("t_end", "n_steps", "store_every", "h", "n_samples", "stride")
@@ -133,12 +134,25 @@ class TimeGrid:
 
     def __getitem__(self, index) -> np.ndarray:
         if isinstance(index, slice):
-            index = np.arange(*index.indices(self.n_samples))
-        elif np.size(index):  # in range, wrapped as a built array wraps it
-            if not -self.n_samples <= np.min(index) <= np.max(index) < self.n_samples:
+            return np.arange(*index.indices(self.n_samples)) * self.stride
+        index = np.asarray(index)
+        if index.dtype == bool and index.shape == (self.n_samples,):
+            index = np.flatnonzero(index)
+        if index.dtype.kind not in "iu":  # a float, or a mask of another length
+            raise IndexError(f"a grid of {self.n_samples} is indexed by integers or a mask "
+                             f"as long, got {index.dtype} of shape {index.shape}")
+        if index.size:  # in range, wrapped as a built array wraps it
+            if not -self.n_samples <= index.min() <= index.max() < self.n_samples:
                 raise IndexError(f"an index is out of range for a grid of {self.n_samples}")
             index = np.mod(index, self.n_samples)
         return index * self.stride
+
+
+def check_grid(grid, optional: bool = True) -> None:
+    """The one owner of the rule that a grid is a TimeGrid (or None, where optional)."""
+    if not (isinstance(grid, TimeGrid) or optional and grid is None):
+        accepted = "a TimeGrid or None" if optional else "a TimeGrid"
+        raise ValueError(f"grid must be {accepted}, got {type(grid).__name__}")
 
 
 class Trajectory:
@@ -167,7 +181,8 @@ class Trajectory:
     def replay(cls, times, source: Callable[[int], Iterator[np.ndarray]]) -> Trajectory:
         """Samples that source(every) computes on each blocks(every), at times already checked.
 
-        times is an array or a TimeGrid.
+        times is a TimeGrid, kept as it is, or an array checked as __init__
+        checks one.
         """
         traj = cls.__new__(cls)
         traj._times, traj._data, traj._source = times, None, source
@@ -193,7 +208,7 @@ class Trajectory:
         return (self._times[kept] for kept in sample_windows(len(self), every))
 
     def times_at(self, index: np.ndarray) -> np.ndarray:
-        """The times of the samples at an array of indices in range(len(self))."""
+        """The times of the samples at an index, an integer array or a mask, as times[index]."""
         return self._times[index]
 
     @property
@@ -327,32 +342,6 @@ def liouvillian(tensor: RedfieldTensor, eig: EigenSystem) -> np.ndarray:
     return tensor.r.reshape(4, 4) + np.diag([0.0, 1j * w, -1j * w, 0.0])
 
 
-def time_grid(t_end: float, n_steps: int, store_every: int = 1) -> np.ndarray:
-    """Sample times of a trajectory: every store_every-th step plus 0, built and read-only.
-
-    The built form of TimeGrid(t_end, n_steps, store_every), which both
-    engines share so that cross-engine comparisons run on bit-identical grids.
-    """
-    times = TimeGrid(t_end, n_steps, store_every)[:]
-    times.setflags(write=False)
-    return times
-
-
-def _rk4_step_matrix(L: np.ndarray, h: float) -> np.ndarray:
-    """One classical RK4 step of d y/dt = L y, as a matrix, for a stack of L.
-
-    Applying textbook RK4 to the identity columns gives the exact one-step
-    map of the method for this linear, autonomous system; advancing n steps
-    is then n applications of this fixed matrix.  L has shape (K, 4, 4).
-    """
-    eye = np.eye(L.shape[-1], dtype=complex)
-    k1 = L @ eye
-    k2 = L @ (eye + 0.5 * h * k1)
-    k3 = L @ (eye + 0.5 * h * k2)
-    k4 = L @ (eye + h * k3)
-    return eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def check_step(tensor: RedfieldTensor, eig: EigenSystem, grid: TimeGrid) -> None:
     """StepSizeError unless the grid's step h gives h*max(omega_21, 2*|R_1212|) <= 0.1.
 
@@ -377,28 +366,39 @@ def check_step(tensor: RedfieldTensor, eig: EigenSystem, grid: TimeGrid) -> None
         )
 
 
-def stride_powers(L: np.ndarray, h: float, store_every: int, n_stored: int) -> np.ndarray:
-    """RK4 stride powers 1..min(64, n_stored) of K generators L (K, 4, 4): (K, B, 4, 4)."""
-    stride = np.linalg.matrix_power(_rk4_step_matrix(L, h), store_every)
-    powers = np.empty((len(L), min(_POWER_BLOCK, n_stored), 4, 4), dtype=complex)
+def stride_powers(L: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """Powers 1..min(64, len(grid) - 1) of the RK4 stride on grid of L (K, 4, 4): (K, B, 4, 4).
+
+    One classical RK4 step of d y/dt = L y is a matrix: textbook RK4 applied
+    to the identity columns gives the exact one-step map of the method for
+    this linear, autonomous system, and the stride is grid.store_every of them.
+    """
+    h, eye = grid.h, np.eye(L.shape[-1], dtype=complex)
+    k1 = L @ eye
+    k2 = L @ (eye + 0.5 * h * k1)
+    k3 = L @ (eye + 0.5 * h * k2)
+    k4 = L @ (eye + h * k3)
+    step = eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    stride = np.linalg.matrix_power(step, grid.store_every)
+    powers = np.empty((len(L), min(_POWER_BLOCK, len(grid) - 1), 4, 4), dtype=complex)
     powers[:, 0] = stride
     for j in range(1, powers.shape[1]):
         np.matmul(powers[:, j - 1], stride, out=powers[:, j])
     return powers
 
 
-def replay_powers(powers: np.ndarray, rho0: DensityMatrix, times) -> Trajectory:
-    """The samples on a time_grid (or a TimeGrid) from one generator's stride powers (B, 4, 4).
+def replay_powers(powers: np.ndarray, rho0: DensityMatrix, grid: TimeGrid) -> Trajectory:
+    """The samples on grid, a TimeGrid kept unbuilt, from one generator's stride powers on it.
 
-    They are replayed when read.
+    powers is (B, 4, 4); the samples are replayed when read.
     """
-    stack, y0, n_stored = powers[None], rho0.as_vector(), len(times) - 1
+    stack, y0, n_stored = powers[None], rho0.as_vector(), len(grid) - 1
 
     def blocks(every: int) -> Iterator[np.ndarray]:
         for block in _rk4_blocks(stack, y0, n_stored, every):
             yield block[0]
 
-    return Trajectory.replay(times, blocks)
+    return Trajectory.replay(grid, blocks)
 
 
 def replay_stack(powers: np.ndarray, rho0: DensityMatrix, out: np.ndarray) -> np.ndarray:
@@ -451,21 +451,16 @@ def _rk4_blocks(
 
 
 def propagate_numeric(
-    tensor: RedfieldTensor,
-    eig: EigenSystem,
-    rho0: DensityMatrix,
-    t_end: float,
-    n_steps: int,
-    store_every: int = 1,
+    tensor: RedfieldTensor, eig: EigenSystem, rho0: DensityMatrix, grid: TimeGrid
 ) -> Trajectory:
-    """Fixed-step RK4 integration of the master equation.
+    """Fixed-step RK4 integration of the master equation on a checked grid, a TimeGrid.
 
-    Samples every store_every-th step (plus t = 0); store_every must divide
-    n_steps.  The step must pass check_step.  A stack of one, returned as
-    replay_powers' replay: sweeps stack the stride powers of many points.
+    Samples every grid.store_every-th step of grid.h (plus t = 0), at the
+    grid's times; the step must pass check_step.  A stack of one, returned as
+    replay_powers' replay on the grid, which is not built: sweeps stack the
+    stride powers of many points.
     """
-    grid = TimeGrid(t_end, n_steps, store_every)
+    check_grid(grid, optional=False)
     check_step(tensor, eig, grid)
-    L = liouvillian(tensor, eig)[None]
-    powers = stride_powers(L, grid.h, store_every, len(grid) - 1)
+    powers = stride_powers(liouvillian(tensor, eig)[None], grid)
     return replay_powers(powers[0], rho0, grid)

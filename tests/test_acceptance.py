@@ -23,6 +23,7 @@ from dqdsim import (
     OhmicBath,
     PiezoelectricBath,
     QubitParams,
+    TimeGrid,
     bose_occupation,
     build_tensor,
     chi_rate,
@@ -77,9 +78,9 @@ def _max_abs_error(bath, temperature, tc, n_steps, store):
     eig = diagonalize(QubitParams(tc))
     rate = chi_rate(eig, bath, temperature)
     tensor = build_tensor(eig, bath, temperature)
-    t_end = 5.0 / rate.chi
-    numeric = propagate_numeric(tensor, eig, initial_state(), t_end, n_steps, store)
-    closed = closed_form_trajectory(rate, numeric.times)
+    grid = TimeGrid(5.0 / rate.chi, n_steps, store)
+    numeric = propagate_numeric(tensor, eig, initial_state(), grid)
+    closed = closed_form_trajectory(rate, grid)
     return float(np.max(np.abs(numeric.data - closed.data)))
 
 
@@ -153,9 +154,8 @@ def test_criterion_4_equilibrium_and_detailed_balance(eig_default, bath):
     tensor = build_tensor(eig_default, bath, temperature)
     t_end = 10.0 / rate.chi
     n_steps = math.ceil(t_end * eig_default.omega_21 / 0.095 / 100) * 100
-    traj = propagate_numeric(
-        tensor, eig_default, initial_state(), t_end, n_steps, store_every=n_steps // 100
-    )
+    grid = TimeGrid(t_end, n_steps, store_every=n_steps // 100)
+    traj = propagate_numeric(tensor, eig_default, initial_state(), grid)
     rho11_end = float(traj.data[-1, 0].real)
     rho22_end = float(traj.data[-1, 3].real)
 
@@ -255,7 +255,7 @@ def test_criterion_6_structural_property_suite():
         # short propagation: trace and hermiticity to 1e-10
         t_end = 20.0 / eig.omega_21
         n_steps = math.ceil(t_end * max(eig.omega_21, 2.0 * tensor.chi_effective) / 0.095)
-        traj = propagate_numeric(tensor, eig, initial_state(), t_end, n_steps)
+        traj = propagate_numeric(tensor, eig, initial_state(), TimeGrid(t_end, n_steps))
         assert np.max(np.abs(traj.data[:, 0] + traj.data[:, 3] - 1.0)) < 1e-10
         assert np.max(np.abs(traj.data[:, 2] - np.conj(traj.data[:, 1]))) < 1e-10
 

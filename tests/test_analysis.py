@@ -9,7 +9,6 @@ import pytest
 
 import oracle
 from conftest import MiB, allocation_peak, allocations
-import dqdsim
 from dqdsim import (
     ChiRate,
     DeformationBath,
@@ -17,6 +16,7 @@ from dqdsim import (
     NonFiniteResultError,
     OhmicBath,
     PiezoelectricBath,
+    QubitParams,
     SweepError,
     SweepPoint,
     SweepSpec,
@@ -31,14 +31,14 @@ from dqdsim import (
     decoherence_time_analytic,
     decoherence_time_empirical,
     decoherence_times,
+    diagonalize,
     equilibrium_populations,
     initial_state,
     propagate_numeric,
     run_sweep,
     spectral_density,
-    time_grid,
 )
-from dqdsim import analysis, cli, redfield
+from dqdsim import analysis, cli
 from dqdsim.redfield import SAMPLE_BLOCK, StepSizeError
 
 
@@ -68,7 +68,7 @@ class TestEmpiricalT2:
     def test_closed_form_pcpb(self, eig_default):
         rate = chi_rate(eig_default, PiezoelectricBath(), 0.030)
         t2 = 1.0 / rate.chi
-        traj = closed_form_trajectory(rate, time_grid(5.0 * t2, 25000))
+        traj = closed_form_trajectory(rate, TimeGrid(5.0 * t2, 25000))
         got = decoherence_time_empirical(traj)
         assert got == pytest.approx(t2, rel=0.02)  # contract
         assert got == pytest.approx(t2, rel=1e-4)  # implementation quality
@@ -76,7 +76,7 @@ class TestEmpiricalT2:
     def test_closed_form_ohmic_strong_damping(self, eig_default):
         rate = chi_rate(eig_default, OhmicBath(eta=0.12), 0.030)
         t2 = 1.0 / rate.chi  # ~1231.5 ps
-        traj = closed_form_trajectory(rate, time_grid(5.0 * t2, 25000))
+        traj = closed_form_trajectory(rate, TimeGrid(5.0 * t2, 25000))
         assert decoherence_time_empirical(traj) == pytest.approx(t2, rel=0.02)
 
     def test_numeric_trajectory(self, eig_default):
@@ -84,26 +84,26 @@ class TestEmpiricalT2:
         rate = chi_rate(eig_default, bath, 0.030)
         tensor = build_tensor(eig_default, bath, 0.030)
         t2 = 1.0 / rate.chi
-        traj = propagate_numeric(tensor, eig_default, initial_state(), 5.0 * t2, 25000)
+        traj = propagate_numeric(tensor, eig_default, initial_state(), TimeGrid(5.0 * t2, 25000))
         assert decoherence_time_empirical(traj) == pytest.approx(t2, rel=0.02)
 
     def test_isolated_system_signals_no_decay(self, eig_default):
         rate = chi_rate(eig_default, OhmicBath(eta=0.0), 0.030)
-        traj = closed_form_trajectory(rate, time_grid(500.0, 5000))
+        traj = closed_form_trajectory(rate, TimeGrid(500.0, 5000))
         with pytest.raises(TrajectoryTooShortError):
             decoherence_time_empirical(traj)
 
     def test_overdamped_threshold_crossing(self):
         rate = ChiRate(chi=0.5, n_occ=0.0, omega_21=0.1)
-        traj = closed_form_trajectory(rate, time_grid(400.0, 8000))
+        traj = closed_form_trajectory(rate, TimeGrid(400.0, 8000))
         got = decoherence_time_empirical(traj)
-        dense = closed_form_trajectory(rate, time_grid(400.0, 400000))
+        dense = closed_form_trajectory(rate, TimeGrid(400.0, 400000))
         crossing = dense.times[int(np.argmax(dense.abs_rho12 < 0.5 * math.exp(-1.0)))]
         assert got == pytest.approx(float(crossing), rel=1e-3)
 
     def test_too_short_trajectory_names_extension(self, eig_default):
         rate = chi_rate(eig_default, PiezoelectricBath(), 0.030)
-        traj = closed_form_trajectory(rate, time_grid(80.0, 800))
+        traj = closed_form_trajectory(rate, TimeGrid(80.0, 800))
         with pytest.raises(TrajectoryTooShortError, match="extend t_end"):
             decoherence_time_empirical(traj)
 
@@ -309,6 +309,10 @@ class TestEquilibriumPopulations:
         lower, upper = equilibrium_populations(1e300)
         assert lower == pytest.approx(0.5, rel=1e-12)
         assert upper == pytest.approx(0.5, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1e308, math.inf])
+    def test_beyond_the_float_range_of_2n_is_the_infinite_temperature_limit(self, n):
+        assert equilibrium_populations(n) == (0.5, 0.5)
 
     def test_sums_to_one_exactly(self):
         for n in (0.0, 1e-12, 0.1, 0.87, 5.0, 1e6):
@@ -611,7 +615,7 @@ def _poison(monkeypatch, engine: str, row: int) -> None:
 
         monkeypatch.setattr(analysis, "replay_stack", poisoned)
     else:
-        replay, points = analysis.closed_form_replay, itertools.count()
+        replay, points = analysis.closed_form_trajectory, itertools.count()
 
         def poisoned(rate, times):
             traj = replay(rate, times)
@@ -621,7 +625,7 @@ def _poison(monkeypatch, engine: str, row: int) -> None:
             data[-1, 1] = math.nan
             return Trajectory(traj.times, data)
 
-        monkeypatch.setattr(analysis, "closed_form_replay", poisoned)
+        monkeypatch.setattr(analysis, "closed_form_trajectory", poisoned)
 
 
 def _run_recording(spec: SweepSpec):
@@ -693,7 +697,8 @@ class TestGroupedFinish:
 # two full sample blocks and a ragged tail
 MULTI_BLOCK_GRID = TimeGrid(5000.0, 2 * SAMPLE_BLOCK + 77)
 # the public entry point of each engine and the replay analysis builds a point's engine from
-REPLAY_OF = {"closed_form_trajectory": "closed_form_replay", "propagate_numeric": "replay_powers"}
+REPLAY_OF = {"closed_form_trajectory": "closed_form_trajectory",
+             "propagate_numeric": "replay_powers"}
 
 
 class TestBlockwiseFinish:
@@ -832,8 +837,8 @@ COUNT_ERRORS = {
     "store_every-bool": (dict(store_every=True), "store_every must be an integer, got True"),
     "n_steps-beyond-float-range": (dict(n_steps=10**400), "n_steps is beyond the float range"),
 }
-# the one way into a time grid, and time_grid, which builds one through it
-GRID_CALLS = {"time_grid": time_grid, "TimeGrid": TimeGrid}
+# the one way into a time grid
+GRID_CALLS = {"TimeGrid": TimeGrid}
 
 
 class TestTimeGridValidation:
@@ -876,13 +881,20 @@ class TestTimeGridValidation:
 
 
 def _refuse_to_build_grids(monkeypatch) -> None:
-    """time_grid and Trajectory.times, the two ways to build a whole grid, raise from now on."""
+    """A full slice of any TimeGrid and Trajectory.times, the two ways to build a whole grid,
+    raise from now on."""
 
     def built(*args):
         raise AssertionError("a whole time grid was built")
 
-    for module in (dqdsim, redfield, analysis):  # analysis imports no time_grid today
-        monkeypatch.setattr(module, "time_grid", built, raising=False)
+    index_grid = TimeGrid.__getitem__
+
+    def indexing(grid, index):
+        if isinstance(index, slice) and index == slice(None):
+            built()
+        return index_grid(grid, index)
+
+    monkeypatch.setattr(TimeGrid, "__getitem__", indexing)
     monkeypatch.setattr(Trajectory, "times", property(built))
 
 
@@ -894,6 +906,7 @@ def _trajectory(abs_rho12) -> Trajectory:
 
 
 _RATE = ChiRate(chi=0.01, n_occ=0.0, omega_21=0.1)
+_EIG = diagonalize(QubitParams(0.05))
 # (call, exception, message): the library refuses each input by name, whoever calls it
 LIBRARY_INPUT_CHECKS = {
     "sweep-parameter": (
@@ -907,6 +920,28 @@ LIBRARY_INPUT_CHECKS = {
     "sweep-grid-not-a-time-grid": (
         lambda: _sweep(PiezoelectricBath(), "temperature", [0.03], grid=(100.0, 1000)),
         ValueError, "grid must be a TimeGrid or None, got tuple",
+    ),
+    "evaluate-point-grid-not-a-time-grid-numeric": (
+        lambda: analysis.evaluate_point(PiezoelectricBath(), 0.03, None, "numeric", (2500.0, 5000)),
+        ValueError, "^grid must be a TimeGrid or None, got tuple$",
+    ),
+    "evaluate-point-grid-not-a-time-grid-closed-form": (
+        lambda: analysis.evaluate_point(
+            PiezoelectricBath(), 0.03, None, "closed_form", (2500.0, 5000)
+        ),
+        ValueError, "^grid must be a TimeGrid or None, got tuple$",
+    ),
+    "propagate-numeric-grid-not-a-time-grid": (
+        lambda: propagate_numeric(
+            build_tensor(_EIG, PiezoelectricBath(), 0.03), _EIG, initial_state(), (2500.0, 5000)
+        ),
+        ValueError, "^grid must be a TimeGrid, got tuple$",
+    ),
+    "propagate-numeric-without-a-grid": (
+        lambda: propagate_numeric(
+            build_tensor(_EIG, PiezoelectricBath(), 0.03), _EIG, initial_state(), None
+        ),
+        ValueError, "^grid must be a TimeGrid, got NoneType$",
     ),
     "evaluate-point-engine": (
         lambda: analysis.evaluate_point(
@@ -936,7 +971,7 @@ LIBRARY_INPUT_CHECKS = {
         lambda: closed_form_trajectory(_RATE, np.array([0.0, 2.0, 1.0])),
         ValueError, "times must be strictly increasing",
     ),
-    "time-grid-no-steps": (lambda: time_grid(10.0, 0), ValueError, "n_steps must be >= 1"),
+    "time-grid-no-steps": (lambda: TimeGrid(10.0, 0), ValueError, "n_steps must be >= 1"),
     "bath-not-an-object": (
         lambda: bath_from_dict(5), ValueError, "bath must be an object, got int"
     ),

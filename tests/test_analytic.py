@@ -13,19 +13,19 @@ from dqdsim import (
     OhmicBath,
     PiezoelectricBath,
     QubitParams,
+    TimeGrid,
     chi_rate,
     closed_form_derivative,
     closed_form_rdm,
     closed_form_trajectory,
     diagonalize,
     initial_state,
-    time_grid,
 )
 from dqdsim import analytic
-from dqdsim.analytic import closed_form_replay
 from dqdsim.redfield import SAMPLE_BLOCK
 from test_redfield import DAMPING_REGIMES, REPLAY_LENGTHS, REPLAY_SAMPLES, WINDOW_EDGES
-from test_redfield import check_one_pass, count_calls, oracle_jn, window_lengths
+from test_redfield import LAZY_GRIDS, check_one_pass, count_calls, count_full_slices, oracle_jn
+from test_redfield import window_lengths
 
 
 def oracle_rate(bath, temperature, tc):
@@ -233,9 +233,9 @@ class TestConjugatePairBitForBit:
     @pytest.mark.parametrize("label,bath,temperature,tc", FIGURE_SETS)
     def test_figure_sets_on_a_time_grid(self, label, bath, temperature, tc):
         rate = chi_rate(diagonalize(QubitParams(tc)), bath, temperature)
-        times = time_grid(5.0 / rate.chi, 2500)
-        got = closed_form_trajectory(rate, times)
-        expected = two_exponential_closed_form(rate.chi, rate.omega_21, rate.n_occ, times)
+        grid = TimeGrid(5.0 / rate.chi, 2500)
+        got = closed_form_trajectory(rate, grid)
+        expected = two_exponential_closed_form(rate.chi, rate.omega_21, rate.n_occ, grid[:])
         assert got.data.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize(
@@ -272,7 +272,7 @@ def replay_times(regime: str) -> tuple[float, float, np.ndarray]:
 
 
 class TestReplayedClosedForm:
-    """closed_form_replay's blocks are the whole-grid closed form, bit for bit, at any grid
+    """closed_form_trajectory's blocks are the whole-grid closed form, bit for bit, at any grid
     and thinning."""
 
     @pytest.mark.parametrize("n_samples", REPLAY_LENGTHS)
@@ -281,7 +281,7 @@ class TestReplayedClosedForm:
     def test_blocks_are_the_stored_rows(self, regime, every, n_samples):
         chi, w, times = replay_times(regime)
         times = times[:n_samples]
-        traj = closed_form_replay(ChiRate(chi=chi, n_occ=0.3, omega_21=w), times)
+        traj = closed_form_trajectory(ChiRate(chi=chi, n_occ=0.3, omega_21=w), times)
         blocks = [block.copy() for block in traj.blocks(every)]
         assert [len(block) for block in blocks] == window_lengths(n_samples, every)
         expected = two_exponential_closed_form(chi, w, 0.3, times)[::every]
@@ -293,7 +293,7 @@ class TestReplayedClosedForm:
     def test_window_edges(self, regime, every, n_samples):
         chi, w, times = replay_times(regime)
         times = times[:n_samples]
-        traj = closed_form_replay(ChiRate(chi=chi, n_occ=0.3, omega_21=w), times)
+        traj = closed_form_trajectory(ChiRate(chi=chi, n_occ=0.3, omega_21=w), times)
         blocks = []
         for block in traj.blocks(every):
             blocks.append(block.copy())
@@ -309,11 +309,24 @@ class TestReplayedClosedForm:
         traj = closed_form_trajectory(ChiRate(chi=chi, n_occ=0.3, omega_21=w), times)
         check_one_pass(traj, passes, two_exponential_closed_form(chi, w, 0.3, times))
 
+    @pytest.mark.parametrize("grid", LAZY_GRIDS)
+    @pytest.mark.parametrize("every", [1, 3, 80])
+    @pytest.mark.parametrize("regime", list(DAMPING_REGIMES))
+    def test_a_time_grid_replays_as_its_built_times(self, monkeypatch, regime, every, grid):
+        chi, w = DAMPING_REGIMES[regime]
+        rate, checked = ChiRate(chi=chi, n_occ=0.3, omega_21=w), TimeGrid(*grid)
+        built = closed_form_trajectory(rate, checked[:])
+        expected = [block.copy() for block in built.blocks(every)]
+        full = count_full_slices(monkeypatch)
+        traj = closed_form_trajectory(rate, checked)
+        got = [block.copy() for block in traj.blocks(every)]
+        assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
+        assert traj._times is checked and full == []  # taken as it is, not built
+
 
 def test_closed_form_holds_little_beyond_its_output():
     rate = ChiRate(chi=1.0 / 59000.0, n_occ=0.3, omega_21=0.1)
-    times = time_grid(2.0e5, 200000)
-    traj = closed_form_trajectory(rate, times)
+    traj = closed_form_trajectory(rate, TimeGrid(2.0e5, 200000))
     data, peak = allocation_peak(lambda: traj.data)
     assert peak <= data.nbytes + 2 * MiB
 

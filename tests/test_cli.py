@@ -753,11 +753,11 @@ class TestValidationBoundary:
                 {"bath": PCPB, "grid": {"omega_min": 0, "omega_max": 0.1, "count": 3}},
                 "dqdsim.cli.spectral_density",
             ),
-            ("t2", EVOLVE_CFG, "dqdsim.analysis.closed_form_replay"),
+            ("t2", EVOLVE_CFG, "dqdsim.analysis.closed_form_trajectory"),
             (
                 "sweep",
                 {**_SWEEP, "t_end": 500.0, "n_steps": 5000},
-                "dqdsim.analysis.closed_form_replay",
+                "dqdsim.analysis.closed_form_trajectory",
             ),
         ],
         ids=["evolve", "spectral", "t2", "sweep"],
@@ -1131,6 +1131,7 @@ TRACE_TARGETS = [
     ("dqdsim.cli", "spectral_density", "dqdsim.bath"),
     ("dqdsim.analysis", "decoherence_time_empirical", "dqdsim.analysis"),
     ("dqdsim.analysis", "chi_rate", "dqdsim.analytic"),
+    ("dqdsim.analysis", "closed_form_trajectory", "dqdsim.analytic"),
     ("dqdsim.analysis", "build_tensor", "dqdsim.redfield"),
     ("dqdsim.analytic", "spectral_density", "dqdsim.bath"),
     ("dqdsim.analytic", "bose_occupation", "dqdsim.bath"),

@@ -17,6 +17,7 @@ from dqdsim import (
     PiezoelectricBath,
     QubitParams,
     StepSizeError,
+    TimeGrid,
     Trajectory,
     build_tensor,
     chi_rate,
@@ -27,7 +28,6 @@ from dqdsim import (
     initial_state,
     liouvillian,
     propagate_numeric,
-    time_grid,
 )
 from dqdsim import redfield
 from dqdsim.redfield import _POWER_BLOCK, SAMPLE_BLOCK, _rk4_blocks, replay_powers, replay_stack
@@ -199,7 +199,7 @@ class TestBuildTensor:
             expected[mu - 1, nu - 1, kappa - 1, lam - 1] = sign * np.inf
         assert tensor.r.tobytes() == expected.tobytes()
         with pytest.raises(StepSizeError):
-            propagate_numeric(tensor, eig_default, initial_state(), 100.0, 1000)
+            propagate_numeric(tensor, eig_default, initial_state(), TimeGrid(100.0, 1000))
 
 
 class TestLiouvillian:
@@ -282,9 +282,9 @@ class TestStackAgainstThePerPointLoop:
         n_steps = n_stored * store_every
         # a step at 90 % of the guard's limit
         t_end = 0.09 * n_steps / max(eig.omega_21, 2.0 * tensor.chi_effective)
-        args = (tensor, eig, initial_state(), t_end, n_steps, store_every)
-        expected = reference_propagation(*args)
-        assert propagate_numeric(*args).data.tobytes() == expected.tobytes()
+        expected = reference_propagation(tensor, eig, initial_state(), t_end, n_steps, store_every)
+        got = propagate_numeric(tensor, eig, initial_state(), TimeGrid(t_end, n_steps, store_every))
+        assert got.data.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("label,bath,temperature,tc", FIGURE_SETS)
     @pytest.mark.parametrize("n_stored,store_every", [(1, 1), (63, 3), (64, 1), (1000, 2)])
@@ -330,8 +330,9 @@ class TestCoherenceNeverRises:
         t_end = 0.09 * n_steps / max(eig.omega_21, 2.0 * tensor.chi_effective)
         rho12 = modulus * np.sqrt(rho11 * (1.0 - rho11)) * np.exp(1j * phase)
         rho0 = DensityMatrix(rho11, rho12, np.conj(rho12), 1.0 - rho11)
-        numeric = propagate_numeric(tensor, eig, rho0, t_end, n_steps, store_every)
-        closed = closed_form_trajectory(chi_rate(eig, bath, temperature), numeric.times)
+        grid = TimeGrid(t_end, n_steps, store_every)
+        numeric = propagate_numeric(tensor, eig, rho0, grid)
+        closed = closed_form_trajectory(chi_rate(eig, bath, temperature), grid)
         # rounding is relative for normal doubles and absolute among the subnormals
         slack = 1e-12 * np.finfo(float).tiny
         for amps in (numeric.abs_rho12, closed.abs_rho12):
@@ -353,9 +354,9 @@ class TestOneProductPerBlock:
     @pytest.mark.parametrize("n_stored", [1, 37, 64, 65, 3 * 64 + 17])
     def test_ragged_last_block(self, eig_default, n_stored):
         L = liouvillian(build_tensor(eig_default, PiezoelectricBath(), 0.030), eig_default)
-        powers = stride_powers(L[None], 0.5, 3, n_stored)[0]
-        times = time_grid(1.5 * n_stored, 3 * n_stored, 3)
-        got = replay_powers(powers, initial_state(), times)
+        grid = TimeGrid(1.5 * n_stored, 3 * n_stored, 3)  # h = 0.5
+        powers = stride_powers(L[None], grid)[0]
+        got = replay_powers(powers, initial_state(), grid)
         expected = per_matrix_blocks(powers, initial_state().as_vector(), n_stored)
         assert got.data.tobytes() == expected.tobytes()
 
@@ -366,7 +367,7 @@ class TestOneProductPerBlock:
         shape = (min(64, n_stored), 4, 4)
         powers = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / 4.0
         rho0 = initial_state()
-        got = replay_powers(powers, rho0, time_grid(float(n_stored), n_stored))
+        got = replay_powers(powers, rho0, TimeGrid(float(n_stored), n_stored))
         expected = per_matrix_blocks(powers, rho0.as_vector(), n_stored)
         assert got.data.tobytes() == expected.tobytes()
 
@@ -413,9 +414,9 @@ def replay_case(regime: str, n_samples: int = REPLAY_SAMPLES):
     """Stride powers, grid and per-matrix reference samples of one damping regime."""
     chi, w = DAMPING_REGIMES[regime]
     n_stored = n_samples - 1
-    times = time_grid(20.0 / chi, n_stored)
-    powers = stride_powers(decay_generator(chi, w, 0.3)[None], times[1], 1, n_stored)[0]
-    return powers, times, per_matrix_blocks(powers, initial_state().as_vector(), n_stored)
+    grid = TimeGrid(20.0 / chi, n_stored)
+    powers = stride_powers(decay_generator(chi, w, 0.3)[None], grid)[0]
+    return powers, grid, per_matrix_blocks(powers, initial_state().as_vector(), n_stored)
 
 
 def count_calls(monkeypatch, module, name: str) -> list:
@@ -455,17 +456,17 @@ class TestReplayedRecurrence:
     @pytest.mark.parametrize("every", [1, 3, 80])
     @pytest.mark.parametrize("regime", list(DAMPING_REGIMES))
     def test_blocks_are_the_stored_rows(self, regime, every, n_samples):
-        powers, times, expected = replay_case(regime, n_samples)
-        traj = replay_powers(powers, initial_state(), times)
+        powers, grid, expected = replay_case(regime, n_samples)
+        traj = replay_powers(powers, initial_state(), grid)
         blocks = [block.copy() for block in traj.blocks(every)]
         assert [len(block) for block in blocks] == window_lengths(n_samples, every)
         assert np.concatenate(blocks).tobytes() == expected[::every].tobytes()
 
     @pytest.mark.parametrize("regime", list(DAMPING_REGIMES))
     def test_one_source_pass_serves_every_accessor(self, monkeypatch, regime):
-        powers, times, expected = replay_case(regime)
+        powers, grid, expected = replay_case(regime)
         passes = count_calls(monkeypatch, redfield, "_rk4_blocks")
-        traj = replay_powers(powers, initial_state(), times)
+        traj = replay_powers(powers, initial_state(), grid)
         assert len(traj) == REPLAY_SAMPLES
         check_one_pass(traj, passes, expected)
 
@@ -473,17 +474,17 @@ class TestReplayedRecurrence:
     @pytest.mark.parametrize("every", [1, 2, 64])
     def test_short_grids_and_small_blocks(self, eig_default, n_stored, every):
         L = liouvillian(build_tensor(eig_default, PiezoelectricBath(), 0.030), eig_default)
-        powers = stride_powers(L[None], 0.5, 1, n_stored)[0]
-        times = time_grid(0.5 * n_stored, n_stored)
+        grid = TimeGrid(0.5 * n_stored, n_stored)  # h = 0.5
+        powers = stride_powers(L[None], grid)[0]
         expected = per_matrix_blocks(powers, initial_state().as_vector(), n_stored)
-        (block,) = replay_powers(powers, initial_state(), times).blocks(every)
+        (block,) = replay_powers(powers, initial_state(), grid).blocks(every)
         assert block.tobytes() == expected[::every].tobytes()
 
     def test_block_arguments_are_checked(self):
-        powers, times, _ = replay_case("underdamped", 100)
+        powers, grid, _ = replay_case("underdamped", 100)
         stored = Trajectory(np.arange(3.0), np.arange(12.0).reshape(3, 4) + 0j)
         rate = chi_rate(diagonalize(QubitParams(0.05)), PiezoelectricBath(), 0.030)
-        replays = (replay_powers(powers, initial_state(), times), closed_form_trajectory(rate, times))
+        replays = (replay_powers(powers, initial_state(), grid), closed_form_trajectory(rate, grid))
         for traj in (stored, *replays):
             for every in (0, -1, np.int64(0)):
                 with pytest.raises(ValueError, match="every must be >= 1"):
@@ -510,7 +511,8 @@ def stack_case(stack: int, n_samples: int = STACK_SAMPLES):
          for j, (chi, w) in zip(range(stack), itertools.cycle(regimes))]
     )
     n_stored = n_samples - 1
-    powers = stride_powers(generators, 0.03, 1, n_stored)
+    # a step of 0.03 to within an ulp: the references are made from these powers
+    powers = stride_powers(generators, TimeGrid(0.03 * n_stored, n_stored))
     return powers, [per_matrix_blocks(p, initial_state().as_vector(), n_stored) for p in powers]
 
 
@@ -535,7 +537,7 @@ class TestStackedRecurrence:
         got = replay_stack(powers, initial_state(), out)
         assert got.shape == out.shape and np.shares_memory(got, out)
         assert got.tobytes() == np.stack(expected).tobytes()
-        alone = replay_powers(powers[-1], initial_state(), time_grid(1.0, STACK_SAMPLES - 1))
+        alone = replay_powers(powers[-1], initial_state(), TimeGrid(1.0, STACK_SAMPLES - 1))
         assert alone.data.tobytes() == expected[-1].tobytes()
 
 
@@ -587,7 +589,7 @@ class TestPropagation:
     def test_isolated_system_phase(self, eig_default):
         # zero tensor: rho12(t) = exp(+i w21 t)/2 since omega_12 = -omega_21
         tensor = build_tensor(eig_default, OhmicBath(eta=0.0), 0.030)
-        traj = propagate_numeric(tensor, eig_default, initial_state(), 200.0, 4000)
+        traj = propagate_numeric(tensor, eig_default, initial_state(), TimeGrid(200.0, 4000))
         expected = 0.5 * np.exp(1j * eig_default.omega_21 * traj.times)
         assert np.max(np.abs(traj.data[:, 1] - expected)) < 1e-9
         assert np.max(np.abs(traj.data[:, 0] - 0.5)) < 1e-12
@@ -597,25 +599,25 @@ class TestPropagation:
         bath = PiezoelectricBath()
         tensor = build_tensor(eig_default, bath, 1.0)
         L = liouvillian(tensor, eig_default)
-        n_steps, t_end = 200, 150.0
-        h = t_end / n_steps
+        grid = TimeGrid(150.0, 200)
+        h = grid.h
         y = initial_state().as_vector()
         reference = [y.copy()]
-        for _ in range(n_steps):
+        for _ in range(grid.n_steps):
             k1 = L @ y
             k2 = L @ (y + 0.5 * h * k1)
             k3 = L @ (y + 0.5 * h * k2)
             k4 = L @ (y + h * k3)
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             reference.append(y.copy())
-        traj = propagate_numeric(tensor, eig_default, initial_state(), t_end, n_steps)
+        traj = propagate_numeric(tensor, eig_default, initial_state(), grid)
         assert np.max(np.abs(traj.data - np.array(reference))) < 1e-12
 
     def test_store_every_thins_the_same_run(self, eig_default):
         tensor = build_tensor(eig_default, PiezoelectricBath(), 0.030)
-        dense = propagate_numeric(tensor, eig_default, initial_state(), 100.0, 400)
+        dense = propagate_numeric(tensor, eig_default, initial_state(), TimeGrid(100.0, 400))
         strided = propagate_numeric(
-            tensor, eig_default, initial_state(), 100.0, 400, store_every=8
+            tensor, eig_default, initial_state(), TimeGrid(100.0, 400, store_every=8)
         )
         assert np.array_equal(dense.times[::8], strided.times)
         assert np.max(np.abs(dense.data[::8] - strided.data)) < 1e-12
@@ -623,23 +625,26 @@ class TestPropagation:
     def test_store_every_must_divide(self, eig_default):
         tensor = build_tensor(eig_default, PiezoelectricBath(), 0.030)
         with pytest.raises(ValueError, match="store_every"):
-            propagate_numeric(tensor, eig_default, initial_state(), 100.0, 401, store_every=8)
+            propagate_numeric(
+                tensor, eig_default, initial_state(), TimeGrid(100.0, 401, store_every=8)
+            )
 
     def test_step_guard_names_minimum(self, eig_default):
         tensor = build_tensor(eig_default, PiezoelectricBath(), 0.030)
         with pytest.raises(StepSizeError) as err:
-            propagate_numeric(tensor, eig_default, initial_state(), 2000.0, 1000)
+            propagate_numeric(tensor, eig_default, initial_state(), TimeGrid(2000.0, 1000))
         match = re.search(r"at least (\d+)", str(err.value))
         assert match, str(err.value)
         n_min = int(match.group(1))
-        propagate_numeric(tensor, eig_default, initial_state(), 2000.0, n_min)
+        propagate_numeric(tensor, eig_default, initial_state(), TimeGrid(2000.0, n_min))
 
     def test_matches_closed_form(self, eig_default):
         bath = PiezoelectricBath()
         tensor = build_tensor(eig_default, bath, 0.030)
         rate = chi_rate(eig_default, bath, 0.030)
-        traj = propagate_numeric(tensor, eig_default, initial_state(), 2000.0, 40000)
-        closed = closed_form_trajectory(rate, traj.times)
+        grid = TimeGrid(2000.0, 40000)
+        traj = propagate_numeric(tensor, eig_default, initial_state(), grid)
+        closed = closed_form_trajectory(rate, grid)
         assert np.max(np.abs(traj.data - closed.data)) < 1e-6
 
     def test_fourth_order_convergence_over_a_decade(self, eig_default):
@@ -648,8 +653,9 @@ class TestPropagation:
         rate = chi_rate(eig_default, bath, 0.030)
         errors = []
         for n_steps in (2500, 5000, 10000, 20000):
-            traj = propagate_numeric(tensor, eig_default, initial_state(), 2000.0, n_steps)
-            closed = closed_form_trajectory(rate, traj.times)
+            grid = TimeGrid(2000.0, n_steps)
+            traj = propagate_numeric(tensor, eig_default, initial_state(), grid)
+            closed = closed_form_trajectory(rate, grid)
             errors.append(np.max(np.abs(traj.data - closed.data)))
         for coarse, fine in zip(errors, errors[1:]):
             assert 12.0 < coarse / fine < 20.0
@@ -657,7 +663,7 @@ class TestPropagation:
     def test_trace_and_hermiticity_preserved(self, eig_default):
         bath = PiezoelectricBath()
         tensor = build_tensor(eig_default, bath, 1.0)
-        traj = propagate_numeric(tensor, eig_default, initial_state(), 20000.0, 200000)
+        traj = propagate_numeric(tensor, eig_default, initial_state(), TimeGrid(20000.0, 200000))
         assert np.max(np.abs(traj.data[:, 0] + traj.data[:, 3] - 1.0)) < 1e-10
         assert np.max(np.abs(traj.data[:, 2] - np.conj(traj.data[:, 1]))) < 1e-10
         assert np.max(np.abs(traj.data[:, 0].imag)) < 1e-10
@@ -671,9 +677,8 @@ class TestPropagation:
         rate = chi_rate(eig_default, bath, temperature)
         t_end = 10.0 / rate.chi
         n_steps = int(np.ceil(t_end * eig_default.omega_21 / 0.1 / 1000.0)) * 1000
-        traj = propagate_numeric(
-            tensor, eig_default, initial_state(), t_end, n_steps, store_every=n_steps // 100
-        )
+        grid = TimeGrid(t_end, n_steps, store_every=n_steps // 100)
+        traj = propagate_numeric(tensor, eig_default, initial_state(), grid)
         n = rate.n_occ
         rho11_end = traj.data[-1, 0].real
         rho22_end = traj.data[-1, 3].real
@@ -686,7 +691,7 @@ class TestTrajectory:
     def test_invariants(self, eig_default):
         tensor = build_tensor(eig_default, PiezoelectricBath(), 0.030)
         rho0 = initial_state()
-        traj = propagate_numeric(tensor, eig_default, rho0, 50.0, 100)
+        traj = propagate_numeric(tensor, eig_default, rho0, TimeGrid(50.0, 100))
         assert len(traj) == 101
         assert traj.times[0] == 0.0
         assert np.all(np.diff(traj.times) > 0)
@@ -717,7 +722,7 @@ class TestTrajectory:
         assert traj.data is data
 
     def test_only_the_time_grid_itself_skips_the_order_check(self):
-        times = time_grid(10.0, 10)
+        times = TimeGrid(10.0, 10)[:]
         data = np.zeros((11, 4), dtype=complex)
         assert len(Trajectory(times=times, data=data)) == 11
         for unordered in (times[::-1], times[::-1].copy()):
@@ -725,7 +730,7 @@ class TestTrajectory:
                 Trajectory(times=unordered, data=data)
 
     def test_time_grid_values(self):
-        times = time_grid(10.0, 10, 2)
+        times = TimeGrid(10.0, 10, 2)[:]
         assert times.tolist() == [0.0, 2.0, 4.0, 6.0, 8.0, 10.0]
 
 
@@ -733,10 +738,36 @@ class TestTrajectory:
 LAZY_GRIDS = [(10.0, 10, 2), (2500.0, 2 * SAMPLE_BLOCK + 76, 1), (3000.0, 12000 * 6, 6)]
 
 
+def built_times(t_end: float, n_steps: int, store_every: int = 1) -> np.ndarray:
+    """The whole grid, written out: t = 0 and every store_every-th step of t_end / n_steps."""
+    return np.arange(n_steps // store_every + 1) * (store_every * (t_end / n_steps))
+
+
 # indices of a grid of n samples: in range from either end, just beyond each end, and none
 # (T2 extraction reads the times of no sample when it finds no stationary one)
 INDEX_AT = {"-1": lambda n: [-1], "0": lambda n: [0], "n-1": lambda n: [n - 1],
             "n": lambda n: [n], "-n-1": lambda n: [-n - 1], "none": lambda n: []}
+# indices that are not integer arrays: integer scalars and lists, which select, floats, which
+# are refused, and boolean masks, which select at the grid's length and are refused at n - 1
+OTHER_INDEX_AT = {
+    "int": lambda n: 2, "numpy-int": lambda n: np.int64(-1), "0-d-int": lambda n: np.array(5),
+    "int-list": lambda n: [0, n - 1], "float": lambda n: 2.0, "0-d-float": lambda n: np.array(3.0),
+    "1-d-float": lambda n: np.array([0.5]), "empty-float": lambda n: np.array([]),
+    "mask": lambda n: np.arange(n) % 7 == 3, "short-mask": lambda n: np.ones(n - 1, dtype=bool),
+}
+
+
+def count_full_slices(monkeypatch) -> list:
+    """Record from now on each TimeGrid read whole, grid[:], the way a grid is built."""
+    full, index_grid = [], redfield.TimeGrid.__getitem__
+
+    def indexing(grid, index):
+        if isinstance(index, slice) and index == slice(None):
+            full.append(grid)
+        return index_grid(grid, index)
+
+    monkeypatch.setattr(redfield.TimeGrid, "__getitem__", indexing)
+    return full
 
 
 class TestTimeGrid:
@@ -744,7 +775,7 @@ class TestTimeGrid:
 
     @pytest.mark.parametrize("grid", LAZY_GRIDS)
     def test_slices_and_indices_are_the_built_grid(self, grid):
-        built, lazy = time_grid(*grid), redfield.TimeGrid(*grid)
+        built, lazy = built_times(*grid), redfield.TimeGrid(*grid)
         n = len(built)
         assert len(lazy) == n
         for index in (slice(None), slice(3, None, 7), slice(n - 2, n + 9, 3), slice(n, None),
@@ -760,8 +791,8 @@ class TestTimeGrid:
     @pytest.mark.parametrize("at", list(INDEX_AT.values()), ids=list(INDEX_AT))
     def test_a_replay_reads_an_index_as_a_stored_trajectory_does(self, eig_default, grid, at):
         tensor = build_tensor(eig_default, PiezoelectricBath(), 0.030)
-        replay = propagate_numeric(tensor, eig_default, initial_state(), *grid)
-        stored = Trajectory(time_grid(*grid), replay.data)
+        replay = propagate_numeric(tensor, eig_default, initial_state(), TimeGrid(*grid))
+        stored = Trajectory(built_times(*grid), replay.data)
         n = len(stored)
         index = np.array(at(n), dtype=np.intp)
         try:
@@ -775,12 +806,31 @@ class TestTimeGrid:
             assert replay.times_at(index).tobytes() == expected.tobytes()
         assert isinstance(replay._times, redfield.TimeGrid)  # nothing above built the grid
 
+    @pytest.mark.parametrize("grid", [(100.0, 1000, 1), (3000.0, 12000 * 6, 6)])
+    @pytest.mark.parametrize("at", list(OTHER_INDEX_AT.values()), ids=list(OTHER_INDEX_AT))
+    def test_a_replay_reads_any_other_index_as_a_stored_trajectory_does(
+        self, eig_default, grid, at
+    ):
+        tensor = build_tensor(eig_default, PiezoelectricBath(), 0.030)
+        replay = propagate_numeric(tensor, eig_default, initial_state(), TimeGrid(*grid))
+        stored = Trajectory(built_times(*grid), replay.data)
+        index = at(len(stored))
+        try:
+            expected = stored.times_at(index)
+        except IndexError:
+            with pytest.raises(IndexError):
+                replay.times_at(index)
+        else:
+            got = replay.times_at(index)
+            assert np.shape(got) == np.shape(expected) and got.tobytes() == expected.tobytes()
+        assert isinstance(replay._times, redfield.TimeGrid)  # nothing above built the grid
+
     @pytest.mark.parametrize("every", [1, 3, 80])
     def test_a_replay_reads_its_times_without_building_them(self, eig_default, every):
         tensor = build_tensor(eig_default, PiezoelectricBath(), 0.030)
         grid = (2500.0, 2 * SAMPLE_BLOCK + 76)
-        traj = propagate_numeric(tensor, eig_default, initial_state(), *grid)
-        built = time_grid(*grid)
+        traj = propagate_numeric(tensor, eig_default, initial_state(), TimeGrid(*grid))
+        built = built_times(*grid)
         stored = Trajectory(built, traj.data)
         for reader in (traj, stored):
             windows = [t.tobytes() for t in reader.time_blocks(every)]
@@ -796,3 +846,21 @@ class TestTimeGrid:
         assert traj.times is times
         with pytest.raises(ValueError, match="every must be an integer"):
             traj.time_blocks(2.0)
+
+    @pytest.mark.parametrize("grid", LAZY_GRIDS)
+    def test_both_engines_take_the_grid_and_build_it_only_for_times(
+        self, monkeypatch, eig_default, grid
+    ):
+        bath, checked = PiezoelectricBath(), TimeGrid(*grid)
+        full = count_full_slices(monkeypatch)
+        tensor = build_tensor(eig_default, bath, 0.030)
+        numeric = propagate_numeric(tensor, eig_default, initial_state(), checked)
+        closed = closed_form_trajectory(chi_rate(eig_default, bath, 0.030), checked)
+        for traj in (numeric, closed):
+            assert traj._times is checked and len(traj.data) == len(checked)
+            assert [len(t) for t in traj.time_blocks(3)] == [len(b) for b in traj.blocks(3)]
+            traj.times_at(np.array([0, len(checked) - 1]))
+        assert full == []
+        built = built_times(*grid)
+        assert numeric.times.tobytes() == built.tobytes() and full == [checked]
+        assert closed.times.tobytes() == built.tobytes() and full == [checked] * 2
