@@ -23,7 +23,11 @@ writes them), lines end with \\n, JSON keys are sorted.  A table of more than
 _SPLIT_ROWS rows is formatted by two processes on Linux (see split_writer),
 a forked child making only the rows from a cut near the middle on: the same
 bytes, through a temporary file never left behind, and a child that fails
-leaves its rows to the parent.  Exit codes: 0
+leaves its rows to the parent.  A sweep of two stacks of points or more
+(analysis._STACK_POINTS) that writes no trajectory files is evaluated by two
+processes alike (see split_writer): a forked child evaluates the points from
+a stack boundary near the middle on, and the summary, the errors and the exit
+code are those of one process.  Exit codes: 0
 success, 2 usage/config error (including a file that is not UTF-8 JSON, running
 out of memory, in a sweep too, and a grid or step count beyond what an array or
 a float can hold), 3 numerical guard (including a NaN or infinite result), 4 i/o
@@ -46,6 +50,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .analysis import (
+    _STACK_POINTS,
     ENGINES,
     NoDecoherenceError,
     NonFiniteResultError,
@@ -435,7 +440,14 @@ def cmd_sweep(cfg: dict, out: Optional[str], engine: str, fmt: str) -> None:
         path = str(Path(out).with_name(sidecar(p.index)))
         _emit_table("csv", path, None, *table, p.max_abs_diff)
 
-    points = run_sweep(spec, write_trajectory if write_traj else None).points
+    # a sweep of two stacks or more without trajectory files is split (see split_writer)
+    cut = len(values) // 2 // _STACK_POINTS * _STACK_POINTS
+    if write_traj or not cut:
+        points = run_sweep(spec, write_trajectory if write_traj else None).points
+    else:
+        from .split_writer import sweep_split
+
+        points = sweep_split(spec, cut, run_sweep)
     meta = _meta("sweep", bath, fmt, out, **_point_fields(tc, temperature, grid, engine))
     meta["sweep"] = {"parameter": parameter, "values": list(values)}
     meta["trajectories"] = {"write": write_traj, "every": every}

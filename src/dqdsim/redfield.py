@@ -96,7 +96,8 @@ class TimeGrid:
     stride, the values grid[:] builds bit for bit, without building the grid.
     An index is read as the built array reads it: a negative one counts from
     the end, one outside [-n_samples, n_samples) is an IndexError, a boolean
-    mask of n_samples selects, and any other index is an IndexError.
+    mask of n_samples selects, an empty list selects nothing, and any other
+    index is an IndexError.
     """
 
     __slots__ = ("t_end", "n_steps", "store_every", "h", "n_samples", "stride")
@@ -135,7 +136,9 @@ class TimeGrid:
     def __getitem__(self, index) -> np.ndarray:
         if isinstance(index, slice):
             return np.arange(*index.indices(self.n_samples)) * self.stride
-        index = np.asarray(index)
+        listed, index = isinstance(index, list), np.asarray(index)
+        if listed and not index.size:  # numpy reads an empty list as integers, asarray as floats
+            index = index.astype(np.intp)
         if index.dtype == bool and index.shape == (self.n_samples,):
             index = np.flatnonzero(index)
         if index.dtype.kind not in "iu":  # a float, or a mask of another length

@@ -754,6 +754,8 @@ OTHER_INDEX_AT = {
     "int-list": lambda n: [0, n - 1], "float": lambda n: 2.0, "0-d-float": lambda n: np.array(3.0),
     "1-d-float": lambda n: np.array([0.5]), "empty-float": lambda n: np.array([]),
     "mask": lambda n: np.arange(n) % 7 == 3, "short-mask": lambda n: np.ones(n - 1, dtype=bool),
+    "empty-list": lambda n: [], "empty-nested-list": lambda n: [[], []],
+    "float-list": lambda n: [0.5], "bool-list": lambda n: [True] * n,
 }
 
 
@@ -786,6 +788,8 @@ class TestTimeGrid:
                 assert lazy[kept].tobytes() == built[kept].tobytes()
         index = np.array([0, 1, n // 2, n - 2, n - 1])
         assert lazy[index].tobytes() == built[index].tobytes()
+        for index in ([], [[]]):  # numpy reads an empty list as integers
+            assert lazy[index].shape == built[index].shape and lazy[index].dtype == float
 
     @pytest.mark.parametrize("grid", [(100.0, 1000, 1), (3000.0, 12000 * 6, 6)])
     @pytest.mark.parametrize("at", list(INDEX_AT.values()), ids=list(INDEX_AT))
